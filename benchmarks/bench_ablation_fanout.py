@@ -1,10 +1,19 @@
-"""Ablation — R-tree fan-out.
+"""Ablation — R-tree fan-out and split policy.
 
-The engines default to ``max_entries = 12`` per R-tree node.  Fan-out
-trades per-node scan width against tree depth (and split/condense
-frequency); this sweep measures steady-state maintenance cost across
-fan-outs on the workload where the R-tree matters most
-(anti-correlated data, where ``|R_N|`` is largest).
+The paper's R-tree (Figure 8) defaults to ``max_entries = 12`` per
+node.  Fan-out trades per-node scan width against tree depth (and
+split/condense frequency); these sweeps measure steady-state
+maintenance cost across fan-outs and split policies on the workload
+where the R-tree matters most (anti-correlated data, where ``|R_N|``
+is largest).
+
+The engines run the struct-of-arrays rebuild of the tree, whose blocks
+ignore the split policy and coarsen fan-out to ``max(32, 4 * fanout)``
+rows, so both sweeps swap the pointer tree
+(:class:`repro.structures.rtree.RTree`) into an n-of-N engine — the
+way :class:`repro.core.nofn_linear.LinearScanNofNSkyline` swaps in its
+flat scan — and feed it per element (the pointer tree has no batch
+surface).
 
 Expected shape: a shallow bowl — tiny fan-outs pay for deep trees and
 frequent splits, huge fan-outs degenerate toward linear node scans —
@@ -23,19 +32,29 @@ from repro.bench import (
     stream_points,
 )
 from repro.core.nofn import NofNSkyline
+from repro.structures.rtree import RTree
 
 FANOUTS = (4, 8, 12, 24, 48)
 DIMS = (2, 4)
 
 
+def _pointer_engine(
+    dim: int, capacity: int, fanout: int = 12, split: str = "quadratic"
+) -> NofNSkyline:
+    """An n-of-N engine over the pointer R-tree with the given tuning."""
+    engine = NofNSkyline(dim, capacity)
+    engine._rtree = RTree(  # type: ignore[assignment]
+        dim,
+        max_entries=fanout,
+        min_entries=max(2, fanout // 3),
+        split=split,
+    )
+    return engine
+
+
 def _run(dim: int, capacity: int, fanout: int):
     points = stream_points("anticorrelated", dim, 2 * capacity, seed=83)
-    engine = NofNSkyline(
-        dim,
-        capacity,
-        rtree_max_entries=fanout,
-        rtree_min_entries=max(2, fanout // 3),
-    )
+    engine = _pointer_engine(dim, capacity, fanout)
     return feed_timed(engine, points, warmup=capacity)
 
 
@@ -88,7 +107,7 @@ def test_ablation_split_policy(report, benchmark):
                 points = stream_points(
                     "anticorrelated", dim, 2 * capacity, seed=83
                 )
-                engine = NofNSkyline(dim, capacity, rtree_split=policy)
+                engine = _pointer_engine(dim, capacity, split=policy)
                 results[(dim, policy)] = feed_timed(
                     engine, points, warmup=capacity
                 )
@@ -124,10 +143,7 @@ def test_fanout_append_benchmark(benchmark, fanout):
     """Micro-benchmark: append cost at selected fan-outs (d=4 anti)."""
     capacity = scaled(800)
     rounds = 200
-    engine = NofNSkyline(
-        4, capacity, rtree_max_entries=fanout,
-        rtree_min_entries=max(2, fanout // 3),
-    )
+    engine = _pointer_engine(4, capacity, fanout)
     for point in stream_points("anticorrelated", 4, capacity, seed=89):
         engine.append(point)
     points = iter(stream_points("anticorrelated", 4, rounds + 10, seed=97))

@@ -9,15 +9,11 @@ Produces two JSON files (default: the repository root):
     snapshot) — with medians, p99s and speedup ratios.
 
 ``BENCH_ingest.json``
-    Per-arrival maintenance latency on a full window, across four
-    variants: the struct-of-arrays layout fed per-element (``soa``)
-    and through the frozen-tree ``append_many`` pipeline (``batch``),
-    plus the pointer tree with leaf kernels (``kernels_auto``) and
-    without (``kernels_off``).  ``soa_speedup`` is SoA vs the
-    kernels-on pointer tree; ``batch_speedup`` is batched vs
-    per-element SoA; ``kernel_speedup`` is kernels-on vs kernels-off
-    on the pointer tree (must stay >= 1.0: kernels that slow ingest
-    down are a bug, not a trade-off).
+    Per-arrival maintenance latency on a full window, across two
+    variants: the engine fed per-element (``soa``, after its
+    struct-of-arrays dominance index) and through the frozen-tree
+    ``append_many`` pipeline (``batch``).  ``batch_speedup`` is batched
+    vs per-element ingest.
 
 ``BENCH_shard.json``
     Sharded-router throughput versus shard count relative to the single
@@ -106,31 +102,10 @@ SHARD_SANITY_FLOOR = 0.25
 #: is deliberately conservative (IPC and merge overhead are real), but
 #: falling below it on real cores means the parallel path regressed.
 PARALLEL_INGEST_FLOOR = 1.1
-#: Kernels-on ingest must not lose to kernels-off: the maintenance
-#: path is reuse-only, so pure ingest builds no kernels at all and
-#: the true ratio is 1.0 (at seed it was a consistent 0.94-0.99x,
-#: because ``max_kappa_dominator`` built matrices the next insert
-#: invalidated).  Quick-profile medians over sub-200us appends
-#: scatter by +-7% on a shared core, hence ">= 1.0x within
-#: measurement tolerance" = 0.9.
-KERNEL_INGEST_FLOOR = 0.9
-#: The SoA layout must beat the kernels-on pointer tree on ingest on
-#: any machine — both sides are measured in the same run, so the ratio
-#: is machine-portable.  The committed full profile shows >= 3x at
-#: d=5; the floor only guards against the layout silently losing its
-#: advantage.
-SOA_INGEST_FLOOR = 1.2
-
-#: Ingest variants: result key -> build_engine kwargs.  ``batch`` is
-#: the SoA layout fed through ``append_many`` (the frozen-tree chunk
-#: pipeline) instead of per-element ``append`` — same stream, same
-#: interleaving, bulk maintenance.
-INGEST_VARIANTS: Dict[str, Dict[str, str]] = {
-    "soa": {"layout": "soa"},
-    "batch": {"layout": "soa"},
-    "kernels_auto": {"layout": "pointer", "kernels": "auto"},
-    "kernels_off": {"layout": "pointer", "kernels": "off"},
-}
+#: Ingest variants.  ``batch`` feeds the same stream through
+#: ``append_many`` (the frozen-tree chunk pipeline) instead of
+#: per-element ``append`` — same interleaving, bulk maintenance.
+INGEST_VARIANTS = ("soa", "batch")
 #: ``batch_speedup`` floors per dimension: batched ingest must beat
 #: per-element SoA ingest by these machine-portable ratios (both sides
 #: measured in the same run).  The committed full profile shows >= 2x
@@ -229,12 +204,8 @@ def time_each(fn: Callable[[Any], Any], args: List[Any]) -> List[int]:
     return samples
 
 
-def build_engine(
-    dim: int, window: int, kernels: str = "auto", layout: str = "auto"
-) -> NofNSkyline:
-    engine = NofNSkyline(
-        dim=dim, capacity=window, kernels=kernels, rtree_layout=layout
-    )
+def build_engine(dim: int, window: int) -> NofNSkyline:
+    engine = NofNSkyline(dim=dim, capacity=window)
     points = list(make_stream(DISTRIBUTION, dim, window, SEED))
     for start in range(0, window, 1000):
         engine.append_many(points[start:start + 1000])
@@ -289,10 +260,7 @@ def bench_ingest_dim(dim: int, profile: Dict[str, int]) -> Dict[str, Any]:
     # that slow machine drift (thermal throttle, background load —
     # very visible on a 1-core container) hits every variant equally
     # instead of biasing whichever ran last.
-    engines = {
-        key: build_engine(dim, window, **kwargs)
-        for key, kwargs in INGEST_VARIANTS.items()
-    }
+    engines = {key: build_engine(dim, window) for key in INGEST_VARIANTS}
     samples: Dict[str, List[int]] = {key: [] for key in engines}
     keys = list(engines)
     chunk = 50
@@ -314,16 +282,6 @@ def bench_ingest_dim(dim: int, profile: Dict[str, int]) -> Dict[str, Any]:
     results: Dict[str, Any] = {
         key: summarize(samples[key]) for key in engines
     }
-    results["kernel_speedup"] = round(
-        results["kernels_off"]["median_us"]
-        / max(results["kernels_auto"]["median_us"], 1e-9),
-        2,
-    )
-    results["soa_speedup"] = round(
-        results["kernels_auto"]["median_us"]
-        / max(results["soa"]["median_us"], 1e-9),
-        2,
-    )
     results["batch_speedup"] = round(
         results["soa"]["median_us"]
         / max(results["batch"]["median_us"], 1e-9),
@@ -634,21 +592,8 @@ def check_regression(fresh: Dict[str, Any], committed_path: Path,
             continue
         if kind == "ingest":
             where = f"ingest/{dim_key}"
-            # Absolute floors first: both ratios compare two variants
-            # measured in the same run, so they are machine-portable.
-            if fresh_dim["kernel_speedup"] < KERNEL_INGEST_FLOOR:
-                failures.append(
-                    f"{where}: kernels-on ingest is only "
-                    f"{fresh_dim['kernel_speedup']}x kernels-off "
-                    f"(floor {KERNEL_INGEST_FLOOR}: kernels must not "
-                    f"slow ingest down)"
-                )
-            if fresh_dim["soa_speedup"] < SOA_INGEST_FLOOR:
-                failures.append(
-                    f"{where}: soa ingest is only "
-                    f"{fresh_dim['soa_speedup']}x the pointer tree "
-                    f"(floor {SOA_INGEST_FLOOR})"
-                )
+            # Absolute floor first: the ratio compares two variants
+            # measured in the same run, so it is machine-portable.
             batch_floor = BATCH_INGEST_FLOORS.get(dim_key)
             if batch_floor is not None and (
                 fresh_dim["batch_speedup"] < batch_floor
@@ -658,17 +603,15 @@ def check_regression(fresh: Dict[str, Any], committed_path: Path,
                     f"{fresh_dim['batch_speedup']}x per-element soa "
                     f"(floor {batch_floor})"
                 )
-            # Then the committed-ratio regressions (older snapshots
-            # lack the keys; the absolute floors above still apply).
-            for ratio_key in ("soa_speedup", "batch_speedup"):
-                base_ratio = base_dim.get(ratio_key)
-                if base_ratio is None:
-                    continue
+            # Then the committed-ratio regression (older snapshots
+            # lack the key; the absolute floor above still applies).
+            base_ratio = base_dim.get("batch_speedup")
+            if base_ratio is not None:
                 floor = base_ratio * (1 - REGRESSION_TOLERANCE)
-                if fresh_dim[ratio_key] < floor:
+                if fresh_dim["batch_speedup"] < floor:
                     failures.append(
-                        f"{where}: {ratio_key} "
-                        f"{fresh_dim[ratio_key]} fell below "
+                        f"{where}: batch_speedup "
+                        f"{fresh_dim['batch_speedup']} fell below "
                         f"{floor:.2f} (committed {base_ratio})"
                     )
             continue
@@ -751,15 +694,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         snapshot = json.loads((args.out / "BENCH_ingest.json").read_text())
         for name, profile in snapshot["profiles"].items():
             for dim_key, entry in profile["results"].items():
-                if "soa_speedup" not in entry:
-                    continue  # pre-SoA profile carried over by merge
-                batch = entry.get("batch_speedup")
-                batch_part = f" batch x{batch}" if batch is not None else ""
+                if "batch_speedup" not in entry:
+                    continue  # pre-batch profile carried over by merge
                 print(
                     f"ingest/{name}/{dim_key}:"
-                    f" soa x{entry['soa_speedup']}"
-                    f"{batch_part}"
-                    f" kernels x{entry['kernel_speedup']}"
+                    f" batch x{entry['batch_speedup']}"
+                    f" (soa {entry['soa']['median_us']}us,"
+                    f" batch {entry['batch']['median_us']}us)"
                 )
     if "continuous" in kinds:
         snapshot = json.loads(

@@ -1,47 +1,22 @@
-"""Optional vectorised (NumPy) helpers.
+"""Vectorised (NumPy) helpers.
 
-The core library is dependency-free; this subpackage hosts the
-vectorised implementations for users who batch-process large static
-point sets (e.g. seeding a window from history) and already have NumPy
-around, plus the intra-batch dominance prefilter behind the engines'
-``append_many`` fast path.
-
-It also hosts the query fast path: the versioned stab cache
+Hosts the vectorised static skyline for users who batch-process large
+static point sets (e.g. seeding a window from history), the intra-batch
+dominance prefilter behind the engines' ``append_many`` fast path, and
+the query fast path: the versioned stab cache
 (:mod:`repro.accel.stab_cache`) that memoizes interval-tree stabbing
-queries between structural changes, and the R-tree leaf kernels
-(:mod:`repro.accel.rtree_kernels`) that vectorise the per-leaf
-dominance tests inside the maintenance searches.
-
-Importing the package never requires NumPy: the static-skyline helpers
-are only exported when NumPy is importable, and
-:mod:`repro.accel.batch_prefilter`, :mod:`repro.accel.stab_cache` and
-:mod:`repro.accel.rtree_kernels` fall back to pure-Python
-implementations (slower, identical results) without it.
+queries between structural changes.
 """
 
 from repro.accel.batch_prefilter import BatchPrefilter, intra_batch_survivors
-from repro.accel.rtree_kernels import (
-    HAVE_NUMPY,
-    KERNEL_POLICIES,
-    LeafKernel,
-    resolve_kernel_policy,
-)
+from repro.accel.numpy_skyline import numpy_skyline, pareto_mask
 from repro.accel.stab_cache import DEFAULT_MAX_MEMO, StabCache
 
 __all__ = [
     "BatchPrefilter",
     "intra_batch_survivors",
-    "HAVE_NUMPY",
-    "KERNEL_POLICIES",
-    "LeafKernel",
-    "resolve_kernel_policy",
+    "numpy_skyline",
+    "pareto_mask",
     "DEFAULT_MAX_MEMO",
     "StabCache",
 ]
-
-try:
-    from repro.accel.numpy_skyline import numpy_skyline, pareto_mask
-except ImportError:  # pragma: no cover - NumPy not installed
-    pass
-else:
-    __all__ += ["numpy_skyline", "pareto_mask"]

@@ -16,20 +16,13 @@ The filter is a *skyband* filter: ``k = 1`` marks an element as doomed
 at its first younger weak dominator (the skyline engines), ``k > 1`` at
 its ``k``-th (the k-skyband engine, where an element is pruned once
 ``k`` younger dominators have arrived).
-
-The core library stays dependency-free: when NumPy is unavailable the
-same quantities are computed with a pure-Python double loop (correct,
-just not fast).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every batch test
-    import numpy as _np
-except ImportError:  # pragma: no cover - the library must work without it
-    _np = None
+import numpy as _np
 
 __all__ = ["BatchPrefilter", "intra_batch_survivors", "resolve_batch_chunk"]
 
@@ -86,67 +79,34 @@ class BatchPrefilter:
             raise ValueError(f"k must be >= 1, got {k}")
         self.size = len(points)
         self.k = k
-        if _np is not None:
-            self._init_numpy(points)
-        else:
-            self._init_python(points)
+        self.kill: List[int] = []
+        self._weak = _np.zeros((0, 0), dtype=bool)
+        arr = _np.asarray([tuple(p) for p in points], dtype=float)
+        if arr.size:
+            # weak[a, b] <=> points[a] weakly dominates points[b].  One
+            # outer comparison per dimension keeps the working set at
+            # B^2 booleans instead of materialising a B^2 x d cube.
+            weak = arr[:, 0, None] <= arr[None, :, 0]
+            for c in range(1, arr.shape[1]):
+                weak &= arr[:, c, None] <= arr[None, :, c]
+            # Younger-dominator relation: row index (the dominator) must
+            # arrive after the column index.  tril(k=-1) keeps a > b.
+            younger = _np.tril(weak, k=-1)
+            if k == 1:
+                # argmax finds each column's first younger dominator
+                # directly; the cumsum is only needed for skyband depths.
+                has = younger.any(axis=0)
+                first = younger.argmax(axis=0)
+            else:
+                reached = _np.cumsum(younger, axis=0) >= k
+                has = reached[-1]
+                first = _np.argmax(reached, axis=0)
+            self._weak = weak
+            self.kill = _np.where(has, first, -1).tolist()
         self._killed_at: Dict[int, List[int]] = {}
         for idx, at in enumerate(self.kill):
             if at >= 0:
                 self._killed_at.setdefault(at, []).append(idx)
-
-    # -- construction ---------------------------------------------------
-
-    def _init_numpy(self, points: Sequence[Sequence[float]]) -> None:
-        arr = _np.asarray([tuple(p) for p in points], dtype=float)
-        if arr.size == 0:
-            self._weak = _np.zeros((0, 0), dtype=bool)
-            self.kill = []
-            return
-        # weak[a, b] <=> points[a] weakly dominates points[b].  One
-        # outer comparison per dimension keeps the working set at B^2
-        # booleans instead of materialising a B^2 x d cube.
-        weak = arr[:, 0, None] <= arr[None, :, 0]
-        for c in range(1, arr.shape[1]):
-            weak &= arr[:, c, None] <= arr[None, :, c]
-        # Younger-dominator relation: row index (the dominator) must
-        # arrive after the column index.  tril(k=-1) keeps a > b.
-        younger = _np.tril(weak, k=-1)
-        if self.k == 1:
-            # argmax finds each column's first younger dominator
-            # directly; the cumsum is only needed for skyband depths.
-            has = younger.any(axis=0)
-            first = younger.argmax(axis=0)
-        else:
-            reached = _np.cumsum(younger, axis=0) >= self.k
-            has = reached[-1]
-            first = _np.argmax(reached, axis=0)
-        self._weak = weak
-        self.kill = _np.where(has, first, -1).tolist()
-
-    def _init_python(self, points: Sequence[Sequence[float]]) -> None:
-        pts = [tuple(float(v) for v in p) for p in points]
-        n = len(pts)
-        weak = [[False] * n for _ in range(n)]
-        for a in range(n):
-            pa = pts[a]
-            for b in range(n):
-                # Vectorised-fallback inner loop: one call per pair is
-                # the whole cost, so the comparison is inlined here.
-                weak[a][b] = all(x <= y for x, y in zip(pa, pts[b]))  # lint: skip=REPRO002
-        kill = []
-        for b in range(n):
-            count = 0
-            at = -1
-            for a in range(b + 1, n):
-                if weak[a][b]:
-                    count += 1
-                    if count == self.k:
-                        at = a
-                        break
-            kill.append(at)
-        self._weak = weak
-        self.kill = kill
 
     # -- queries --------------------------------------------------------
 
@@ -167,22 +127,18 @@ class BatchPrefilter:
         """Batch indices ``h < i`` weakly dominating ``i``, youngest
         first — the batch-side candidates for member ``i``'s critical
         dominator search."""
-        if _np is not None:
-            return _np.flatnonzero(self._weak[:i, i])[::-1].tolist()
-        return [h for h in range(i - 1, -1, -1) if self._weak[h][i]]
+        return _np.flatnonzero(self._weak[:i, i])[::-1].tolist()
 
     def older_weak_victims(self, j: int) -> List[int]:
         """Batch indices ``h < j`` weakly dominated by ``j``, ascending —
         the already-arrived members whose younger-dominator counts grow
         when member ``j`` arrives (the batch-side mirror of an R-tree
         dominance report)."""
-        if _np is not None:
-            return _np.flatnonzero(self._weak[j, :j]).tolist()
-        return [h for h in range(j) if self._weak[j][h]]
+        return _np.flatnonzero(self._weak[j, :j]).tolist()
 
     def weakly_dominates(self, a: int, b: int) -> bool:
         """Whether batch member ``a`` weakly dominates member ``b``."""
-        return bool(self._weak[a][b])
+        return bool(self._weak[a, b])
 
 
 def intra_batch_survivors(

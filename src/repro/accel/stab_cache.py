@@ -22,9 +22,7 @@ read path:
   the tree once (in ``(low, high, seq)`` key order, so lows arrive
   sorted) into contiguous ``low``/``high`` arrays.  A stab at ``t``
   becomes ``searchsorted`` + one vectorised comparison +
-  ``np.flatnonzero`` instead of an RB-tree descent.  Without NumPy the
-  same snapshot is scanned with :func:`bisect.bisect_left` and a plain
-  loop — slower, identical results.
+  ``np.flatnonzero`` instead of an RB-tree descent.
 * **Elementary-span memo** — the answer to a stab is constant between
   consecutive interval endpoints: for ``t`` inside a span
   ``(v_i, v_{i+1}]`` of the sorted endpoint values, every ``low < t``
@@ -49,12 +47,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Callable, Dict, Generic, List, Optional, Tuple, TypeVar
 
-from repro.structures.interval_tree import IntervalTree
+import numpy as _np
 
-try:  # pragma: no cover - exercised only without NumPy installed
-    import numpy as _np
-except ImportError:  # pragma: no cover - NumPy is optional
-    _np = None  # type: ignore[assignment]
+from repro.structures.interval_tree import IntervalTree
 
 D = TypeVar("D")
 
@@ -165,9 +160,9 @@ class StabCache(Generic[D]):
         This is the export surface of the cache: the shared-memory shard
         replicas (:mod:`repro.parallel.replicas`) publish exactly these
         arrays, so a reader in another process can answer stabs with the
-        same ``searchsorted`` arithmetic :meth:`stab` uses locally.  With
-        NumPy installed ``lows``/``highs`` are ``float64`` arrays sorted
-        by ``low``; without it they are plain lists.  The returned
+        same ``searchsorted`` arithmetic :meth:`stab` uses locally:
+        ``lows``/``highs`` are ``float64`` arrays sorted by ``low``.  The
+        returned
         objects are the cache's own working copies — callers must treat
         them as read-only (they are replaced wholesale, never mutated,
         on the next rebuild).
@@ -206,12 +201,8 @@ class StabCache(Generic[D]):
             lows.append(interval.low)
             highs.append(interval.high)
             data.append(interval.data)
-        if _np is not None:
-            self._lows = _np.asarray(lows, dtype=_np.float64)
-            self._highs = _np.asarray(highs, dtype=_np.float64)
-        else:
-            self._lows = lows
-            self._highs = highs
+        self._lows = _np.asarray(lows, dtype=_np.float64)
+        self._highs = _np.asarray(highs, dtype=_np.float64)
         self._data = data
         # Elementary-span boundaries for the memo key (a plain list:
         # ``bisect`` on it beats a scalar ``searchsorted`` call).
@@ -223,13 +214,9 @@ class StabCache(Generic[D]):
     def _flat_stab(self, t: float) -> List[D]:
         """Vectorised stab over the flat snapshot: ``low < t <= high``."""
         data = self._data
-        if _np is not None:
-            # Lows are sorted: everything left of ``idx`` has low < t.
-            idx = int(_np.searchsorted(self._lows, t, side="left"))
-            if idx == 0:
-                return []
-            hit = _np.flatnonzero(self._highs[:idx] >= t)
-            return [data[i] for i in hit.tolist()]
-        idx = bisect_left(self._lows, t)
-        highs = self._highs
-        return [data[i] for i in range(idx) if highs[i] >= t]
+        # Lows are sorted: everything left of ``idx`` has low < t.
+        idx = int(_np.searchsorted(self._lows, t, side="left"))
+        if idx == 0:
+            return []
+        hit = _np.flatnonzero(self._highs[:idx] >= t)
+        return [data[i] for i in hit.tolist()]

@@ -37,8 +37,6 @@ from repro.baselines import (
     naive_skyline,
     sfs_skyline,
 )
-from repro.accel.rtree_kernels import KERNEL_POLICIES
-from repro.structures.rtree_soa import RTREE_LAYOUTS
 from repro.bench.reporting import format_percent, format_rate
 from repro.core.continuous import ContinuousQueryManager
 from repro.core.nofn import NofNSkyline
@@ -120,18 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="versioned stab cache for queries: memoize stab "
                           "results until the interval tree changes "
                           "(default on)")
-    win.add_argument("--kernels", default="auto", choices=list(KERNEL_POLICIES),
-                     help="NumPy leaf kernels for the R-tree's dominance "
-                          "searches: auto uses them when NumPy is "
-                          "importable, off forces the pure-Python paths "
-                          "(default auto)")
-    win.add_argument("--rtree-layout", default="auto",
-                     choices=list(RTREE_LAYOUTS),
-                     help="R-tree storage layout: soa keeps points in "
-                          "pooled NumPy arrays (vectorized maintenance "
-                          "searches), pointer is the classic node tree; "
-                          "auto picks soa when NumPy is importable "
-                          "(default auto)")
     win.add_argument("--continuous-queries", type=int, default=0, metavar="Q",
                      help="register Q continuous n-of-N queries (a "
                           "deterministic mixed distinct/duplicate window "
@@ -296,8 +282,6 @@ def _build_window_engine(args: argparse.Namespace, dim: int) -> WindowEngine:
                 backend=args.shard_backend,
                 sanitize=args.sanitize,
                 query_cache=query_cache,
-                kernels=args.kernels,
-                rtree_layout=args.rtree_layout,
                 batch_chunk=args.batch_chunk,
                 replicas=replicas,
                 replica_lag=replica_lag,
@@ -309,8 +293,6 @@ def _build_window_engine(args: argparse.Namespace, dim: int) -> WindowEngine:
             backend=args.shard_backend,
             sanitize=args.sanitize,
             query_cache=query_cache,
-            kernels=args.kernels,
-            rtree_layout=args.rtree_layout,
             batch_chunk=args.batch_chunk,
             replicas=replicas,
             replica_lag=replica_lag,
@@ -322,8 +304,6 @@ def _build_window_engine(args: argparse.Namespace, dim: int) -> WindowEngine:
             k=args.band,
             sanitize=args.sanitize,
             query_cache=query_cache,
-            kernels=args.kernels,
-            rtree_layout=args.rtree_layout,
             batch_chunk=args.batch_chunk,
         )
     return NofNSkyline(
@@ -331,8 +311,6 @@ def _build_window_engine(args: argparse.Namespace, dim: int) -> WindowEngine:
         capacity=args.capacity,
         sanitize=args.sanitize,
         query_cache=query_cache,
-        kernels=args.kernels,
-        rtree_layout=args.rtree_layout,
         batch_chunk=args.batch_chunk,
     )
 
@@ -381,7 +359,6 @@ def _cmd_info(out: TextIO) -> int:
     print("engines: NofNSkyline, N1N2Skyline, TimeWindowSkyline", file=out)
     print(f"sharded backends: {', '.join(BACKENDS)}", file=out)
     print(f"shard replicas: {', '.join(REPLICA_MODES)}", file=out)
-    print(f"rtree layouts: {', '.join(RTREE_LAYOUTS)}", file=out)
     return 0
 
 

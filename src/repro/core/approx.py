@@ -154,11 +154,6 @@ class ApproxNofNSkyline:
         """The wrapped engine's query cache (``None`` when disabled)."""
         return self._inner.stab_cache
 
-    @property
-    def kernel_policy(self) -> str:
-        """The ``kernels`` knob the wrapped engine was built with."""
-        return self._inner.kernel_policy
-
     def cache_stats(self) -> Optional[Dict[str, int]]:
         """Hit/miss/rebuild counters of the wrapped engine's query
         cache (``None`` when caching is disabled)."""

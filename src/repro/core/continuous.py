@@ -61,6 +61,8 @@ from typing import (
     cast,
 )
 
+import numpy as _np
+
 from repro.core.element import StreamElement
 from repro.core.events import ArrivalOutcome, BatchOutcome
 from repro.core.nofn import NofNSkyline
@@ -73,11 +75,6 @@ from repro.core.query_index import (
 from repro.exceptions import InvalidWindowError, QueryNotRegisteredError
 from repro.sanitize.sanitizer import InvariantSanitizer, SanitizeArg
 from repro.structures.heap import MinIndexedHeap
-
-try:  # pragma: no cover - exercised via both CI environments
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 if TYPE_CHECKING:
     from repro.accel.stab_cache import StabCache
@@ -421,11 +418,11 @@ class ContinuousQueryManager:
 
         Vectorised through the index's NumPy axis mirror when the batch
         carries enough records to amortise the call; identical
-        ``bisect`` routing otherwise (and when NumPy is unavailable).
+        ``bisect`` routing otherwise.
         """
         axis = index._axis
-        kernel = index.axis_kernel() if len(highs) >= _BATCH_KERNEL_MIN else None
-        if kernel is not None and _np is not None:
+        if len(highs) >= _BATCH_KERNEL_MIN:
+            kernel = index.axis_kernel()
             left = (
                 _np.searchsorted(kernel, _np.asarray(lows, dtype=_np.int64))
                 if lows is not None
@@ -647,11 +644,6 @@ class ContinuousQueryManager:
     def stab_cache(self) -> "Optional[StabCache[Any]]":
         """The wrapped engine's query cache (``None`` when disabled)."""
         return self.engine.stab_cache
-
-    @property
-    def kernel_policy(self) -> str:
-        """The ``kernels`` knob the wrapped engine was built with."""
-        return self.engine.kernel_policy
 
     def cache_stats(self) -> Optional[Dict[str, int]]:
         """Hit/miss/rebuild counters of the wrapped engine's query

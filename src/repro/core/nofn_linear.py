@@ -35,10 +35,10 @@ from repro.sanitize.sanitizer import SanitizeArg
 class _ScanIndex:
     """A drop-in replacement for the engine's R-tree: a flat dict.
 
-    Implements exactly the :class:`repro.structures.rtree.RTree`
+    Implements exactly the :class:`repro.structures.rtree_soa.SoARTree`
     surface the engine uses (``insert``, ``delete``,
-    ``remove_dominated``, ``max_kappa_dominator``, ``__len__``) with
-    linear scans.
+    ``remove_dominated``, ``max_kappa_dominator``, ``__len__`` and the
+    chunk pipeline's four batch methods) with linear scans.
     """
 
     class _Entry:
@@ -93,6 +93,41 @@ class _ScanIndex:
                     best = entry
         return best
 
+    def report_dominated_batch(
+        self, points: Sequence[Sequence[float]]
+    ) -> List[List["_ScanIndex._Entry"]]:
+        """Non-destructive chunk-wide dominance report: each dominated
+        entry lands in the bucket of the *earliest* probe dominating it
+        (the arrival whose ``remove_dominated`` would have claimed it);
+        buckets are kappa-sorted."""
+        buckets: List[List[_ScanIndex._Entry]] = [[] for _ in points]
+        for kappa in sorted(self._entries):
+            entry = self._entries[kappa]
+            for bucket, q in zip(buckets, points):
+                if weakly_dominates(q, entry.point):
+                    bucket.append(entry)
+                    break
+        return buckets
+
+    def max_kappa_dominator_batch(
+        self, points: Sequence[Sequence[float]]
+    ) -> List[Optional["_ScanIndex._Entry"]]:
+        return [self.max_kappa_dominator(q) for q in points]
+
+    def delete_many(self, kappas: Sequence[int]) -> List["_ScanIndex._Entry"]:
+        return [self._entries.pop(kappa) for kappa in kappas]
+
+    def insert_many(
+        self,
+        points: Sequence[Sequence[float]],
+        kappas: Sequence[int],
+        datas: Optional[Sequence[object]] = None,
+    ) -> List["_ScanIndex._Entry"]:
+        return [
+            self.insert(point, kappa, None if datas is None else datas[i])
+            for i, (point, kappa) in enumerate(zip(points, kappas))
+        ]
+
     def check_invariants(self) -> None:
         for kappa, entry in self._entries.items():
             if entry.kappa != kappa:
@@ -121,8 +156,8 @@ class LinearScanNofNSkyline(NofNSkyline):
         **_ignored: object,
     ) -> None:
         # The stab cache lives on the interval tree, so it applies to
-        # this variant unchanged; R-tree tuning (including the leaf
-        # kernels) does not, and is absorbed by ``_ignored``.
+        # this variant unchanged; R-tree tuning does not, and is
+        # absorbed by ``_ignored``.
         super().__init__(dim, capacity, sanitize=sanitize, query_cache=query_cache)
         # Swap the spatial index for the flat scan structure.
         self._rtree = _ScanIndex(dim)  # type: ignore[assignment]

@@ -114,16 +114,8 @@ def _snapshot_sharded(
         "seen_so_far": router.seen_so_far,
         "records": rows,
         "stats": router.stats.snapshot_raw(),
-        "rtree": {
-            "max_entries": router._rtree_config["rtree_max_entries"],
-            "min_entries": router._rtree_config["rtree_min_entries"],
-            "split": router._rtree_config["rtree_split"],
-            "layout": router._rtree_config["rtree_layout"],
-        },
-        "query": {
-            "cache": router._query_cache,
-            "kernels": router.kernel_policy,
-        },
+        "rtree": {"max_entries": router._rtree_max_entries},
+        "query": {"cache": router._query_cache},
         "batch_chunk": router.batch_chunk,
         "replicas": {
             "mode": router.replica_mode,
@@ -168,32 +160,21 @@ def _snapshot_nofn(engine: NofNSkyline) -> Dict[str, Any]:
 
 
 def _rtree_config(engine: Union[NofNSkyline, N1N2Skyline]) -> Dict[str, Any]:
-    """The engine's R-tree tuning, so :func:`restore` rebuilds the index
-    with the fan-out and split policy the operator chose rather than the
-    defaults.  Engines whose index is not an R-tree (the linear-scan
-    ablation) report the defaults — tuning does not apply to them."""
-    index = engine._rtree
-    return {
-        "max_entries": int(getattr(index, "max_entries", 12)),
-        "min_entries": int(getattr(index, "min_entries", 4)),
-        "split": str(getattr(index, "split_policy", "quadratic")),
-        "layout": str(getattr(index, "layout_policy", "auto")),
-    }
+    """The engine's R-tree fan-out, so :func:`restore` rebuilds the index
+    with the tuning the operator chose rather than the default.  Engines
+    whose index is not an R-tree (the linear-scan ablation) report the
+    default — tuning does not apply to them."""
+    return {"max_entries": int(getattr(engine._rtree, "max_entries", 12))}
 
 
 def _query_config(engine: Union[NofNSkyline, N1N2Skyline]) -> Dict[str, Any]:
-    """The engine's query fast-path knobs, so :func:`restore` rebuilds
-    with the caching/kernel choices the operator made.  The kernel
-    policy is read off the spatial index; engines whose index is not an
-    R-tree (the linear-scan ablation) report the default."""
+    """The engine's query fast-path knob, so :func:`restore` rebuilds
+    with the caching choice the operator made."""
     if isinstance(engine, N1N2Skyline):
         cache = engine._live_cache is not None
     else:
         cache = engine._stab_cache is not None
-    return {
-        "cache": cache,
-        "kernels": str(getattr(engine._rtree, "kernel_policy", "auto")),
-    }
+    return {"cache": cache}
 
 
 def _snapshot_n1n2(engine: N1N2Skyline) -> Dict[str, Any]:
@@ -389,6 +370,10 @@ def _restore_sharded(
     )
     router._m = seen
     _restore_stats(router, snap.get("stats"))
+    # The replay above is fire-and-forget; a process-backend router with
+    # replica_lag=None would otherwise answer its first queries from
+    # replicas that have not absorbed it yet.
+    router.drain()
     return router
 
 
@@ -417,18 +402,13 @@ def _rtree_kwargs(snap: Dict[str, Any]) -> Dict[str, Any]:
     """R-tree tuning kwargs from a snapshot.
 
     Snapshots written before the tuning was recorded lack the "rtree"
-    key; they restore with the defaults, as they always did.
+    key; they restore with the default, as they always did.  Older
+    snapshots also carry ``min_entries``, ``split`` and ``layout``,
+    which no longer select anything and are ignored.
     """
     raw = snap.get("rtree", {})
     _require(isinstance(raw, dict), '"rtree" must be a dict when present')
-    return {
-        "rtree_max_entries": int(raw.get("max_entries", 12)),
-        "rtree_min_entries": int(raw.get("min_entries", 4)),
-        "rtree_split": str(raw.get("split", "quadratic")),
-        # Pre-SoA snapshots lack the key and restore with "auto", which
-        # resolves the same way a fresh construction would.
-        "rtree_layout": str(raw.get("layout", "auto")),
-    }
+    return {"rtree_max_entries": int(raw.get("max_entries", 12))}
 
 
 def _batch_kwargs(snap: Dict[str, Any]) -> Dict[str, Any]:
@@ -444,15 +424,13 @@ def _batch_kwargs(snap: Dict[str, Any]) -> Dict[str, Any]:
 def _query_kwargs(snap: Dict[str, Any]) -> Dict[str, Any]:
     """Query fast-path kwargs from a snapshot.
 
-    Snapshots written before the knobs were recorded lack the "query"
-    key; they restore with the defaults (cache on, kernels auto).
+    Snapshots written before the knob was recorded lack the "query"
+    key; they restore with the cache on.  Older snapshots also carry
+    ``kernels``, which no longer selects anything and is ignored.
     """
     raw = snap.get("query", {})
     _require(isinstance(raw, dict), '"query" must be a dict when present')
-    return {
-        "query_cache": bool(raw.get("cache", True)),
-        "kernels": str(raw.get("kernels", "auto")),
-    }
+    return {"query_cache": bool(raw.get("cache", True))}
 
 
 def _restore_nofn(snap: Dict[str, Any], engine: NofNSkyline) -> NofNSkyline:

@@ -40,14 +40,11 @@ from __future__ import annotations
 import bisect
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
+import numpy as _np
+
 from repro.core.element import StreamElement
 from repro.exceptions import KeyNotFoundError
 from repro.structures.heap import MinIndexedHeap
-
-try:  # pragma: no cover - exercised via both CI environments
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "INDEX_MODES",
@@ -177,7 +174,7 @@ class QueryIndex:
         self._order: List[QueryGroup] = []
         self._axis: List[int] = []
         #: Lazily rebuilt NumPy mirror of ``_axis`` for vectorised
-        #: batch routing (``None`` = stale or NumPy unavailable).
+        #: batch routing (``None`` = stale).
         self._axis_kernel: Optional[Any] = None
         #: group n -> earliest stream length at which its trigger can
         #: fire (``top_kappa + n``); entries may run early, never late.
@@ -246,11 +243,8 @@ class QueryIndex:
             return self._order
         return self._order[: bisect.bisect_right(self._axis, hi)]
 
-    def axis_kernel(self) -> Optional[Any]:
-        """The NumPy mirror of the sorted axis, rebuilt if stale
-        (``None`` when NumPy is unavailable)."""
-        if _np is None:
-            return None
+    def axis_kernel(self) -> Any:
+        """The NumPy mirror of the sorted axis, rebuilt if stale."""
         kernel = self._axis_kernel
         if kernel is None:
             kernel = _np.asarray(self._axis, dtype=_np.int64)

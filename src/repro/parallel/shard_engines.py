@@ -59,12 +59,8 @@ class ShardNofNEngine(NofNSkyline):
         capacity: int,
         stride: int,
         rtree_max_entries: int = 12,
-        rtree_min_entries: int = 4,
-        rtree_split: str = "quadratic",
         sanitize: SanitizeArg = "off",
         query_cache: bool = True,
-        kernels: str = "auto",
-        rtree_layout: str = "auto",
         batch_chunk: Optional[int] = None,
     ) -> None:
         if stride < 1:
@@ -73,12 +69,8 @@ class ShardNofNEngine(NofNSkyline):
             dim,
             capacity,
             rtree_max_entries=rtree_max_entries,
-            rtree_min_entries=rtree_min_entries,
-            rtree_split=rtree_split,
             sanitize=sanitize,
             query_cache=query_cache,
-            kernels=kernels,
-            rtree_layout=rtree_layout,
             batch_chunk=batch_chunk,
         )
         self._stride = stride
@@ -186,12 +178,8 @@ class ShardKSkybandEngine(KSkybandEngine):
         k: int,
         stride: int,
         rtree_max_entries: int = 12,
-        rtree_min_entries: int = 4,
-        rtree_split: str = "quadratic",
         sanitize: SanitizeArg = "off",
         query_cache: bool = True,
-        kernels: str = "auto",
-        rtree_layout: str = "auto",
         batch_chunk: Optional[int] = None,
     ) -> None:
         if stride < 1:
@@ -201,12 +189,8 @@ class ShardKSkybandEngine(KSkybandEngine):
             capacity,
             k,
             rtree_max_entries=rtree_max_entries,
-            rtree_min_entries=rtree_min_entries,
-            rtree_split=rtree_split,
             sanitize=sanitize,
             query_cache=query_cache,
-            kernels=kernels,
-            rtree_layout=rtree_layout,
             batch_chunk=batch_chunk,
         )
         self._stride = stride
@@ -317,14 +301,8 @@ def build_shard_engine(spec: Mapping[str, Any]) -> ShardEngine:
     kind = spec["kind"]
     common: Dict[str, Any] = {
         "rtree_max_entries": spec["rtree_max_entries"],
-        "rtree_min_entries": spec["rtree_min_entries"],
-        "rtree_split": spec["rtree_split"],
-        # Older specs (pre-SoA snapshots) lack the layout key; "auto"
-        # preserves their behaviour under the new default resolution.
-        "rtree_layout": spec.get("rtree_layout", "auto"),
         "sanitize": spec["sanitize"],
         "query_cache": spec["query_cache"],
-        "kernels": spec["kernels"],
         # Older specs lack the key; ``None`` resolves to the default.
         "batch_chunk": spec.get("batch_chunk"),
     }

@@ -53,8 +53,8 @@ The invariant catalogue (the ``invariant`` field of the report):
 
 plus the structure-level invariants raised by the structures themselves
 (``rbtree-*``, ``max-high-augmentation``, ``labelset-*``, ``heap-*``,
-``rtree-*`` — including ``rtree-kernel-cache``, a cached leaf kernel
-that no longer mirrors its leaf's children).
+``rtree-*`` — including ``rtree-kernel-cache``, the SoA index's pooled
+coordinate/kappa matrix no longer mirroring its entry objects).
 
 Import discipline
 -----------------

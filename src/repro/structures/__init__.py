@@ -5,10 +5,11 @@ Everything here is self-contained and paper-faithful:
 * :mod:`repro.structures.rbtree` — augmentable red-black tree;
 * :mod:`repro.structures.interval_tree` — dynamic stabbing-query tree;
 * :mod:`repro.structures.rtree` — in-memory R-tree with the paper's
-  depth-first dominance reporting and best-first dominator search;
+  depth-first dominance reporting and best-first dominator search (the
+  reference structure);
 * :mod:`repro.structures.rtree_soa` — struct-of-arrays rebuild of the
-  same search surface (pooled NumPy matrices, blocks as index ranges)
-  plus the ``rtree_layout`` factory the engines construct through;
+  same search surface (pooled NumPy matrices, blocks as index ranges),
+  the dominance index every engine runs;
 * :mod:`repro.structures.heap` — indexed min/max heaps (trigger lists);
 * :mod:`repro.structures.mbr` — bounding-box algebra incl. Figure 7's
   candidate-region tests;
@@ -21,13 +22,7 @@ from repro.structures.labelset import LabelSet
 from repro.structures.mbr import MBR
 from repro.structures.rbtree import RedBlackTree
 from repro.structures.rtree import RTree, RTreeEntry
-from repro.structures.rtree_soa import (
-    RTREE_LAYOUTS,
-    SoAEntry,
-    SoARTree,
-    make_rtree,
-    resolve_rtree_layout,
-)
+from repro.structures.rtree_soa import SoAEntry, SoARTree
 
 __all__ = [
     "IndexedHeap",
@@ -41,9 +36,6 @@ __all__ = [
     "RedBlackTree",
     "RTree",
     "RTreeEntry",
-    "RTREE_LAYOUTS",
     "SoAEntry",
     "SoARTree",
-    "make_rtree",
-    "resolve_rtree_layout",
 ]

@@ -27,6 +27,11 @@ same underfull-node handling).  Every node additionally carries
 
 Entries are points: ``(point, kappa, data)``; ``kappa`` values must be
 unique (they are stream positions).
+
+The engines run the struct-of-arrays rebuild of this surface
+(:mod:`repro.structures.rtree_soa`); this tree is the paper-faithful
+reference behind BBS, the fan-out/split ablation benchmarks and the
+test oracle the SoA index is checked against.
 """
 
 from __future__ import annotations
@@ -34,14 +39,6 @@ from __future__ import annotations
 import heapq
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.accel.rtree_kernels import (
-    KERNEL_MIN_LEAF,
-    LeafKernel,
-    as_probe,
-    best_dominator_index,
-    dominated_indices,
-    resolve_kernel_policy,
-)
 from repro.exceptions import (
     DimensionMismatchError,
     DuplicateKeyError,
@@ -77,15 +74,9 @@ class _Node:
     Leaf nodes hold :class:`RTreeEntry` children; internal nodes hold
     child :class:`_Node` objects.  ``mbr`` and ``max_kappa`` summarise
     the whole subtree; both are ``None`` only for an empty root.
-
-    ``kernel`` lazily caches a :class:`LeafKernel` mirror of a leaf's
-    children for the vectorised search path.  Every structural change
-    funnels through :meth:`recompute` (or :meth:`adopt`), both of which
-    drop the cache, so a non-``None`` kernel always matches the child
-    list exactly.
     """
 
-    __slots__ = ("is_leaf", "children", "mbr", "max_kappa", "parent", "kernel")
+    __slots__ = ("is_leaf", "children", "mbr", "max_kappa", "parent")
 
     def __init__(self, is_leaf: bool) -> None:
         self.is_leaf = is_leaf
@@ -93,11 +84,9 @@ class _Node:
         self.mbr: Optional[MBR] = None
         self.max_kappa: int = -1
         self.parent: Optional["_Node"] = None
-        self.kernel: Optional[LeafKernel] = None
 
     def recompute(self) -> None:
         """Refresh ``mbr`` and ``max_kappa`` from the children."""
-        self.kernel = None
         if not self.children:
             self.mbr = None
             self.max_kappa = -1
@@ -114,10 +103,6 @@ class _Node:
     def adopt(self, child: Any) -> None:
         """Attach a child and set its parent link."""
         self.children.append(child)
-        # Unconditional: only leaves ever hold a kernel, but dropping it
-        # on every mutation path keeps the invalidation discipline
-        # locally checkable (and is free for internal nodes).
-        self.kernel = None
         if self.is_leaf:
             child._leaf = self
         else:
@@ -133,11 +118,9 @@ class RTree:
         Dimensionality of stored points.
     max_entries / min_entries:
         Node capacity bounds; ``2 <= min_entries <= max_entries // 2``.
-    kernels:
-        Vectorised leaf-search policy: ``"auto"`` (use NumPy when
-        importable, the default), ``"on"`` (same, recorded intent) or
-        ``"off"`` (always use the pure-Python per-entry loops).  The
-        two paths return identical results (property-tested).
+    split:
+        Overflow policy: ``"quadratic"`` (Guttman, the default) or
+        ``"rstar"``.
     """
 
     def __init__(
@@ -146,7 +129,6 @@ class RTree:
         max_entries: int = DEFAULT_MAX_ENTRIES,
         min_entries: int = DEFAULT_MIN_ENTRIES,
         split: str = "quadratic",
-        kernels: str = "auto",
     ) -> None:
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
@@ -163,10 +145,6 @@ class RTree:
         self.max_entries = max_entries
         self.min_entries = min_entries
         self.split_policy = split
-        self.kernel_policy = kernels
-        self.layout = "pointer"
-        self.layout_policy = "pointer"
-        self._use_kernels = resolve_kernel_policy(kernels)
         #: Nodes expanded by the most recent :meth:`report_dominated`
         #: call (instrumentation for the pruning regression tests).
         self.last_report_visits = 0
@@ -478,14 +456,6 @@ class RTree:
     # Dominance reporting (depth-first, Figure 7a / Figure 8)
     # ------------------------------------------------------------------
 
-    def _leaf_kernel(self, node: _Node) -> LeafKernel:
-        """The node's cached :class:`LeafKernel`, building it on demand."""
-        kernel = node.kernel
-        if kernel is None:
-            kernel = LeafKernel.from_entries(node.children)
-            node.kernel = kernel
-        return kernel
-
     def report_dominated(self, q: Sequence[float]) -> List[RTreeEntry]:
         """Entries weakly dominated by ``q`` (non-destructive).
 
@@ -498,7 +468,6 @@ class RTree:
             raise DimensionMismatchError(self.dim, len(q))
         out: List[RTreeEntry] = []
         visits = 0
-        probe = as_probe(q) if self._use_kernels else None
         root = self._root
         stack: List[_Node] = []
         if root.mbr is not None and root.mbr.may_contain_dominated(q):
@@ -513,21 +482,14 @@ class RTree:
                 self._collect_entries(node, out)
                 continue
             if node.is_leaf:
-                if probe is not None and len(node.children) >= KERNEL_MIN_LEAF:
-                    children = node.children
-                    out.extend(
-                        children[i]
-                        for i in dominated_indices(self._leaf_kernel(node), probe)
-                    )
-                else:
-                    out.extend(
-                        entry
-                        for entry in node.children
-                        # Hot path: inlining the weak-dominance test here
-                        # (rather than calling core.dominance per entry)
-                        # measurably speeds up report_dominated.
-                        if all(a <= b for a, b in zip(q, entry.point))  # lint: skip=REPRO002
-                    )
+                out.extend(
+                    entry
+                    for entry in node.children
+                    # Hot path: inlining the weak-dominance test here
+                    # (rather than calling core.dominance per entry)
+                    # measurably speeds up report_dominated.
+                    if all(a <= b for a, b in zip(q, entry.point))  # lint: skip=REPRO002
+                )
             else:
                 for child in node.children:
                     child_mbr = child.mbr
@@ -548,8 +510,7 @@ class RTree:
             raise DimensionMismatchError(self.dim, len(q))
         removed: List[RTreeEntry] = []
         dirty: Set[int] = set()
-        probe = as_probe(q) if self._use_kernels else None
-        self._dfs_remove(self._root, q, probe, removed, dirty)
+        self._dfs_remove(self._root, q, removed, dirty)
         if not removed:
             return removed
         for entry in removed:
@@ -562,7 +523,6 @@ class RTree:
         self,
         node: _Node,
         q: Sequence[float],
-        probe: Any,
         removed: List[RTreeEntry],
         dirty: Set[int],
     ) -> bool:
@@ -570,8 +530,6 @@ class RTree:
 
         Nodes whose child list changed (and their ancestors) are added
         to ``dirty`` so the rebalance pass can skip untouched subtrees.
-        ``probe`` is the pre-converted kernel probe (``None`` when the
-        vectorised path is off).
         """
         if node.mbr is None or not node.mbr.may_contain_dominated(q):
             return False
@@ -583,30 +541,15 @@ class RTree:
             dirty.add(id(node))
             return True
         if node.is_leaf:
-            # Reuse a kernel a read-only search already built, but never
-            # build one here: a hit mutates the leaf and drops the cache
-            # immediately, so building would be pure overhead.
-            if probe is not None and node.kernel is not None:
-                hit = dominated_indices(node.kernel, probe)
-                if not hit:
-                    return False
-                hit_set = set(hit)
-                removed.extend(node.children[i] for i in hit)
-                kept = [
-                    entry
-                    for i, entry in enumerate(node.children)
-                    if i not in hit_set
-                ]
-            else:
-                kept = []
-                for entry in node.children:
-                    # Hot path: inlined weak-dominance test, as above.
-                    if all(a <= b for a, b in zip(q, entry.point)):  # lint: skip=REPRO002
-                        removed.append(entry)
-                    else:
-                        kept.append(entry)
-                if len(kept) == len(node.children):
-                    return False
+            kept = []
+            for entry in node.children:
+                # Hot path: inlined weak-dominance test, as above.
+                if all(a <= b for a, b in zip(q, entry.point)):  # lint: skip=REPRO002
+                    removed.append(entry)
+                else:
+                    kept.append(entry)
+            if len(kept) == len(node.children):
+                return False
             node.children = kept
             node.recompute()
             dirty.add(id(node))
@@ -614,7 +557,7 @@ class RTree:
         survivors = []
         changed = False
         for child in node.children:
-            emptied = self._dfs_remove(child, q, probe, removed, dirty)
+            emptied = self._dfs_remove(child, q, removed, dirty)
             if emptied:
                 child.parent = None
                 changed = True
@@ -691,7 +634,6 @@ class RTree:
         # ties so heapq never compares nodes/entries.
         heap: List[Tuple[int, int, Any]] = []
         counter = 0
-        probe = as_probe(q) if self._use_kernels else None
 
         def push(item: Any, priority: int) -> None:
             nonlocal counter
@@ -732,23 +674,8 @@ class RTree:
                 push(entry, entry.kappa)
                 continue
             if node.is_leaf:
-                if probe is not None and node.kernel is not None:
-                    # Reuse a kernel a read-only reporting search already
-                    # built, but never build one here: on the pure-ingest
-                    # path (n-of-N never calls report_dominated) the next
-                    # insert would drop it before any reuse, which is
-                    # exactly the measured 0.94-0.99x kernels-on ingest
-                    # regression.  One vectorised pass finds the leaf's
-                    # best eligible dominator; any other dominating child
-                    # has a smaller kappa and could never outrank it on
-                    # the frontier, so a single push per leaf suffices.
-                    best = best_dominator_index(node.kernel, probe, kappa_below)
-                    if best >= 0:
-                        leaf_entry = node.children[best]
-                        push(leaf_entry, leaf_entry.kappa)
-                else:
-                    for entry in node.children:
-                        push(entry, entry.kappa)
+                for entry in node.children:
+                    push(entry, entry.kappa)
             else:
                 for child in node.children:
                     push(child, child.max_kappa)
@@ -870,19 +797,6 @@ class RTree:
                             f"entry kappa={entry.kappa} does not point back "
                             f"at its leaf",
                             kappas=(entry.kappa,),
-                        )
-                kernel = node.kernel
-                if kernel is not None:
-                    points = [tuple(p) for p in kernel.points.tolist()]
-                    kappas = kernel.kappas.tolist()
-                    if points != [e.point for e in node.children] or (
-                        kappas != [e.kappa for e in node.children]
-                    ):
-                        raise corruption(
-                            "rtree",
-                            "rtree-kernel-cache",
-                            "cached leaf kernel does not mirror the "
-                            "leaf's children",
                         )
             elif not (is_root and node.mbr is None):
                 raise corruption(

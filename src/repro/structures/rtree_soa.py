@@ -3,10 +3,9 @@
 The pointer R-tree (:mod:`repro.structures.rtree`) spends its ingest
 budget on Python object walks: every arrival runs a dominance removal,
 a critical-dominator search and an insert, and each of those touches
-dozens of ``_Node``/``RTreeEntry`` objects plus per-leaf ``LeafKernel``
-caches that the very next structural change invalidates.  The profile
-in ROADMAP.md (d=5 ingest at ~1.3 ms/element, kernels *neutral to
-negative*) says the fix is structural, not micro-tuning.
+dozens of ``_Node``/``RTreeEntry`` objects (d=5 ingest measured at
+~1.3 ms/element on it; per-leaf NumPy kernels were neutral), so the
+fix is structural, not micro-tuning.
 
 This module rebuilds the same search surface on a struct-of-arrays
 layout:
@@ -23,8 +22,9 @@ layout:
 
 ``report_dominated`` / ``remove_dominated`` / ``max_kappa_dominator``
 therefore do two vectorised passes (block mask, then per-block slice
-reduction) instead of a per-entry Python walk — and there is no kernel
-cache to invalidate, because the pooled matrix *is* the structure.
+reduction) instead of a per-entry Python walk — and there is no
+per-node cache to invalidate, because the pooled matrix *is* the
+structure.
 
 Expiry is batched by design: :meth:`SoARTree.delete` is an O(1) swap
 that marks the block's summary dirty, and summaries are re-derived
@@ -34,89 +34,32 @@ touched block instead of E rebalances.  Stale summaries are only ever
 *conservative* supersets (deletion shrinks the true box, insertion
 extends the stored box), so pruning stays sound in between refreshes.
 
-The pointer tree remains available behind the ``rtree_layout`` knob
-(``"auto"``/``"soa"``/``"pointer"``); :func:`make_rtree` is the single
-construction point used by every engine, and the two layouts are
-property-tested for exact parity.
+Every engine builds its dominance index as a :class:`SoARTree`; the
+pointer tree stays as the paper-faithful reference it is checked
+against (property-tested for exact parity).
 """
 
 from __future__ import annotations
 
-import os
-from typing import (
-    Any,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-try:  # pragma: no cover - exercised only without NumPy installed
-    import numpy as _np
-except ImportError:  # pragma: no cover - NumPy is optional
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
-from repro.accel.rtree_kernels import HAVE_NUMPY, resolve_kernel_policy
 from repro.exceptions import (
     DimensionMismatchError,
     DuplicateKeyError,
     KeyNotFoundError,
     corruption,
 )
-from repro.structures.rtree import (
-    DEFAULT_MAX_ENTRIES,
-    DEFAULT_MIN_ENTRIES,
-    RTree,
-)
+from repro.structures.rtree import DEFAULT_MAX_ENTRIES
 
 Point = Tuple[float, ...]
-
-#: Legal values of the ``rtree_layout`` knob.
-RTREE_LAYOUTS = ("auto", "soa", "pointer")
-
-#: Environment override consulted by ``rtree_layout="auto"`` — the CI
-#: matrix mechanism (mirrors ``REPRO_SHARD_REPLICAS``).
-LAYOUT_ENV = "REPRO_RTREE_LAYOUT"
 
 #: Fraction below which average block occupancy triggers a repack.
 _REPACK_OCCUPANCY = 0.35
 
 #: Fill fraction a repack packs blocks to (headroom for new inserts).
 _REPACK_FILL = 0.75
-
-
-def resolve_rtree_layout(layout: str) -> str:
-    """Map an ``rtree_layout`` knob value to the effective layout.
-
-    ``"auto"`` consults the :data:`LAYOUT_ENV` environment variable
-    (``soa``/``pointer``/``auto``) and otherwise prefers ``"soa"``
-    whenever NumPy is importable.  ``"soa"`` without NumPy degrades to
-    ``"pointer"`` with no error, like the kernels ``"on"`` policy.
-
-    Raises
-    ------
-    ValueError
-        If ``layout`` (or a non-empty :data:`LAYOUT_ENV`) is not one of
-        :data:`RTREE_LAYOUTS`.
-    """
-    if layout not in RTREE_LAYOUTS:
-        raise ValueError(
-            f"rtree_layout must be one of {RTREE_LAYOUTS}, got {layout!r}"
-        )
-    if layout == "auto":
-        env = os.environ.get(LAYOUT_ENV, "").strip().lower()
-        if env and env not in RTREE_LAYOUTS:
-            raise ValueError(
-                f"{LAYOUT_ENV} must be one of {RTREE_LAYOUTS}, got {env!r}"
-            )
-        layout = env if env in ("soa", "pointer") else "soa"
-    if layout == "soa" and not HAVE_NUMPY:
-        return "pointer"
-    return layout
 
 
 class SoAEntry:
@@ -143,58 +86,37 @@ class SoARTree:
     """Struct-of-arrays dominance index with the R-tree search surface.
 
     Drop-in for :class:`~repro.structures.rtree.RTree` everywhere the
-    engines use it (same constructor knobs, same methods, same
-    corruption check ids); requires NumPy — :func:`make_rtree` handles
-    the fallback.
+    engines use it (same methods, same corruption check ids), plus the
+    bulk searches and mutations of the batched-ingest pipeline.
 
     Parameters
     ----------
     dim:
         Dimensionality of stored points.
-    max_entries / min_entries:
-        Accepted for interface parity (persisted and surfaced like the
-        pointer tree's); the block capacity is derived from
-        ``max_entries`` so tuning carries over proportionally.
-    split:
-        Accepted and recorded for parity (``"quadratic"``/``"rstar"``);
-        blocks split by median along the widest axis regardless.
-    kernels:
-        Accepted, validated and recorded for parity; the SoA layout is
-        always vectorised.
+    max_entries:
+        The pointer tree's node fan-out (``>= 4``, its smallest legal
+        value); the block capacity is derived from it so tuning carries
+        over proportionally.
+    block_capacity:
+        Rows per block; ``None`` (the default) means
+        ``max(32, 4 * max_entries)``.
     """
+
+    #: Identifies the index kind in benchmark reports.
+    layout = "soa"
 
     def __init__(
         self,
         dim: int,
         max_entries: int = DEFAULT_MAX_ENTRIES,
-        min_entries: int = DEFAULT_MIN_ENTRIES,
-        split: str = "quadratic",
-        kernels: str = "auto",
         block_capacity: Optional[int] = None,
     ) -> None:
-        if _np is None:
-            raise RuntimeError(
-                "SoARTree requires NumPy; use rtree_layout='pointer'"
-            )
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
-        if not 2 <= min_entries <= max_entries // 2:
-            raise ValueError(
-                f"need 2 <= min_entries <= max_entries // 2, got "
-                f"min={min_entries}, max={max_entries}"
-            )
-        if split not in ("quadratic", "rstar"):
-            raise ValueError(
-                f"split must be 'quadratic' or 'rstar', got {split!r}"
-            )
-        resolve_kernel_policy(kernels)  # validate; SoA always vectorises
+        if max_entries < 4:
+            raise ValueError(f"max_entries must be >= 4, got {max_entries}")
         self.dim = dim
         self.max_entries = max_entries
-        self.min_entries = min_entries
-        self.split_policy = split
-        self.kernel_policy = kernels
-        self.layout = "soa"
-        self.layout_policy = "soa"
         if block_capacity is None:
             block_capacity = max(32, 4 * max_entries)
         if block_capacity < 2:
@@ -1097,11 +1019,10 @@ class SoARTree:
         """Verify structural invariants over the whole index.
 
         Raises the same check ids as the pointer tree wherever the
-        concept carries over — in particular ``rtree-kernel-cache``
-        covers the pooled coordinate/kappa matrices (the SoA analogue
-        of a cached leaf kernel: the matrix must mirror the entry
-        objects row for row).  Dirty blocks are *not* refreshed first:
-        their summaries must still be conservative supersets.
+        concept carries over; ``rtree-kernel-cache`` covers the pooled
+        coordinate/kappa matrices, which must mirror the entry objects
+        row for row.  Dirty blocks are *not* refreshed first: their
+        summaries must still be conservative supersets.
 
         Raises
         ------
@@ -1227,44 +1148,3 @@ class SoARTree:
                     f"range",
                     kappas=(kappa,),
                 )
-
-
-AnyRTree = Union[RTree, SoARTree]
-
-
-def make_rtree(
-    dim: int,
-    max_entries: int = DEFAULT_MAX_ENTRIES,
-    min_entries: int = DEFAULT_MIN_ENTRIES,
-    split: str = "quadratic",
-    kernels: str = "auto",
-    layout: str = "auto",
-) -> AnyRTree:
-    """Build the dominance index for an engine.
-
-    The single construction point behind every engine's ``rtree_*``
-    knobs: resolves ``layout`` via :func:`resolve_rtree_layout` and
-    stamps the *requested* policy on the instance (``layout_policy``)
-    next to the *effective* layout (``layout``) so persistence can
-    round-trip the knob as configured.
-    """
-    effective = resolve_rtree_layout(layout)
-    index: AnyRTree
-    if effective == "soa":
-        index = SoARTree(
-            dim,
-            max_entries=max_entries,
-            min_entries=min_entries,
-            split=split,
-            kernels=kernels,
-        )
-    else:
-        index = RTree(
-            dim,
-            max_entries=max_entries,
-            min_entries=min_entries,
-            split=split,
-            kernels=kernels,
-        )
-    index.layout_policy = layout
-    return index

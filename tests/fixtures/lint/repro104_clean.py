@@ -1,41 +1,6 @@
-"""REPRO104 clean variants: invalidate on every mutation path — by
-direct kernel drop, by recompute(), via an aliased local, or by marking
-the SoA block dirty / recomputing its summary."""
-
-
-class DemoLeaf:
-    def __init__(self):
-        self.children = []
-        self.kernel = None
-
-    def recompute(self):
-        self.kernel = None
-
-    def adopt(self, child):
-        self.children.append(child)
-        self.kernel = None
-        return len(self.children)
-
-    def prune(self, survivors):
-        self.children = survivors
-        self.recompute()
-
-
-class DemoTree:
-    def __init__(self):
-        self.root = DemoLeaf()
-
-    def condense(self, node):
-        while node is not None:
-            parent = node.parent
-            if parent is not None:
-                parent.children.remove(node)
-                # `node = parent` aliases the two names; recompute()
-                # through the alias still satisfies the obligation.
-                node = parent
-                node.recompute()
-            else:
-                node = None
+"""REPRO104 clean variants: every raw pooled-array write is followed by
+block-summary maintenance — marking the SoA block dirty or recomputing
+its summary."""
 
 
 class DemoPool:

@@ -1,21 +1,5 @@
-"""REPRO104 seeded violations: a pointer-tree child mutation with no
-kernel invalidation, and a raw SoA pooled-array write with no
+"""REPRO104 seeded violation: a raw SoA pooled-array write with no
 block-summary maintenance."""
-
-
-class DemoLeaf:
-    def __init__(self):
-        self.children = []
-        self.kernel = None
-
-    def recompute(self):
-        self.kernel = None
-
-    def adopt_fast(self, child):
-        # Mutates the child list but leaves the cached kernel mirroring
-        # the *old* children alive.
-        self.children.append(child)
-        return len(self.children)
 
 
 class DemoPool:

@@ -1,17 +1,4 @@
-"""REPRO104 waived variant: both violations, suppressed."""
-
-
-class DemoLeaf:
-    def __init__(self):
-        self.children = []
-        self.kernel = None
-
-    def recompute(self):
-        self.kernel = None
-
-    def adopt_fast(self, child):
-        self.children.append(child)  # lint: skip=REPRO104
-        return len(self.children)
+"""REPRO104 waived variant: the violation, suppressed."""
 
 
 class DemoPool:

@@ -7,8 +7,8 @@ strongest parity statement available: against a per-element twin built
 with **identical knobs**, batched ingestion must produce *byte-
 identical* persistence snapshots (same retained records, same critical
 parents, same stats) and identical critical-dominance edges, across
-layouts, chunk sizes (including ``batch_chunk=1`` and chunks far larger
-than the stream), interleaved expiry and mid-stream queries.
+chunk sizes (including ``batch_chunk=1`` and chunks far larger than the
+stream), interleaved expiry and mid-stream queries.
 
 The ``batch_chunk`` knob itself is exercised end to end: constructor
 validation, the resolved default, shard-spec propagation, and snapshot
@@ -77,12 +77,9 @@ class TestNofNSnapshotParity:
         streams(),
         st.integers(1, 12),
         st.sampled_from(CHUNK_SIZES),
-        st.sampled_from(["soa", "pointer"]),
         st.integers(0, 10**6),
     )
-    def test_byte_identical_snapshots(
-        self, history, capacity, chunk, layout, seed
-    ):
+    def test_byte_identical_snapshots(self, history, capacity, chunk, seed):
         """Batched vs per-element twins with identical knobs: same
         snapshot bytes, same critical parents, same dominance edges —
         with queries interleaved at every batch boundary so stale
@@ -91,7 +88,6 @@ class TestNofNSnapshotParity:
         knobs = dict(
             dim=dim,
             capacity=capacity,
-            rtree_layout=layout,
             batch_chunk=chunk,
             sanitize="full",
         )
@@ -143,9 +139,8 @@ class TestTimeWindowSnapshotParity:
         st.lists(st.sampled_from([0.1, 0.4, 1.0, 6.0]), min_size=40,
                  max_size=40),
         st.sampled_from(CHUNK_SIZES),
-        st.sampled_from(["soa", "pointer"]),
     )
-    def test_byte_identical_snapshots(self, history, gaps, chunk, layout):
+    def test_byte_identical_snapshots(self, history, gaps, chunk):
         """Bursty timestamps force multi-element expiry inside chunks
         (the deferred-delete/deferred-insert interplay)."""
         dim = len(history[0])
@@ -154,8 +149,7 @@ class TestTimeWindowSnapshotParity:
             now += gap
             stamps.append(now)
         knobs = dict(
-            dim=dim, horizon=2.0, rtree_layout=layout, batch_chunk=chunk,
-            sanitize="full",
+            dim=dim, horizon=2.0, batch_chunk=chunk, sanitize="full",
         )
         batched = TimeWindowSkyline(**knobs)
         twin = TimeWindowSkyline(**knobs)
@@ -180,18 +174,15 @@ class TestN1N2SnapshotParity:
         streams(max_dim=3, max_len=40),
         st.integers(1, 10),
         st.sampled_from(CHUNK_SIZES),
-        st.sampled_from(["soa", "pointer"]),
         st.integers(0, 10**6),
     )
-    def test_byte_identical_snapshots(
-        self, history, capacity, chunk, layout, seed
-    ):
+    def test_byte_identical_snapshots(self, history, capacity, chunk, seed):
         """The CBC graph (both ancestors, demotion targets) must come
         out identical from the frozen-tree path."""
         dim = len(history[0])
         knobs = dict(
-            dim=dim, capacity=capacity, rtree_layout=layout,
-            batch_chunk=chunk, sanitize="full",
+            dim=dim, capacity=capacity, batch_chunk=chunk,
+            sanitize="full",
         )
         batched = N1N2Skyline(**knobs)
         twin = N1N2Skyline(**knobs)
@@ -291,9 +282,8 @@ class TestBatchChunkKnob:
             )
         spec = {
             "kind": "skyband", "dim": 2, "capacity": 10, "k": 2,
-            "stride": 2, "rtree_max_entries": 12, "rtree_min_entries": 4,
-            "rtree_split": "quadratic", "sanitize": "off",
-            "query_cache": True, "kernels": "auto", "batch_chunk": 9,
+            "stride": 2, "rtree_max_entries": 12, "sanitize": "off",
+            "query_cache": True, "batch_chunk": 9,
         }
         engine = build_shard_engine(spec)
         assert engine.batch_chunk == 9

@@ -4,8 +4,8 @@ The indexed path must be *observably identical* to both oracles: a
 fresh ``engine.query(n)`` after every arrival (Proposition 1), and the
 seed per-handle loop (``query_index="off"``) — results, ``changes``
 counters and trigger behaviour alike — under interleaved single and
-batched feeding, duplicate window sizes, mid-stream registration and
-unregistration, and both R-tree layouts.  The ``continuous-index``
+batched feeding, duplicate window sizes, and mid-stream registration
+and unregistration.  The ``continuous-index``
 sanitizer invariant must catch seeded corruption of every structural
 piece: the sorted axis, the refcounts, the expiry heap and the group
 member sets.
@@ -48,9 +48,9 @@ def _fresh_kappas(engine, n):
     return [e.kappa for e in engine.query(n)]
 
 
-def _drive(capacity=40, points=120, dim=2, layout="auto", **manager_kwargs):
+def _drive(capacity=40, points=120, dim=2, **manager_kwargs):
     """A prefilled engine + manager pair fed a deterministic stream."""
-    engine = NofNSkyline(dim=dim, capacity=capacity, rtree_layout=layout)
+    engine = NofNSkyline(dim=dim, capacity=capacity)
     manager = ContinuousQueryManager(engine, **manager_kwargs)
     for i in range(points):
         manager.append(((i * 7919) % 97 / 97.0, (i * 104729) % 89 / 89.0))
@@ -221,21 +221,6 @@ class TestIndexedMatchesFreshQueries:
                     engine, handle.n
                 ), f"n={handle.n} diverged"
         manager.check_invariants()
-
-    @settings(max_examples=10, deadline=None)
-    @given(streams(max_dim=2, max_len=40), st.integers(2, 10))
-    def test_both_rtree_layouts(self, history, capacity):
-        for layout in ("pointer", "soa"):
-            engine = NofNSkyline(
-                dim=len(history[0]), capacity=capacity, rtree_layout=layout
-            )
-            manager = ContinuousQueryManager(engine)
-            handles = [manager.register(n) for n in range(1, capacity + 1)]
-            manager.append_many(history)
-            for handle in handles:
-                assert handle.result_kappas() == _fresh_kappas(
-                    engine, handle.n
-                )
 
 
 class TestIndexedMatchesLegacy:

@@ -122,11 +122,12 @@ class TestRepro103ShmLifecycle:
 
 
 class TestRepro104KernelInvalidation:
+    """The SoA pool half: a raw write into the pooled ``_points`` /
+    ``_kappas`` matrices (the index's vectorised mirror of its entries)
+    must be followed by block-summary maintenance."""
+
     def test_violation(self):
-        assert hits("repro104_violation.py") == [
-            ("REPRO104", 17),
-            ("REPRO104", 34),
-        ]
+        assert hits("repro104_violation.py") == [("REPRO104", 18)]
 
     def test_clean(self):
         assert hits("repro104_clean.py") == []
@@ -156,8 +157,8 @@ class TestRepro104MirrorKernels:
         assert result.unused_waivers == []
 
     def test_kernel_without_matching_container_is_ignored(self):
-        # A cache attr whose stem names no tracked container (plain
-        # `kernel`, or an unrelated suffix) never arms the mirror rule.
+        # A cache attr whose stem names no tracked container never
+        # arms the mirror rule.
         src = (
             "class Free:\n"
             "    def __init__(self):\n"

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import N1N2Skyline, NofNSkyline, TimeWindowSkyline
+from repro import (
+    N1N2Skyline,
+    NofNSkyline,
+    ShardedKSkyband,
+    ShardedNofNSkyline,
+    TimeWindowSkyline,
+)
 from repro.core.persistence import SnapshotError, dumps, loads, restore, snapshot
 from repro.streams import materialize
 
@@ -189,38 +197,28 @@ class TestPropertyRoundTrip:
 
 
 class TestRTreeConfigRoundTrip:
-    """Snapshots must record the R-tree tuning (fan-out bounds and split
-    policy) so a restored engine evolves identically — and must still
-    accept older snapshots that predate the ``rtree`` section."""
+    """Snapshots must record the R-tree fan-out so a restored engine
+    evolves identically — and must still accept older snapshots that
+    predate the ``rtree`` section."""
 
     coord = st.integers(0, 6).map(lambda v: v / 6)
-
-    FANOUTS = st.tuples(st.integers(4, 16), st.integers(2, 5)).filter(
-        lambda t: t[1] * 2 <= t[0]
-    )
 
     @settings(max_examples=25, deadline=None)
     @given(
         st.lists(st.tuples(coord, coord), min_size=1, max_size=40),
         st.integers(1, 10),
-        FANOUTS,
-        st.sampled_from(["quadratic", "rstar"]),
+        st.integers(4, 16),
     )
-    def test_nofn_tuning_round_trips(self, history, capacity, fanout, split):
-        max_entries, min_entries = fanout
+    def test_nofn_tuning_round_trips(self, history, capacity, max_entries):
         engine = NofNSkyline(
-            dim=2,
-            capacity=capacity,
-            rtree_max_entries=max_entries,
-            rtree_min_entries=min_entries,
-            rtree_split=split,
+            dim=2, capacity=capacity, rtree_max_entries=max_entries
         )
         for point in history:
             engine.append(point)
-        clone = restore(snapshot(engine))
+        snap = snapshot(engine)
+        assert snap["rtree"] == {"max_entries": max_entries}
+        clone = restore(snap)
         assert clone._rtree.max_entries == max_entries
-        assert clone._rtree.min_entries == min_entries
-        assert clone._rtree.split_policy == split
         clone.check_invariants()
         for n in range(1, capacity + 1):
             assert [e.kappa for e in clone.query(n)] == [
@@ -228,37 +226,21 @@ class TestRTreeConfigRoundTrip:
             ]
 
     def test_timewindow_tuning_round_trips(self):
-        engine = TimeWindowSkyline(
-            dim=2,
-            horizon=5.0,
-            rtree_max_entries=6,
-            rtree_min_entries=3,
-            rtree_split="rstar",
-        )
+        engine = TimeWindowSkyline(dim=2, horizon=5.0, rtree_max_entries=6)
         for i, point in enumerate(materialize("independent", 2, 60, seed=4)):
             engine.append(point, float(i + 1))
         clone = restore(snapshot(engine))
         assert clone._rtree.max_entries == 6
-        assert clone._rtree.min_entries == 3
-        assert clone._rtree.split_policy == "rstar"
         assert [e.kappa for e in clone.skyline()] == [
             e.kappa for e in engine.skyline()
         ]
 
     def test_n1n2_tuning_round_trips(self):
-        engine = N1N2Skyline(
-            dim=2,
-            capacity=20,
-            rtree_max_entries=8,
-            rtree_min_entries=4,
-            rtree_split="rstar",
-        )
+        engine = N1N2Skyline(dim=2, capacity=20, rtree_max_entries=8)
         for point in materialize("anticorrelated", 2, 50, seed=9):
             engine.append(point)
         clone = restore(snapshot(engine))
         assert clone._rtree.max_entries == 8
-        assert clone._rtree.min_entries == 4
-        assert clone._rtree.split_policy == "rstar"
         for n1, n2 in ((1, 20), (5, 10), (20, 20)):
             assert [e.kappa for e in clone.query(n1, n2)] == [
                 e.kappa for e in engine.query(n1, n2)
@@ -274,8 +256,6 @@ class TestRTreeConfigRoundTrip:
         del snap["rtree"]
         clone = restore(snap)
         assert clone._rtree.max_entries == 12
-        assert clone._rtree.min_entries == 4
-        assert clone._rtree.split_policy == "quadratic"
         assert [e.kappa for e in clone.skyline()] == [
             e.kappa for e in engine.skyline()
         ]
@@ -290,10 +270,7 @@ class TestRTreeConfigRoundTrip:
 
     def test_clone_with_tuning_keeps_evolving_identically(self):
         points = materialize("anticorrelated", 2, 120, seed=6)
-        engine = NofNSkyline(
-            dim=2, capacity=30, rtree_max_entries=5, rtree_min_entries=2,
-            rtree_split="rstar",
-        )
+        engine = NofNSkyline(dim=2, capacity=30, rtree_max_entries=5)
         for point in points[:80]:
             engine.append(point)
         clone = restore(snapshot(engine))
@@ -304,3 +281,74 @@ class TestRTreeConfigRoundTrip:
         assert [e.kappa for e in engine.skyline()] == [
             e.kappa for e in clone.skyline()
         ]
+
+
+class TestOlderFormatSnapshots:
+    """Snapshots from before the pointer layout, the leaf kernels and
+    the split / min-fan-out knobs were removed carry those keys.  They
+    must still restore, answer like the engine that wrote them, and keep
+    evolving identically on the same stream."""
+
+    KINDS = ("nofn", "timewindow", "n1n2", "sharded-nofn", "sharded-skyband")
+
+    @staticmethod
+    def build(kind):
+        if kind == "nofn":
+            return NofNSkyline(dim=2, capacity=15, rtree_max_entries=8)
+        if kind == "timewindow":
+            return TimeWindowSkyline(dim=2, horizon=6.0, rtree_max_entries=8)
+        if kind == "n1n2":
+            return N1N2Skyline(dim=2, capacity=15, rtree_max_entries=8)
+        if kind == "sharded-nofn":
+            return ShardedNofNSkyline(
+                dim=2, capacity=15, shards=2, rtree_max_entries=8
+            )
+        return ShardedKSkyband(
+            dim=2, capacity=15, k=2, shards=2, rtree_max_entries=8
+        )
+
+    @staticmethod
+    def feed(engine, points, start):
+        for i, point in enumerate(points, start=start):
+            if isinstance(engine, TimeWindowSkyline):
+                engine.append(point, float(i))
+            else:
+                engine.append(point)
+
+    @staticmethod
+    def answers(engine):
+        if isinstance(engine, TimeWindowSkyline):
+            return [[e.kappa for e in engine.query_last(d)]
+                    for d in (1.0, 3.0, 6.0)]
+        if isinstance(engine, N1N2Skyline):
+            return [[e.kappa for e in engine.query(n1, n2)]
+                    for n1, n2 in ((1, 15), (3, 9), (15, 15))]
+        return [[e.kappa for e in engine.query(n)] for n in (1, 7, 15)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_older_format_restores_and_evolves(self, kind):
+        points = materialize("anticorrelated", 2, 80, seed=21)
+        engine = self.build(kind)
+        self.feed(engine, points[:50], start=1)
+        snap = snapshot(engine)
+        # New snapshots carry only the live knobs.
+        assert snap["rtree"] == {"max_entries": 8}
+        assert snap["query"] == {"cache": True}
+        assert snap["kind"] == kind
+        snap["rtree"].update(min_entries=3, split="rstar", layout="pointer")
+        snap["query"]["kernels"] = "off"
+        clone = restore(json.loads(json.dumps(snap)))
+        try:
+            assert self.answers(clone) == self.answers(engine)
+            self.feed(engine, points[50:], start=51)
+            self.feed(clone, points[50:], start=51)
+            assert self.answers(clone) == self.answers(engine)
+            clone.check_invariants()
+            if kind.startswith("sharded"):
+                assert clone.retained_union(1) == engine.retained_union(1)
+            else:
+                assert snapshot(clone)["records"] == snapshot(engine)["records"]
+        finally:
+            if kind.startswith("sharded"):
+                clone.close()
+                engine.close()

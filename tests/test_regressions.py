@@ -176,21 +176,6 @@ class TestBBSSubnormalTieBreak:
         assert bbs_skyline(points) == naive_skyline(points) == [0]
 
 
-class TestTimeWindowRTreeSplitForwarding:
-    """``TimeWindowSkyline.__init__`` once dropped ``rtree_split`` on
-    the floor instead of forwarding it to the base engine."""
-
-    def test_split_policy_reaches_the_tree(self):
-        engine = TimeWindowSkyline(dim=2, horizon=4.0, rtree_split="rstar")
-        assert engine._rtree.split_policy == "rstar"
-        default = TimeWindowSkyline(dim=2, horizon=4.0)
-        assert default._rtree.split_policy == "quadratic"
-
-    def test_invalid_split_is_rejected(self):
-        with pytest.raises(ValueError):
-            TimeWindowSkyline(dim=2, horizon=4.0, rtree_split="bogus")
-
-
 class TestTimeWindowQueryScanSemantics:
     """``query_scan(n)`` inherited from the count-based engine treated
     ``n`` as a *count* while the time-based engine's labels are

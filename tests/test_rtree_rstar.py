@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dominance import weakly_dominates
-from repro.core.nofn import NofNSkyline
 from repro.structures.mbr import MBR
 from repro.structures.rtree import RTree
 
@@ -87,20 +86,6 @@ class TestRStarBehaviour:
             a = quad.max_kappa_dominator(q)
             b = rstar.max_kappa_dominator(q)
             assert (a.kappa if a else None) == (b.kappa if b else None)
-
-    def test_engine_accepts_rstar_policy(self):
-        from repro.streams import materialize
-
-        reference = NofNSkyline(2, 50)
-        rstar = NofNSkyline(2, 50, rtree_split="rstar")
-        for point in materialize("anticorrelated", 2, 150, seed=19):
-            reference.append(point)
-            rstar.append(point)
-        for n in (5, 25, 50):
-            assert [e.kappa for e in rstar.query(n)] == [
-                e.kappa for e in reference.query(n)
-            ]
-        rstar.check_invariants()
 
 
 coords = st.floats(min_value=0, max_value=1, allow_nan=False, width=32)

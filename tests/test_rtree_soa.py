@@ -2,19 +2,15 @@
 
 Four concerns:
 
-* *layout resolution* — the ``rtree_layout`` knob, its env override,
-  and the ``make_rtree`` factory stamping requested vs effective
-  layout;
+* *engine wiring* — every engine builds its dominance index as a
+  :class:`SoARTree` sized from ``rtree_max_entries``;
 * *parity* — the SoA index answers every dominance search identically
   to the pointer tree and to brute force over random interleavings of
-  insert/delete/remove_dominated;
+  insert/delete/remove_dominated (the batch searches are checked
+  against the same oracle in ``tests/test_rtree_oracle.py``);
 * *seeded corruption* — one deliberate tamper per invariant id,
   mirroring ``tests/test_sanitizer.py``: the pooled arrays must be as
-  auditable as the pointer nodes, under the same names;
-* *engine equivalence* (hypothesis) — n-of-N engines built on either
-  layout return identical ``query``/``query_scan`` answers and
-  identical snapshot round-trips at every step of an interleaved
-  ``append``/``append_many``/expiry history.
+  auditable as the pointer nodes, under the same names.
 """
 
 from __future__ import annotations
@@ -22,28 +18,23 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro import NofNSkyline
-from repro.accel.rtree_kernels import HAVE_NUMPY
+from repro import (
+    KSkybandEngine,
+    N1N2Skyline,
+    NofNSkyline,
+    ShardedKSkyband,
+    ShardedNofNSkyline,
+    TimeWindowSkyline,
+)
 from repro.core.dominance import weakly_dominates
-from repro.core.persistence import loads, dumps
 from repro.exceptions import (
     DimensionMismatchError,
     DuplicateKeyError,
     StructureCorruptionError,
 )
 from repro.structures.rtree import RTree
-from repro.structures.rtree_soa import (
-    RTREE_LAYOUTS,
-    LAYOUT_ENV,
-    SoARTree,
-    make_rtree,
-    resolve_rtree_layout,
-)
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
+from repro.structures.rtree_soa import SoARTree
 
 
 def fed_tree(count=60, dim=2, seed=3, **kwargs):
@@ -61,57 +52,35 @@ def invariant_of(excinfo):
 
 
 # ----------------------------------------------------------------------
-# Layout resolution and factory
+# Engine wiring
 # ----------------------------------------------------------------------
 
 
-class TestLayoutResolution:
-    def test_layouts_tuple(self):
-        assert RTREE_LAYOUTS == ("auto", "soa", "pointer")
-
-    def test_invalid_layout_rejected(self):
+class TestEngineIndex:
+    @pytest.mark.parametrize("build", [
+        lambda **kw: NofNSkyline(dim=2, capacity=8, **kw),
+        lambda **kw: TimeWindowSkyline(dim=2, horizon=1.0, **kw),
+        lambda **kw: KSkybandEngine(dim=2, capacity=8, k=2, **kw),
+        lambda **kw: N1N2Skyline(dim=2, capacity=8, **kw),
+    ], ids=["nofn", "timewindow", "skyband", "n1n2"])
+    def test_engines_build_soa_sized_from_max_entries(self, build):
+        default = build()._rtree
+        assert isinstance(default, SoARTree)
+        assert default.max_entries == 12
+        assert default.block_capacity == 48  # max(32, 4 * 12)
+        tuned = build(rtree_max_entries=16)._rtree
+        assert tuned.max_entries == 16
+        assert tuned.block_capacity == 64
         with pytest.raises(ValueError):
-            resolve_rtree_layout("vectorised")
+            build(rtree_max_entries=3)
 
-    def test_pointer_always_resolves(self):
-        assert resolve_rtree_layout("pointer") == "pointer"
-
-    @needs_numpy
-    def test_auto_prefers_soa(self, monkeypatch):
-        monkeypatch.delenv(LAYOUT_ENV, raising=False)
-        assert resolve_rtree_layout("auto") == "soa"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(LAYOUT_ENV, "pointer")
-        assert resolve_rtree_layout("auto") == "pointer"
-
-    def test_env_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv(LAYOUT_ENV, "nonsense")
-        with pytest.raises(ValueError):
-            resolve_rtree_layout("auto")
-
-    def test_env_does_not_override_explicit(self, monkeypatch):
-        monkeypatch.setenv(LAYOUT_ENV, "pointer")
-        resolved = resolve_rtree_layout("soa")
-        assert resolved == ("soa" if HAVE_NUMPY else "pointer")
-
-    @needs_numpy
-    def test_factory_stamps_policies(self, monkeypatch):
-        monkeypatch.delenv(LAYOUT_ENV, raising=False)
-        index = make_rtree(2, layout="auto")
-        assert isinstance(index, SoARTree)
-        assert index.layout == "soa"
-        assert index.layout_policy == "auto"
-        pointer = make_rtree(2, layout="pointer")
-        assert isinstance(pointer, RTree)
-        assert pointer.layout == "pointer"
-        assert pointer.layout_policy == "pointer"
-
-    @needs_numpy
-    def test_factory_forwards_tuning(self):
-        index = make_rtree(3, max_entries=16, min_entries=4, layout="soa")
-        assert index.dim == 3
-        assert index.max_entries == 16
+    @pytest.mark.parametrize("router", [ShardedNofNSkyline, ShardedKSkyband])
+    def test_routers_forward_max_entries_to_shards(self, router):
+        kwargs = {"k": 2} if router is ShardedKSkyband else {}
+        with router(dim=2, capacity=8, shards=2, rtree_max_entries=16,
+                    **kwargs) as sharded:
+            for spec in (sharded._shard_spec(i) for i in range(2)):
+                assert spec["rtree_max_entries"] == 16
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +88,6 @@ class TestLayoutResolution:
 # ----------------------------------------------------------------------
 
 
-@needs_numpy
 class TestSoAMechanics:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -127,7 +95,7 @@ class TestSoAMechanics:
         with pytest.raises(ValueError):
             SoARTree(2, max_entries=3)
         with pytest.raises(ValueError):
-            SoARTree(2, max_entries=12, min_entries=7)
+            SoARTree(2, block_capacity=1)
 
     def test_duplicate_kappa_rejected(self):
         tree = SoARTree(2)
@@ -167,7 +135,6 @@ class TestSoAMechanics:
 # ----------------------------------------------------------------------
 
 
-@needs_numpy
 class TestSoAParity:
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_random_interleaving_matches_pointer_tree(self, dim):
@@ -237,7 +204,6 @@ class TestSoAParity:
 # ----------------------------------------------------------------------
 
 
-@needs_numpy
 class TestSoACorruption:
     def _live_block(self, tree):
         return next(
@@ -312,7 +278,7 @@ class TestSoACorruption:
     def test_engine_sanitizer_sees_soa_tampering(self):
         # The full n-of-N verifier must surface SoA corruption exactly
         # like pointer corruption (same invariant id, same exception).
-        engine = NofNSkyline(2, 12, rtree_layout="soa")
+        engine = NofNSkyline(2, 12)
         rng = random.Random(4)
         for _ in range(40):
             engine.append((rng.random(), rng.random()))
@@ -321,74 +287,3 @@ class TestSoACorruption:
         with pytest.raises(StructureCorruptionError) as excinfo:
             engine.check_invariants()
         assert invariant_of(excinfo) == "rtree-kernel-cache"
-
-
-# ----------------------------------------------------------------------
-# Engine equivalence across layouts (hypothesis)
-# ----------------------------------------------------------------------
-
-coord = st.integers(0, 7).map(lambda v: v / 7)
-
-
-def histories(max_dim=3, max_batches=14):
-    """Interleaved single/batched arrivals: each step is one point
-    (``append``) or a small batch (``append_many``)."""
-    return st.integers(1, max_dim).flatmap(
-        lambda d: st.lists(
-            st.lists(
-                st.tuples(*[coord] * d).map(tuple), min_size=1, max_size=5
-            ),
-            min_size=1,
-            max_size=max_batches,
-        )
-    )
-
-
-@needs_numpy
-class TestEngineLayoutEquivalence:
-    @settings(max_examples=25, deadline=None)
-    @given(histories(), st.integers(1, 8))
-    def test_layouts_agree_at_every_step(self, batches, capacity):
-        dim = len(batches[0][0])
-        soa = NofNSkyline(dim=dim, capacity=capacity, rtree_layout="soa")
-        pointer = NofNSkyline(
-            dim=dim, capacity=capacity, rtree_layout="pointer"
-        )
-        for step, batch in enumerate(batches):
-            if len(batch) == 1 and step % 2 == 0:
-                soa.append(batch[0])
-                pointer.append(batch[0])
-            else:
-                soa.append_many(batch)
-                pointer.append_many(batch)
-            for n in (1, max(1, capacity // 2), capacity):
-                got = [e.kappa for e in soa.query(n)]
-                assert got == [e.kappa for e in pointer.query(n)]
-                assert got == [e.kappa for e in soa.query_scan(n)]
-                assert got == [e.kappa for e in pointer.query_scan(n)]
-            restored_soa = loads(dumps(soa))
-            restored_pointer = loads(dumps(pointer))
-            assert restored_soa.rtree_layout == "soa"
-            assert restored_pointer.rtree_layout == "pointer"
-            for n in (1, capacity):
-                want = [e.kappa for e in soa.query(n)]
-                assert [e.kappa for e in restored_soa.query(n)] == want
-                assert [e.kappa for e in restored_pointer.query(n)] == want
-
-    @settings(max_examples=15, deadline=None)
-    @given(histories(max_dim=2, max_batches=10), st.integers(1, 6))
-    def test_layouts_agree_under_full_sanitize(self, batches, capacity):
-        dim = len(batches[0][0])
-        soa = NofNSkyline(
-            dim=dim, capacity=capacity, rtree_layout="soa", sanitize="full"
-        )
-        pointer = NofNSkyline(
-            dim=dim, capacity=capacity, rtree_layout="pointer",
-            sanitize="full",
-        )
-        for batch in batches:
-            soa.append_many(batch)
-            pointer.append_many(batch)
-            assert [e.kappa for e in soa.query(capacity)] == [
-                e.kappa for e in pointer.query(capacity)
-            ]

@@ -32,6 +32,7 @@ from repro import (
     TimeWindowSkyline,
 )
 from repro.exceptions import StructureCorruptionError
+from repro.structures.rtree import RTree
 
 
 def points_stream(count, dim=2, seed=0):
@@ -195,18 +196,18 @@ class TestNofNCorruption:
         assert invariant_of(excinfo) == "forest"
 
     def test_rtree_augmentation_tamper(self):
-        # ``_root`` is pointer-layout state; the SoA analogue lives in
-        # tests/test_rtree_soa.py (same invariant name, pooled arrays).
-        engine = fed_nofn(rtree_layout="pointer")
-        engine._rtree._root.max_kappa = -5
+        # The pointer tree (the engines' reference structure) raises the
+        # same invariant name as the SoA index the engines run.
+        tree = RTree(2)
+        for kappa, point in enumerate(points_stream(40, seed=10), start=1):
+            tree.insert(point, kappa)
+        tree._root.max_kappa = -5
         with pytest.raises(StructureCorruptionError) as excinfo:
-            engine.check_invariants()
+            tree.check_invariants()
         assert invariant_of(excinfo) == "rtree-augmentation"
 
     def test_rtree_augmentation_tamper_soa(self):
-        engine = fed_nofn(rtree_layout="soa")
-        if engine._rtree.layout != "soa":
-            pytest.skip("NumPy unavailable: soa degraded to pointer")
+        engine = fed_nofn()
         tree = engine._rtree
         blocks = [b for b in range(len(tree._blk_len)) if tree._blk_len[b]]
         tree._blk_maxk[blocks[0]] = -5

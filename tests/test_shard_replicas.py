@@ -68,11 +68,8 @@ def nofn_spec(capacity, stride=1, dim=2, query_cache=True):
         "capacity": capacity,
         "stride": stride,
         "rtree_max_entries": 12,
-        "rtree_min_entries": 4,
-        "rtree_split": "quadratic",
         "sanitize": "off",
         "query_cache": query_cache,
-        "kernels": "auto",
     }
 
 

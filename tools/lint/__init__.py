@@ -12,8 +12,8 @@ The engine layers, bottom up:
 * :mod:`tools.lint.cfg` — per-function control-flow graphs with
   exception edges and the path queries;
 * :mod:`tools.lint.model` — the cross-module class/protocol model
-  (version counters, seqlock structs, shm wrappers, kernel caches,
-  snapshot producers/consumers);
+  (version counters, seqlock structs, shm wrappers, flat mirrors and
+  SoA pools, snapshot producers/consumers);
 * :mod:`tools.lint.dataflow` — the REPRO101-105 rule pack on top of
   the two;
 * :mod:`tools.lint.baseline` — the grandfathered-findings file.
@@ -80,9 +80,9 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
 def analyze_sources(sources: Dict[str, str]) -> LintResult:
     """Run the full rule pack over ``{path: source}``.
 
-    The cross-module model (and therefore REPRO105's parity universe
-    and REPRO104's kernel-safe callee set) spans exactly the files
-    given — lint a whole tree for cross-file rules to see everything.
+    The cross-module model (and therefore REPRO105's parity universe)
+    spans exactly the files given — lint a whole tree for cross-file
+    rules to see everything.
     """
     # Import here, not at module top: dataflow imports tools.lint.cfg /
     # .model which are siblings loaded during this package's own init.
@@ -98,7 +98,7 @@ def analyze_sources(sources: Dict[str, str]) -> LintResult:
     raw: List[Finding] = []
     for path, tree in trees.items():
         raw.extend(collect_flat_findings(path, tree))
-        raw.extend(check_module_dataflow(model.modules[path], model))
+        raw.extend(check_module_dataflow(model.modules[path]))
     raw.extend(check_snapshot_parity(model))
     raw.sort(key=lambda f: (f.path, f.line, f.col, f.code))
 

@@ -23,13 +23,12 @@ REPRO103   A ``SharedMemory(create=True)`` handle must be owned before
            function — on **all** paths, exception edges included; and
            any module that creates segments must also know how to
            ``unlink`` them.
-REPRO104   A mutation of an R-tree node's ``children`` (pointer layout)
-           or a raw write into the pooled ``_points``/``_kappas``
-           arrays (SoA layout) must be followed on every normal path by
-           a kernel-cache invalidation / block-summary maintenance
-           touch.  Likewise a class keeping an ``X`` container beside
-           an ``X_kernel`` flat mirror (the query index's sorted axis)
-           must drop the mirror whenever it mutates ``X``.
+REPRO104   A raw write into the SoA index's pooled ``_points``/
+           ``_kappas`` arrays must be followed on every normal path by a
+           block-summary maintenance touch.  Likewise a class keeping an
+           ``X`` container beside an ``X_kernel`` flat mirror (the query
+           index's sorted axis) must drop the mirror whenever it
+           mutates ``X``.
 REPRO105   Snapshot round-trip parity: keys a producer writes that no
            consumer ever reads rot silently (persist-but-never-restore);
            keys a consumer subscripts that no producer writes crash
@@ -49,7 +48,6 @@ from tools.lint.model import (
     ClassModel,
     Model,
     ModuleModel,
-    expr_path,
     local_aliases,
     resolve_path,
 )
@@ -109,33 +107,6 @@ def _writes_path(frag: ast.AST, path: str,
         if resolved == path:
             return True
     return False
-
-
-class _AliasGroups:
-    """Union-find over local names rebound to each other
-    (``node = parent`` makes node~parent for REPRO104 satisfiers)."""
-
-    def __init__(self, fn: FunctionNode) -> None:
-        self._parent: Dict[str, str] = {}
-        for stmt in ast.walk(fn):
-            if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                    and isinstance(stmt.targets[0], ast.Name)
-                    and isinstance(stmt.value, ast.Name)):
-                self._union(stmt.targets[0].id, stmt.value.id)
-
-    def _find(self, name: str) -> str:
-        root = name
-        while self._parent.get(root, root) != root:
-            root = self._parent[root]
-        return root
-
-    def _union(self, a: str, b: str) -> None:
-        ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            self._parent[ra] = rb
-
-    def same(self, a: str, b: str) -> bool:
-        return a == b or self._find(a) == self._find(b)
 
 
 # ----------------------------------------------------------------------
@@ -497,112 +468,8 @@ def _check_shm_lifecycle(module: ModuleModel, findings: List[Finding]) -> None:
 
 
 # ----------------------------------------------------------------------
-# REPRO104 — kernel-cache / block-summary invalidation
+# REPRO104 — flat-mirror / block-summary invalidation
 # ----------------------------------------------------------------------
-
-
-def _children_mutation_base(frag: ast.AST) -> Optional[str]:
-    """If this fragment mutates ``<base>.children``, return ``base``."""
-    for node in ast.walk(frag):
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in MUTATOR_NAMES
-                and isinstance(node.func.value, ast.Attribute)
-                and node.func.value.attr == "children"):
-            return expr_path(node.func.value.value)
-    for target in _assign_targets(frag):
-        inner = target
-        while isinstance(inner, ast.Subscript):
-            inner = inner.value
-        if isinstance(inner, ast.Attribute) and inner.attr == "children":
-            return expr_path(inner.value)
-    return None
-
-
-def _invalidates_base(frag: ast.AST, base: str, groups: _AliasGroups,
-                      invalidating: Set[str], kernel_safe: Set[str]) -> bool:
-    def same_base(candidate: Optional[str]) -> bool:
-        if candidate is None:
-            return False
-        if candidate == base:
-            return True
-        # single-name locals connected by `a = b` rebinding
-        if "." not in candidate and "." not in base:
-            return groups.same(candidate, base)
-        return False
-
-    for node in ast.walk(frag):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if (isinstance(target, ast.Attribute)
-                        and (target.attr == "kernel"
-                             or target.attr.endswith("_kernel"))
-                        and same_base(expr_path(target.value))):
-                    return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute):
-                if func.attr in invalidating and same_base(
-                    expr_path(func.value)
-                ):
-                    return True
-                # kernel-safe helper invoked with the base as argument
-                if func.attr in kernel_safe:
-                    for arg in node.args:
-                        if same_base(expr_path(arg)):
-                            return True
-            elif isinstance(func, ast.Name) and func.id in kernel_safe:
-                for arg in node.args:
-                    if same_base(expr_path(arg)):
-                        return True
-    return False
-
-
-def _check_pointer_kernels(module: ModuleModel, model: Model,
-                           findings: List[Finding]) -> None:
-    kernel_classes = [
-        cls for cls in module.classes.values()
-        if cls.cache_attrs and "children" in cls.tracked_containers
-    ]
-    if not kernel_classes:
-        return
-    invalidating: Set[str] = {"recompute"}
-    for cls in kernel_classes:
-        invalidating.update(cls.invalidating_methods)
-
-    for info in module.functions:
-        fn = info.node
-        if info.name == "__init__":
-            continue
-        cfg = build_cfg(fn)
-        groups = _AliasGroups(fn)
-        scope = info.qualname
-        for node, frag in _frags(cfg):
-            base = _children_mutation_base(frag)
-            if base is None:
-                continue
-
-            def touches(cnode: CFGNode, _base: str = base,
-                        _groups: _AliasGroups = groups) -> bool:
-                return cnode.frag is not None and _invalidates_base(
-                    cnode.frag, _base, _groups, invalidating,
-                    model.kernel_safe_callees,
-                )
-
-            # The mutating fragment may itself invalidate in the same
-            # statement; that satisfies the obligation on the spot.
-            if touches(node):
-                continue
-            if not cfg.must_pass_through(
-                node.index, touches, count_exceptional=False
-            ):
-                findings.append(_finding(
-                    module, frag, "REPRO104",
-                    f"{scope}: mutates {base}.children on a path that "
-                    f"never invalidates its cached kernel — stale "
-                    f"LeafKernel answers follow",
-                    scope,
-                ))
 
 
 def _mirror_pairs(cls: ClassModel) -> Dict[str, str]:
@@ -785,7 +652,7 @@ def check_snapshot_parity(model: Model) -> List[Finding]:
 # ----------------------------------------------------------------------
 
 
-def check_module_dataflow(module: ModuleModel, model: Model) -> List[Finding]:
+def check_module_dataflow(module: ModuleModel) -> List[Finding]:
     """Run REPRO101-104 over one module (REPRO105 is whole-run; see
     :func:`check_snapshot_parity`)."""
     findings: List[Finding] = []
@@ -793,7 +660,6 @@ def check_module_dataflow(module: ModuleModel, model: Model) -> List[Finding]:
         _check_version_bumps(module, cls, findings)
     _check_seqlock(module, findings)
     _check_shm_lifecycle(module, findings)
-    _check_pointer_kernels(module, model, findings)
     _check_mirror_kernels(module, findings)
     _check_pooled_summaries(module, findings)
     return findings

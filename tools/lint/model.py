@@ -11,8 +11,8 @@ rules care about:
   flip, and the header-reader helpers (REPRO102);
 * which functions wrap ``SharedMemory`` creation and whether the module
   has an unlink-capable janitor (REPRO103);
-* which classes cache per-node kernels or pool SoA blocks, and which
-  methods/functions count as cache-invalidating (REPRO104);
+* which classes keep an ``X_kernel`` flat mirror or pool SoA blocks,
+  and which methods count as block-summary maintenance (REPRO104);
 * which functions produce snapshot/spec dictionaries and which consume
   them (REPRO105).
 
@@ -213,7 +213,7 @@ class ClassModel:
     __slots__ = (
         "name", "path", "lineno", "has_version", "version_attr",
         "tracked_containers", "cache_attrs", "is_pooled", "methods",
-        "has_close", "invalidating_methods", "maintenance_methods",
+        "has_close", "maintenance_methods",
     )
 
     def __init__(self, name: str, path: str, lineno: int) -> None:
@@ -226,14 +226,12 @@ class ClassModel:
         self.version_attr: Optional[str] = None
         #: attrs holding mutable containers built in ``__init__``
         self.tracked_containers: Set[str] = set()
-        #: per-node cache attrs (``self.kernel = None`` style)
+        #: flat-mirror attrs (``self._axis_kernel = None`` style)
         self.cache_attrs: Set[str] = set()
         #: SoA pool (``_points`` + ``_dirty``) — summary-discipline rules
         self.is_pooled = False
         self.methods: Dict[str, FunctionNode] = {}
         self.has_close = False
-        #: methods that write a cache attr (pointer-tree invalidators)
-        self.invalidating_methods: Set[str] = set()
         #: methods that touch the SoA block summaries
         self.maintenance_methods: Set[str] = set()
 
@@ -272,13 +270,10 @@ class ModuleModel:
 class Model:
     """The whole-run model the dataflow rules query."""
 
-    __slots__ = ("modules", "kernel_safe_callees")
+    __slots__ = ("modules",)
 
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleModel] = {}
-        #: names of functions/methods that invalidate a kernel cache,
-        #: directly or by calling one that does (one transitive round)
-        self.kernel_safe_callees: Set[str] = set()
 
     # -- REPRO105 aggregates -------------------------------------------
 
@@ -343,7 +338,7 @@ def _scan_init(model: ClassModel, init: FunctionNode) -> None:
             if model.version_attr is None or attr == "_version":
                 model.version_attr = attr
             continue
-        if (attr == "kernel" or attr.endswith("_kernel")) and isinstance(
+        if attr.endswith("_kernel") and isinstance(
             value, ast.Constant
         ) and value.value is None:
             model.cache_attrs.add(attr)
@@ -375,19 +370,12 @@ def _references_attr(fn: FunctionNode, attrs: FrozenSet[str]) -> bool:
     )
 
 
-_CACHE_ATTR_NAMES: FrozenSet[str] = frozenset({"kernel"})
-
-
 def _finish_class(model: ClassModel) -> None:
     if model.is_pooled:
         model.maintenance_methods |= POOLED_MAINTENANCE_METHODS
     for name, fn in model.methods.items():
         if name == "close":
             model.has_close = True
-        if model.cache_attrs and _writes_attr(
-            fn, frozenset(model.cache_attrs)
-        ):
-            model.invalidating_methods.add(name)
         if _references_attr(fn, POOLED_SUMMARY_ATTRS) or _writes_attr(
             fn, POOLED_SUMMARY_ATTRS
         ):
@@ -554,22 +542,6 @@ def _scan_snapshot_roles(module: ModuleModel, info: FunctionInfo) -> None:
         module.consumers.append(consumer)
 
 
-def _invalidates_kernel(fn: FunctionNode) -> bool:
-    return _writes_attr(fn, _CACHE_ATTR_NAMES)
-
-
-def _calls_names(fn: FunctionNode) -> Set[str]:
-    names: Set[str] = set()
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name):
-                names.add(func.id)
-            elif isinstance(func, ast.Attribute):
-                names.add(func.attr)
-    return names
-
-
 def build_module_model(path: str, tree: ast.Module) -> ModuleModel:
     module = ModuleModel(path, tree)
     _scan_structs(module)
@@ -594,27 +566,4 @@ def build_model(sources: Dict[str, ast.Module]) -> Model:
     model = Model()
     for path, tree in sources.items():
         model.modules[path] = build_module_model(path, tree)
-
-    # Kernel-safe callees: anything that writes a `.kernel` attr, plus
-    # one transitive round over call-by-name (`_condense` calls
-    # `recompute`, `delete` calls `_condense`, ...).
-    safe: Set[str] = set()
-    all_functions: List[FunctionInfo] = [
-        info for module in model.modules.values()
-        for info in module.functions
-    ]
-    for info in all_functions:
-        if _invalidates_kernel(info.node):
-            safe.add(info.name)
-    for _ in range(2):
-        grew = False
-        for info in all_functions:
-            if info.name in safe:
-                continue
-            if _calls_names(info.node) & safe:
-                safe.add(info.name)
-                grew = True
-        if not grew:
-            break
-    model.kernel_safe_callees = safe
     return model

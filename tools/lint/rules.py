@@ -82,8 +82,8 @@ RULES: Dict[str, str] = {
                 "write or reader without a seq re-check",
     "REPRO103": "SharedMemory(create=True) can leak: a path (incl. "
                 "exception edges) escapes before close/store/unlink",
-    "REPRO104": "R-tree/SoA mutation skips kernel-cache invalidation or "
-                "block-summary maintenance",
+    "REPRO104": "SoA pooled write skips block-summary maintenance, or a "
+                "mirrored container mutation skips its flat-mirror drop",
     "REPRO105": "snapshot round-trip parity: key persisted but never "
                 "restored, or required but never produced",
 }
