@@ -222,6 +222,18 @@ class TestIndexedMatchesFreshQueries:
                 ), f"n={handle.n} diverged"
         manager.check_invariants()
 
+    @settings(max_examples=10, deadline=None)
+    @given(streams(max_dim=2, max_len=40), st.integers(2, 10))
+    def test_whole_history_in_one_append_many(self, history, capacity):
+        """Every window size registered, then one chunk that may span
+        several full window turnovers."""
+        engine = NofNSkyline(dim=len(history[0]), capacity=capacity)
+        manager = ContinuousQueryManager(engine)
+        handles = [manager.register(n) for n in range(1, capacity + 1)]
+        manager.append_many(history)
+        for handle in handles:
+            assert handle.result_kappas() == _fresh_kappas(engine, handle.n)
+
 
 class TestIndexedMatchesLegacy:
     @settings(max_examples=25, deadline=None)

@@ -8,6 +8,9 @@ surface.  That surface is checked here structure against structure: the
 same random contents go into both indexes, which are then frozen and
 probed with random chunks.
 
+* the per-probe searches ``report_dominated``, ``remove_dominated``
+  and ``max_kappa_dominator`` (with and without ``kappa_below``) equal
+  the pointer tree's;
 * ``report_dominated_batch`` equals per-probe pointer
   ``report_dominated``, each victim under the earliest probe that
   dominates it (``first_only=True``) or under every such probe
@@ -17,13 +20,15 @@ probed with random chunks.
 * after ``delete_many`` and ``insert_many`` both indexes still agree.
 
 The oracle's own pruning contract is pinned first: ``report_dominated``
-expands only subtrees whose candidate region contains the probe.
+expands only subtrees whose candidate region contains the probe, under
+either split policy.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,9 +76,10 @@ class TestReportPruning:
                     stack.append(child)
         return visits
 
-    def test_visit_counts_match_mirror(self):
+    @pytest.mark.parametrize("split", ["quadratic", "rstar"])
+    def test_visit_counts_match_mirror(self, split):
         rng = random.Random(42)
-        tree = RTree(dim=3, max_entries=4, min_entries=2)
+        tree = RTree(dim=3, max_entries=4, min_entries=2, split=split)
         points = [
             tuple(rng.randint(0, 50) for _ in range(3)) for _ in range(300)
         ]
@@ -194,14 +200,67 @@ def mutate(index, pointer, deletes, inserts, next_kappa):
         pointer.insert(point, kappa, data)
 
 
+def soa_of(dim, contents, capacity):
+    soa = SoARTree(dim, max_entries=4, block_capacity=capacity)
+    for point, kappa in contents:
+        soa.insert(point, kappa, ("payload", kappa))
+    return soa
+
+
+class TestSoAProbeOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(frozen_cases(), st.sampled_from([2, 4, None]))
+    def test_report_dominated_matches_pointer(self, case, capacity):
+        dim, contents, probes, _, _ = case
+        soa = soa_of(dim, contents, capacity)
+        pointer = pointer_of(dim, contents)
+        for q in probes:
+            got = [e.kappa for e in soa.report_dominated(q)]
+            assert got == sorted(e.kappa for e in pointer.report_dominated(q))
+        assert len(soa) == len(contents)
+
+    @settings(max_examples=60, deadline=None)
+    @given(frozen_cases(), st.sampled_from([2, 4, None]))
+    def test_remove_dominated_matches_pointer(self, case, capacity):
+        dim, contents, probes, _, _ = case
+        soa = soa_of(dim, contents, capacity)
+        pointer = pointer_of(dim, contents)
+        for q in probes:
+            got = [e.kappa for e in soa.remove_dominated(q)]
+            assert got == sorted(e.kappa for e in pointer.remove_dominated(q))
+            soa.check_invariants()
+            pointer.check_invariants()
+            assert contents_of(soa) == contents_of(pointer)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        frozen_cases(),
+        st.sampled_from([2, 4, None]),
+        st.one_of(st.none(), st.integers(1, 130)),
+    )
+    def test_max_kappa_dominator_matches_pointer(
+        self, case, capacity, kappa_below
+    ):
+        dim, contents, probes, _, _ = case
+        soa = soa_of(dim, contents, capacity)
+        pointer = pointer_of(dim, contents)
+        for q in probes:
+            bounds = [None, kappa_below]
+            unrestricted = pointer.max_kappa_dominator(q)
+            if unrestricted is not None:
+                bounds.append(unrestricted.kappa)  # the sharpest cut-off
+            for below in bounds:
+                got = soa.max_kappa_dominator(q, below)
+                want = pointer.max_kappa_dominator(q, below)
+                assert parents_of([got]) == parents_of([want])
+
+
 class TestSoABatchOracle:
     @settings(max_examples=60, deadline=None)
     @given(frozen_cases(), st.sampled_from([2, 4, None]))
     def test_report_dominated_batch_matches_pointer(self, case, capacity):
         dim, contents, probes, _, _ = case
-        soa = SoARTree(dim, max_entries=4, block_capacity=capacity)
-        for point, kappa in contents:
-            soa.insert(point, kappa, ("payload", kappa))
+        soa = soa_of(dim, contents, capacity)
         pointer = pointer_of(dim, contents)
         for first_only in (True, False):
             got = soa.report_dominated_batch(probes, first_only=first_only)
@@ -216,9 +275,7 @@ class TestSoABatchOracle:
     @given(frozen_cases(), st.sampled_from([2, 4, None]))
     def test_max_kappa_dominator_batch_matches_pointer(self, case, capacity):
         dim, contents, probes, _, _ = case
-        soa = SoARTree(dim, max_entries=4, block_capacity=capacity)
-        for point, kappa in contents:
-            soa.insert(point, kappa, ("payload", kappa))
+        soa = soa_of(dim, contents, capacity)
         pointer = pointer_of(dim, contents)
         got = parents_of(soa.max_kappa_dominator_batch(probes))
         assert got == expected_parents(pointer, probes)

@@ -1,9 +1,10 @@
 """Tests for the struct-of-arrays R-tree (``structures/rtree_soa.py``).
 
-Four concerns:
+Three concerns:
 
 * *engine wiring* — every engine builds its dominance index as a
-  :class:`SoARTree` sized from ``rtree_max_entries``;
+  :class:`SoARTree` sized from ``rtree_max_entries``, and the n-of-N
+  chunk pipeline on it passes the full sanitizer (hypothesis);
 * *parity* — the SoA index answers every dominance search identically
   to the pointer tree and to brute force over random interleavings of
   insert/delete/remove_dominated (the batch searches are checked
@@ -18,6 +19,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     KSkybandEngine,
@@ -36,6 +39,8 @@ from repro.exceptions import (
 from repro.structures.rtree import RTree
 from repro.structures.rtree_soa import SoARTree
 
+from tests.conftest import window_skyline_kappas
+
 
 def fed_tree(count=60, dim=2, seed=3, **kwargs):
     tree = SoARTree(dim, **kwargs)
@@ -43,6 +48,22 @@ def fed_tree(count=60, dim=2, seed=3, **kwargs):
     for kappa in range(1, count + 1):
         tree.insert(tuple(rng.random() for _ in range(dim)), kappa)
     return tree
+
+
+coord = st.integers(0, 7).map(lambda v: v / 7)
+
+
+def histories(max_dim=3, max_batches=14):
+    """Arrival histories as a list of ``append_many`` batches."""
+    return st.integers(1, max_dim).flatmap(
+        lambda d: st.lists(
+            st.lists(
+                st.tuples(*[coord] * d).map(tuple), min_size=1, max_size=5
+            ),
+            min_size=1,
+            max_size=max_batches,
+        )
+    )
 
 
 def invariant_of(excinfo):
@@ -81,6 +102,19 @@ class TestEngineIndex:
                     **kwargs) as sharded:
             for spec in (sharded._shard_spec(i) for i in range(2)):
                 assert spec["rtree_max_entries"] == 16
+
+    @settings(max_examples=15, deadline=None)
+    @given(histories(max_dim=2, max_batches=10), st.integers(1, 6))
+    def test_chunk_pipeline_under_full_sanitize(self, batches, capacity):
+        dim = len(batches[0][0])
+        engine = NofNSkyline(dim=dim, capacity=capacity, sanitize="full")
+        history = []
+        for batch in batches:
+            engine.append_many(batch)
+            history.extend(batch)
+            got = [e.kappa for e in engine.query(capacity)]
+            assert got == window_skyline_kappas(history, capacity)
+            assert got == [e.kappa for e in engine.query_scan(capacity)]
 
 
 # ----------------------------------------------------------------------
