@@ -9,7 +9,8 @@ optimisation level it is launched with, and verifies that:
 * per-element and batched ingestion agree on query results;
 * the root-expiry structural check still fires as a catchable
   :class:`~repro.exceptions.StructureCorruptionError` (it was once a
-  bare ``assert``, silently erased by ``-O``).
+  bare ``assert``, silently erased by ``-O``), and so does the check of
+  the interval tree's flat slot mirror against the tree.
 
 Exits non-zero on the first discrepancy.  Run as:
 
@@ -279,6 +280,20 @@ def smoke_corruption_check_survives_dash_o(sanitize: str) -> None:
                  "(check erased by -O?)")
 
 
+def smoke_slot_mirror_check_survives_dash_o(sanitize: str) -> None:
+    engine = NofNSkyline(dim=2, capacity=8, sanitize=sanitize)
+    for point in points_stream(20, 2, seed=5):
+        engine.append(point)
+    handle = next(iter(engine._records.values())).handle
+    engine._intervals._highs[handle._slot] += 0.5  # a stale mirror slot
+    try:
+        engine.check_invariants()
+    except StructureCorruptionError:
+        return
+    check(False, "tampered interval slot passed check_invariants "
+                 "(check erased by -O?)")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -323,6 +338,7 @@ def main() -> int:
         smoke_skyband(args.sanitize, chunk)
         smoke_continuous(args.sanitize, chunk)
     smoke_corruption_check_survives_dash_o(args.sanitize)
+    smoke_slot_mirror_check_survives_dash_o(args.sanitize)
     if args.continuous:
         smoke_continuous_index(args.sanitize)
     if args.shards:

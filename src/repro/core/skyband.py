@@ -82,7 +82,8 @@ class _BandRecord:
 
 
 def _band_record_kappa(record: _BandRecord) -> int:
-    """Query-order sort key (module-level so the cache can share it)."""
+    """Query-order sort key of the uncached path (the cache orders by
+    interval high, which is the same order)."""
     return record.element.kappa
 
 
@@ -136,10 +137,11 @@ class KSkybandEngine:
         self._labels: LabelSet[_BandRecord] = LabelSet()
         self._intervals: IntervalTree[_BandRecord] = IntervalTree()
         self._rtree = SoARTree(dim, max_entries=rtree_max_entries)
-        # Memoized answers come back pre-sorted in query order, so the
-        # cached query path never re-sorts.
+        # Memoized answers come back ascending by interval high — the
+        # element's own label, hence query (kappa) order — so the cached
+        # query path never re-sorts.
         self._stab_cache: Optional[StabCache[_BandRecord]] = (
-            StabCache(self._intervals, sort_key=_band_record_kappa)
+            StabCache(self._intervals, ordered=True)
             if query_cache
             else None
         )

@@ -12,11 +12,11 @@ Each shard worker **publishes** its stab state into
 :mod:`multiprocessing.shared_memory` after maintenance; the router
 **reads** it directly and answers n-of-N / k-skyband stabs with plain
 ``searchsorted`` arithmetic — zero IPC on the read path.  The published
-state is exactly what :class:`~repro.accel.stab_cache.StabCache`
-already materializes for the worker's local fast path (the flat sorted
-``low``/``high`` arrays of the interval encoding), plus the element
-payload table and the shard's retained in-window suffix (the k-skyband
-merge witnesses).
+state is the interval tree's write-through slot mirror (the flat
+``low``/``high`` arrays of the interval encoding that the worker's own
+:class:`~repro.accel.stab_cache.StabCache` scans), sorted by ``low``
+in one ``np.lexsort`` per publish, plus the element payload table and
+the shard's retained in-window suffix (the k-skyband merge witnesses).
 
 **Seqlock double buffering.**  A tiny fixed-size *control block* per
 shard carries a sequence word, the active buffer index, the shard's
@@ -34,11 +34,12 @@ control block names the current generation, and stale attachments are
 detected by the generation check.
 
 **Versioning.**  The interval tree's ``version`` counter (bumped on
-every structural write, see :mod:`repro.accel.stab_cache`) rides in the
-control block: a replica answer is exact *at the version it claims* —
-the state after some prefix of the shard's ingest stream.  The router
-decides how much staleness to tolerate (its ``replica_lag`` knob); this
-module only guarantees never-torn, version-labelled snapshots.
+every structural write, see :mod:`repro.structures.interval_tree`)
+rides in the control block: a replica answer is exact *at the version
+it claims* — the state after some prefix of the shard's ingest stream.
+The router decides how much staleness to tolerate (its ``replica_lag``
+knob); this module only guarantees never-torn, version-labelled
+snapshots.
 
 **Memoized spans.**  Stab answers are constant on the elementary spans
 between consecutive interval endpoints, so the decoded
@@ -277,25 +278,14 @@ class _ShardState:
 def export_shard_state(engine: Any) -> _ShardState:
     """Snapshot a shard engine's stab state for publication.
 
-    Reuses the engine's :class:`~repro.accel.stab_cache.StabCache` flat
-    snapshot when a cache is attached (the rebuild is shared with the
-    worker's own query path), falling back to one interval-tree walk
-    when ``query_cache=False``.  The retained table (kappa-ascending)
+    The intervals come from the interval tree's flat slot mirror, sorted
+    by low in one ``np.lexsort`` (the same arrays the worker's own
+    :class:`~repro.accel.stab_cache.StabCache` scans, whatever the
+    ``query_cache`` setting).  The retained table (kappa-ascending)
     carries the merge witnesses for the k-skyband path.
     """
     dim = int(engine.dim)
-    cache = engine._stab_cache
-    if cache is not None:
-        lows_raw, highs_raw, records = cache.snapshot_arrays()
-    else:
-        lows_list: List[float] = []
-        highs_list: List[float] = []
-        records = []
-        for interval in engine._intervals.intervals():
-            lows_list.append(interval.low)
-            highs_list.append(interval.high)
-            records.append(interval.data)
-        lows_raw, highs_raw = lows_list, highs_list
+    lows, highs, records = engine._intervals.sorted_by_low()
     elements = [record.element for record in records]
     retained = sorted(
         (record.element for _, record in engine._labels.items()),
@@ -304,8 +294,8 @@ def export_shard_state(engine: Any) -> _ShardState:
     return _ShardState(
         version=int(engine.structure_version),
         seen=int(engine.seen_so_far),
-        lows=np.asarray(lows_raw, dtype=np.float64),
-        highs=np.asarray(highs_raw, dtype=np.float64),
+        lows=lows,
+        highs=highs,
         kappas=np.asarray([e.kappa for e in elements], dtype=np.int64),
         values=np.asarray(
             [e.values for e in elements], dtype=np.float64

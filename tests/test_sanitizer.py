@@ -187,6 +187,14 @@ class TestNofNCorruption:
             engine.check_invariants()
         assert invariant_of(excinfo) == "max-high-augmentation"
 
+    def test_interval_slot_tamper_is_slot_mirror(self):
+        engine = fed_nofn()
+        record = next(iter(engine._records.values()))
+        engine._intervals._lows[record.handle._slot] -= 0.5
+        with pytest.raises(StructureCorruptionError) as excinfo:
+            engine.check_invariants()
+        assert invariant_of(excinfo) == "slot-mirror"
+
     def test_forged_parent_is_forest(self):
         engine = fed_nofn()
         record = next(iter(engine._records.values()))

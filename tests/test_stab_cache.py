@@ -1,7 +1,7 @@
 """Tests for the versioned stab cache (the query fast path).
 
 Covers the cache in isolation (memoization, versioned invalidation,
-the pure-Python fallback) and through the engines: the property test
+ordered answers) and through the engines: the property test
 required by the issue interleaves ``append`` / ``append_many`` /
 expiry and checks every cached answer against the independent
 ``query_scan`` implementation, and that version bumps track interval
@@ -97,16 +97,16 @@ class TestStabCacheUnit:
         assert cache.stats()["memo_size"] == 1
         assert cache.stab(4.5) == [4]
 
-    def test_sort_key_orders_memoized_answers(self):
+    def test_ordered_answers_ascend_by_high(self):
         tree = IntervalTree()
         tree.insert(0, 9, "b")
-        tree.insert(1, 9, "a")
-        tree.insert(2, 9, "c")
+        tree.insert(1, 7, "a")
+        tree.insert(2, 8, "c")
         plain = StabCache(tree)
-        assert plain.stab(5) == ["b", "a", "c"]  # snapshot (low) order
-        ordered = StabCache(tree, sort_key=lambda d: d)
-        assert ordered.stab(5) == ["a", "b", "c"]
-        assert ordered.stab(5) == ["a", "b", "c"]  # the memo hit too
+        assert plain.stab(5) == ["b", "a", "c"]  # slot (insertion) order
+        ordered = StabCache(tree, ordered=True)
+        assert ordered.stab(5) == ["a", "c", "b"]
+        assert ordered.stab(5) == ["a", "c", "b"]  # the memo hit too
 
     def test_max_memo_validation(self):
         with pytest.raises(ValueError):
