@@ -1,16 +1,18 @@
 """Ablation — is the interval tree worth it on the query path?
 
-The stabbing query answers n-of-N in ``O(log N + s)``; the alternative
-is Theorem 3 applied directly — scan ``R_N`` and keep elements whose
-critical parent predates the window (``NofNSkyline.query_scan``,
-``O(|R_N|)``).  Since ``|R_N|`` is small (Theorem 2), the scan is a
-serious contender, exactly mirroring the R-tree ablation on the
-maintenance path.
+``NofNSkyline.query`` answers n-of-N with one stab through the stab
+cache: a memo hit is one ``bisect`` plus a copy of the ``s``-element
+answer, a miss one vectorised ``O(|R_N|)`` pass over the interval
+tree's slot arrays.  The alternative is Theorem 3 applied directly —
+scan ``R_N`` in the interpreter and keep elements whose critical parent
+predates the window (``NofNSkyline.query_scan``, ``O(|R_N|)``).  Since
+``|R_N|`` is small (Theorem 2), the scan is a serious contender,
+exactly mirroring the R-tree ablation on the maintenance path.
 
-Expected shape: the interval tree wins when results are small relative
-to ``|R_N|`` (small ``n`` on anti-correlated data, where the stab
-touches only the answer) and the two converge when ``s ~ |R_N|``
-(large ``n``: most of ``R_N`` is the answer anyway).
+Expected shape: the stab wins wherever the memo hits and, on a miss,
+by the constant factor between a NumPy pass and an interpreter loop
+over ``R_N``; the gap narrows when ``s ~ |R_N|`` (large ``n``: both
+paths pay for building a large answer).
 """
 
 from __future__ import annotations

@@ -52,7 +52,12 @@ quick numbers without touching the committed full ones.
 committed snapshot at the repository root and exits non-zero when a
 speedup ratio regressed by more than ``REGRESSION_TOLERANCE``.  Ratios
 are machine-portable; absolute latencies are compared only when the
-machine fingerprint matches the committed one.
+machine fingerprint matches the committed one.  The ``query`` kind runs
+``perfbench/speed.py``'s probe between its timed points and records
+each variant's ``speed`` (probe time over ``REFERENCE_S``); when the
+committed variant carries one, both cached medians are divided by
+their own run's speed before the band applies, so the machine's drift
+between the two runs cancels.
 
 Usage::
 
@@ -74,6 +79,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "perfbench"))
 
 from repro.bench.reporting import machine_fingerprint  # noqa: E402
 from repro.core.continuous import ContinuousQueryManager  # noqa: E402
@@ -81,6 +87,7 @@ from repro.core.nofn import NofNSkyline  # noqa: E402
 from repro.core.query_index import mixed_query_plan  # noqa: E402
 from repro.parallel import ShardedNofNSkyline  # noqa: E402
 from repro.streams import make_stream  # noqa: E402
+from speed import probe, speed  # noqa: E402
 
 SCHEMA = 1
 DIMS = (2, 5)
@@ -89,6 +96,9 @@ SEED = 7
 #: A quick-profile speedup may fall this far below the committed one
 #: before ``--check`` fails (ratio-of-ratios, so machine-portable).
 REGRESSION_TOLERANCE = 0.25
+#: Speed probes (``perfbench/speed.py``) spread through each ``query``
+#: variant's timed points, outside the timed regions.
+PROBES_PER_VARIANT = 32
 #: Shard speedups are NOT machine-portable — they depend on core count
 #: and scheduler load (on a 1-core box the process backend just
 #: time-slices, so even a healthy run can land far below any floor).
@@ -244,6 +254,24 @@ def time_paired(
     return cached, uncached
 
 
+def _probing(
+    probes: List[float],
+    points: int,
+    write: Optional[Callable[[int], None]],
+) -> Callable[[int], None]:
+    """The untimed hook ahead of each of ``points`` timed points: a speed
+    probe into ``probes`` every few points, then ``write(i)`` if any."""
+    stride = max(1, points // PROBES_PER_VARIANT)
+
+    def before(i: int) -> None:
+        if i % stride == 0:
+            probes.append(probe())
+        if write is not None:
+            write(i)
+
+    return before
+
+
 def bench_query_dim(dim: int, profile: Dict[str, int]) -> Dict[str, Any]:
     window = profile["window"]
     engine = build_engine(dim, window)
@@ -271,11 +299,13 @@ def bench_query_dim(dim: int, profile: Dict[str, int]) -> Dict[str, Any]:
 
     results: Dict[str, Any] = {"rn_size": engine.rn_size}
     # ``stale`` runs last: its writes would change what the others read.
-    for label, workload, warmup, before in (
+    for label, workload, warmup, write_before in (
         ("warm", warm_ns, warm_ns[: profile["warm_points"]], None),
         ("cold", cold_ns, cold_ns[:1], None),
         ("stale", stale_ns, [], write),
     ):
+        probes: List[float] = []
+        before = _probing(probes, len(workload), write_before)
         time_each(engine.query, warmup)  # snapshot (and memo) priming
         cached, uncached = time_paired(engine, workload, before)
         entry = {
@@ -287,6 +317,9 @@ def bench_query_dim(dim: int, profile: Dict[str, int]) -> Dict[str, Any]:
             / max(entry["cached"]["median_us"], 1e-9),
             2,
         )
+        # How much slower than the probe's reference machine this
+        # variant ran; ``--check`` divides the cached median by it.
+        entry["speed"] = round(speed(probes), 3)
         results[label] = entry
     return results
 
@@ -669,13 +702,20 @@ def check_regression(fresh: Dict[str, Any], committed_path: Path,
                 )
             if same_machine:
                 cached = fresh_entry["cached"]["median_us"]
-                ceiling = base_entry["cached"]["median_us"] * (
-                    1 + REGRESSION_TOLERANCE
-                )
+                base_cached = base_entry["cached"]["median_us"]
+                scaled = ""
+                if "speed" in base_entry:
+                    # Both medians at the probe's reference speed, so
+                    # the machine's drift between runs cancels.
+                    cached /= fresh_entry["speed"]
+                    base_cached /= base_entry["speed"]
+                    scaled = ", speed-scaled"
+                ceiling = base_cached * (1 + REGRESSION_TOLERANCE)
                 if cached > ceiling:
                     failures.append(
-                        f"{where}: cached median {cached}us exceeds "
-                        f"{ceiling:.2f}us (same machine as committed)"
+                        f"{where}: cached median {cached:.2f}us exceeds "
+                        f"{ceiling:.2f}us (same machine as "
+                        f"committed{scaled})"
                     )
     return failures
 

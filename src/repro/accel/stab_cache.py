@@ -2,17 +2,17 @@
 
 The paper reduces every n-of-N query to *one stabbing query* over the
 interval encoding of the critical dominance graph (Theorem 3).  The
-engines' write path keeps that encoding in an augmented red-black tree
-(:class:`~repro.structures.interval_tree.IntervalTree`), which is the
-right structure for ``O(log m)`` updates — but answering reads through
-it pays pure-Python pointer chasing per node.  Query traffic is
-typically far heavier than the update stream cares to admit, and the
-interval set changes only when an arrival, expiry or re-rooting touches
-the tree.
+engines keep that encoding in an
+:class:`~repro.structures.interval_tree.IntervalTree`: flat
+``low``/``high`` slot arrays plus a payload list, written in ``O(1)``
+per insert and remove, where every stab is one ``O(m)`` vectorised
+pass.  Query traffic is typically far heavier than the update stream
+cares to admit, and the interval set changes only when an arrival,
+expiry or re-rooting touches the tree, so most stabs can be answered
+without any pass.
 
-:class:`StabCache` answers from the tree's write-through **slot
-mirror** (flat ``low``/``high`` arrays plus a payload list, kept current
-by every insert and remove in ``O(1)``) and never walks the tree:
+:class:`StabCache` answers from the tree's **slot arrays** and
+memoizes per elementary span:
 
 * **Versioned invalidation** — the interval tree bumps an integer
   version on every insert/remove; the cache compares that single
@@ -20,7 +20,7 @@ by every insert and remove in ``O(1)``) and never walks the tree:
   answer is reused iff the interval set is bit-for-bit the one it was
   computed from.
 * **Vectorised scan** — a memo miss is one ``(low < t) & (t <= high)``
-  pass over the mirror's slots plus ``np.flatnonzero``.  Dead slots
+  pass over the tree's slots plus ``np.flatnonzero``.  Dead slots
   hold ``(+inf, -inf]``, which no point stabs, so nothing is filtered.
 * **Elementary-span memo** — the answer to a stab is constant between
   consecutive interval endpoints: for ``t`` inside a span
@@ -29,7 +29,7 @@ by every insert and remove in ``O(1)``) and never walks the tree:
   span (an endpoint can never fall strictly inside it).  The memo
   therefore keys on the span index — one ``bisect`` per query — so
   *distinct but equivalent* stab points share a single entry.  The
-  first stab after a write sorts the mirror's distinct endpoint values
+  first stab after a write sorts the slots' distinct endpoint values
   in NumPy to rebuild that key; dead slots add at most a ``-inf``
   below every stab point (shifting every span index by one) and a
   ``+inf`` above them, so nothing needs filtering.  Under query
@@ -42,7 +42,7 @@ once, on the miss (one ``argsort`` over the hits), instead of per query
 by the caller: in every engine an interval's ``high`` is its element's
 own label, so this is kappa order.  Callers receive a **fresh list**
 per call and may mutate it freely; the memo stores immutable tuples.
-The cache never mutates the tree, keeps no view of the mirror between
+The cache never mutates the tree, keeps no view of its slots between
 calls, and may be dropped or re-attached at any time.
 """
 

@@ -23,7 +23,9 @@ Per arrival, :meth:`append` runs Algorithm 1:
 
 :meth:`query` then answers an n-of-N query as a **stabbing query**
 (Theorem 3): stab the interval tree with ``M - n + 1`` and report the
-elements owning the stabbed intervals — ``O(log N + s)`` behaviour.
+elements owning the stabbed intervals.  Through the stab cache a stab
+that hits the memo costs ``O(log |R_N| + s)``; a miss is one vectorised
+``O(|R_N|)`` pass over the tree's slot arrays.
 
 The label/threshold machinery is factored into small overridable hooks
 so :class:`repro.core.timewindow.TimeWindowSkyline` can reuse the whole
@@ -99,9 +101,9 @@ class NofNSkyline:
         engines.  See :mod:`repro.sanitize`.
     query_cache:
         When true (the default), :meth:`query` answers through a
-        :class:`~repro.accel.stab_cache.StabCache` — vectorised scans of
-        the interval tree's flat slot mirror with per-stab-point
-        memoization — instead of stabbing the red-black tree per call.
+        :class:`~repro.accel.stab_cache.StabCache`, which memoizes the
+        interval tree's vectorised stab per elementary span, instead of
+        running that pass over every slot per call.
         Invalidation is exact (every structural write bumps the tree
         version), so answers are always identical to the uncached path.
     batch_chunk:
@@ -631,7 +633,7 @@ class NofNSkyline:
     def query_scan(self, n: int) -> List[StreamElement]:
         """Ablation/debug variant of :meth:`query`: answer by scanning
         ``R_N`` and applying Theorem 3 directly, without the interval
-        tree — ``O(|R_N|)`` instead of ``O(log N + s)``.
+        tree — an ``O(|R_N|)`` interpreter loop instead of one stab.
 
         Returns exactly what :meth:`query` returns; exists so the
         benchmarks can price the interval-tree design choice and so

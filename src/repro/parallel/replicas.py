@@ -12,7 +12,7 @@ Each shard worker **publishes** its stab state into
 :mod:`multiprocessing.shared_memory` after maintenance; the router
 **reads** it directly and answers n-of-N / k-skyband stabs with plain
 ``searchsorted`` arithmetic — zero IPC on the read path.  The published
-state is the interval tree's write-through slot mirror (the flat
+state is the interval tree's slot arrays (the flat
 ``low``/``high`` arrays of the interval encoding that the worker's own
 :class:`~repro.accel.stab_cache.StabCache` scans), sorted by ``low``
 in one ``np.lexsort`` per publish, plus the element payload table and
@@ -278,7 +278,7 @@ class _ShardState:
 def export_shard_state(engine: Any) -> _ShardState:
     """Snapshot a shard engine's stab state for publication.
 
-    The intervals come from the interval tree's flat slot mirror, sorted
+    The intervals come from the interval tree's flat slot arrays, sorted
     by low in one ``np.lexsort`` (the same arrays the worker's own
     :class:`~repro.accel.stab_cache.StabCache` scans, whatever the
     ``query_cache`` setting).  The retained table (kappa-ascending)

@@ -2,8 +2,10 @@
 
 Everything here is self-contained and paper-faithful:
 
-* :mod:`repro.structures.rbtree` — augmentable red-black tree;
-* :mod:`repro.structures.interval_tree` — dynamic stabbing-query tree;
+* :mod:`repro.structures.rbtree` — augmentable red-black tree (the
+  substrate of the dynamic 2-d skyline baseline);
+* :mod:`repro.structures.interval_tree` — dynamic interval set answering
+  stabbing queries over flat slot arrays;
 * :mod:`repro.structures.rtree` — in-memory R-tree with the paper's
   depth-first dominance reporting and best-first dominator search (the
   reference structure);

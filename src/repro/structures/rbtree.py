@@ -1,21 +1,18 @@
 """A red-black tree with augmentation hooks.
 
-The paper's data-structure stack (Figures 6 and 11) relies on balanced
-search trees twice: the interval trees ``I_{R_N}`` / ``I_{R_N-}`` and
-the ordering of the label set.  This module provides the balanced-tree
-substrate: a classic CLRS red-black tree storing ``(key, value)`` pairs
-with
+The balanced-tree substrate of the fully dynamic 2-d skyline baseline
+(:class:`repro.baselines.dynamic2d.Dynamic2DSkyline`): a classic CLRS
+red-black tree storing ``(key, value)`` pairs with
 
 * ``O(log n)`` insert / delete / lookup,
 * ordered iteration, minimum and successor navigation, and
 * an **augmentation hook**: a callable invoked bottom-up on every node
-  whose subtree changed, enabling derived structures (the max-high
-  augmented interval tree of :mod:`repro.structures.interval_tree`) to
-  maintain per-subtree aggregates through rotations.
+  whose subtree changed, enabling derived structures (the baseline's
+  subtree min-y) to maintain per-subtree aggregates through rotations.
 
 Keys must be mutually comparable and unique; callers that need
-duplicate logical keys (the interval tree does) disambiguate with a
-sequence number inside the key tuple.
+duplicate logical keys (the baseline does) disambiguate with a
+tie-breaker inside the key tuple.
 """
 
 from __future__ import annotations

@@ -179,13 +179,15 @@ class TestNofNCorruption:
             engine.check_invariants()
         assert invariant_of(excinfo) == "interval-encoding"
 
-    def test_interval_high_tamper_is_tree_augmentation(self):
+    def test_interval_high_tamper_is_slot_mirror(self):
+        # The handle's interval no longer matches its slot (the slot
+        # arrays are intact; the next test tampers with those instead).
         engine = fed_nofn()
         record = next(iter(engine._records.values()))
         record.handle.interval.high += 7.0
         with pytest.raises(StructureCorruptionError) as excinfo:
             engine.check_invariants()
-        assert invariant_of(excinfo) == "max-high-augmentation"
+        assert invariant_of(excinfo) == "slot-mirror"
 
     def test_interval_slot_tamper_is_slot_mirror(self):
         engine = fed_nofn()
