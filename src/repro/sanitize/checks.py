@@ -52,7 +52,7 @@ The invariant catalogue (the ``invariant`` field of the report):
 ================== ====================================================
 
 plus the structure-level invariants raised by the structures themselves
-(``rbtree-*``, ``max-high-augmentation``, ``labelset-*``, ``heap-*``,
+(``rbtree-*``, ``slot-mirror``, ``labelset-*``, ``heap-*``,
 ``rtree-*`` — including ``rtree-kernel-cache``, the SoA index's pooled
 coordinate/kappa matrix no longer mirroring its entry objects).
 
