@@ -1,0 +1,73 @@
+"""Tests for ``scripts/bench_snapshot.py``'s same-machine band on the
+query kind's cached medians, with and without the speed probe."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_snapshot.py"
+MACHINE = {"platform": "test", "cpu_count": "2"}
+
+
+@pytest.fixture(scope="module")
+def bench_snapshot():
+    saved = sys.path[:]
+    try:
+        spec = importlib.util.spec_from_file_location("bench_snapshot", SCRIPT)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+def _profile(cached_us, speed=None):
+    entry = {
+        "cached": {"median_us": cached_us, "p99_us": cached_us},
+        "uncached": {"median_us": 100.0, "p99_us": 100.0},
+        "speedup": 4.0,
+    }
+    if speed is not None:
+        entry["speed"] = speed
+    variants = {label: dict(entry) for label in ("warm", "cold", "stale")}
+    return {"machine": MACHINE, "results": {"d2": variants}}
+
+
+def _check(module, tmp_path, fresh, committed):
+    path = tmp_path / "BENCH_query.json"
+    path.write_text(json.dumps({"profiles": {"quick": committed}}))
+    return module.check_regression(fresh, path, "query")
+
+
+@pytest.mark.parametrize(
+    "fresh_us, fresh_speed, failures",
+    [
+        (14.0, 2.0, 0),  # 40% slower, but on a machine running 2x slower
+        (14.0, 1.0, 3),  # 40% slower at the same speed: every variant fails
+        (12.0, 1.0, 0),  # inside the 25% band
+    ],
+)
+def test_cached_medians_are_scaled_by_each_runs_speed(
+    bench_snapshot, tmp_path, fresh_us, fresh_speed, failures
+):
+    found = _check(
+        bench_snapshot,
+        tmp_path,
+        _profile(fresh_us, fresh_speed),
+        _profile(10.0, 1.0),
+    )
+    assert len(found) == failures
+    assert all("speed-scaled" in failure for failure in found)
+
+
+def test_snapshot_without_speed_is_compared_unscaled(bench_snapshot, tmp_path):
+    found = _check(
+        bench_snapshot, tmp_path, _profile(14.0, 2.0), _profile(10.0)
+    )
+    assert len(found) == 3
+    assert not any("speed-scaled" in failure for failure in found)
