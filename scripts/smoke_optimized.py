@@ -11,7 +11,10 @@ optimisation level it is launched with, and verifies that:
   :class:`~repro.exceptions.StructureCorruptionError` (it was once a
   bare ``assert``, silently erased by ``-O``), and so does the check of
   the interval tree's slot arrays against its handles;
-* the interval tree rejects a dead handle before changing anything.
+* the interval tree rejects a dead handle before changing anything;
+* the engines' dense dominance index rejects a kappa not above its
+  newest row and a NaN coordinate (NaN is its tombstone) before any
+  write, and its ``dense-mirror`` check still fires.
 
 Exits non-zero on the first discrepancy.  Run as:
 
@@ -314,6 +317,44 @@ def smoke_slot_mirror_check_survives_dash_o(sanitize: str) -> None:
                  "(check erased by -O?)")
 
 
+def smoke_dense_index_guards_survive_dash_o(sanitize: str) -> None:
+    engine = NofNSkyline(dim=2, capacity=8, sanitize=sanitize)
+    for point in points_stream(20, 2, seed=6):
+        engine.append(point)
+    index = engine._rtree
+
+    def state():
+        used = len(index._rows)
+        return (len(index), used, index._points[:, :used].tobytes())
+
+    before = state()
+    for point, kappa, guard in (
+        ((0.5, 0.5), 0, "a kappa not above the newest row"),
+        ((float("nan"), 0.5), engine.seen_so_far + 1, "a NaN coordinate"),
+    ):
+        try:
+            index.insert(point, kappa)
+        except ValueError:
+            pass
+        else:
+            check(False, f"dense index accepted {guard} "
+                         "(guard erased by -O?)")
+        check(state() == before,
+              f"rejected insert of {guard} changed the dense index")
+    engine.check_invariants()
+    column = next(index.entries()).row
+    index._points[0, column] += 0.5  # the matrix disagrees with its entry
+    try:
+        engine.check_invariants()
+    except StructureCorruptionError as exc:
+        report = exc.report
+        check(report is not None and report.invariant == "dense-mirror",
+              f"tampered dense index raised {exc!r}, not dense-mirror")
+        return
+    check(False, "tampered dense index passed check_invariants "
+                 "(check erased by -O?)")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -359,6 +400,7 @@ def main() -> int:
         smoke_continuous(args.sanitize, chunk)
     smoke_corruption_check_survives_dash_o(args.sanitize)
     smoke_slot_mirror_check_survives_dash_o(args.sanitize)
+    smoke_dense_index_guards_survive_dash_o(args.sanitize)
     if args.continuous:
         smoke_continuous_index(args.sanitize)
     if args.shards:

@@ -39,9 +39,6 @@ class TimeWindowSkyline(NofNSkyline):
         Window length in time units; elements older than
         ``now - horizon`` are expired.  Queries may use any trailing
         period ``tau <= horizon``.
-    rtree_max_entries:
-        Fan-out of the internal R-tree, forwarded verbatim to
-        :class:`~repro.core.nofn.NofNSkyline`.
     sanitize:
         Runtime invariant checking, forwarded verbatim (see
         :mod:`repro.sanitize`).
@@ -55,7 +52,6 @@ class TimeWindowSkyline(NofNSkyline):
         self,
         dim: int,
         horizon: float,
-        rtree_max_entries: int = 12,
         sanitize: SanitizeArg = "off",
         query_cache: bool = True,
         batch_chunk: Optional[int] = None,
@@ -66,7 +62,6 @@ class TimeWindowSkyline(NofNSkyline):
         super().__init__(
             dim,
             capacity=1,
-            rtree_max_entries=rtree_max_entries,
             sanitize=sanitize,
             query_cache=query_cache,
             batch_chunk=batch_chunk,

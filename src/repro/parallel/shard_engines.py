@@ -58,7 +58,6 @@ class ShardNofNEngine(NofNSkyline):
         dim: int,
         capacity: int,
         stride: int,
-        rtree_max_entries: int = 12,
         sanitize: SanitizeArg = "off",
         query_cache: bool = True,
         batch_chunk: Optional[int] = None,
@@ -68,7 +67,6 @@ class ShardNofNEngine(NofNSkyline):
         super().__init__(
             dim,
             capacity,
-            rtree_max_entries=rtree_max_entries,
             sanitize=sanitize,
             query_cache=query_cache,
             batch_chunk=batch_chunk,
@@ -177,7 +175,6 @@ class ShardKSkybandEngine(KSkybandEngine):
         capacity: int,
         k: int,
         stride: int,
-        rtree_max_entries: int = 12,
         sanitize: SanitizeArg = "off",
         query_cache: bool = True,
         batch_chunk: Optional[int] = None,
@@ -188,7 +185,6 @@ class ShardKSkybandEngine(KSkybandEngine):
             dim,
             capacity,
             k,
-            rtree_max_entries=rtree_max_entries,
             sanitize=sanitize,
             query_cache=query_cache,
             batch_chunk=batch_chunk,
@@ -300,7 +296,6 @@ def build_shard_engine(spec: Mapping[str, Any]) -> ShardEngine:
     """
     kind = spec["kind"]
     common: Dict[str, Any] = {
-        "rtree_max_entries": spec["rtree_max_entries"],
         "sanitize": spec["sanitize"],
         "query_cache": spec["query_cache"],
         # Older specs lack the key; ``None`` resolves to the default.

@@ -63,7 +63,6 @@ class _ShardedRouter:
         capacity: int,
         shards: int = 4,
         backend: str = "serial",
-        rtree_max_entries: int = 12,
         sanitize: SanitizeArg = "off",
         query_cache: bool = True,
         timeout: float = 120.0,
@@ -100,7 +99,6 @@ class _ShardedRouter:
         self.backend = backend
         self._m = 0
         self._sanitizer = InvariantSanitizer.coerce(sanitize)
-        self._rtree_max_entries = rtree_max_entries
         self._query_cache = query_cache
         self._batch_chunk = resolve_batch_chunk(batch_chunk)
         self.replica_mode = replicas
@@ -132,7 +130,6 @@ class _ShardedRouter:
             "dim": self.dim,
             "capacity": self.capacity,
             "stride": self.shards,
-            "rtree_max_entries": self._rtree_max_entries,
             "sanitize": self.sanitize_mode,
             "query_cache": self._query_cache,
             "batch_chunk": self._batch_chunk,
@@ -497,7 +494,6 @@ class ShardedKSkyband(_ShardedRouter):
         k: int,
         shards: int = 4,
         backend: str = "serial",
-        rtree_max_entries: int = 12,
         sanitize: SanitizeArg = "off",
         query_cache: bool = True,
         timeout: float = 120.0,
@@ -513,7 +509,6 @@ class ShardedKSkyband(_ShardedRouter):
             capacity,
             shards=shards,
             backend=backend,
-            rtree_max_entries=rtree_max_entries,
             sanitize=sanitize,
             query_cache=query_cache,
             timeout=timeout,

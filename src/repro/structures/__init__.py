@@ -9,24 +9,26 @@ Everything here is self-contained and paper-faithful:
 * :mod:`repro.structures.rtree` — in-memory R-tree with the paper's
   depth-first dominance reporting and best-first dominator search (the
   reference structure);
-* :mod:`repro.structures.rtree_soa` — struct-of-arrays rebuild of the
-  same search surface (pooled NumPy matrices, blocks as index ranges),
-  the dominance index every engine runs;
+* :mod:`repro.structures.dense_index` — the same search surface over
+  one dense kappa-ordered matrix, the dominance index every engine
+  runs;
 * :mod:`repro.structures.heap` — indexed min/max heaps (trigger lists);
 * :mod:`repro.structures.mbr` — bounding-box algebra incl. Figure 7's
   candidate-region tests;
 * :mod:`repro.structures.labelset` — the ordered label set of Figure 6.
 """
 
+from repro.structures.dense_index import DenseEntry, DenseIndex
 from repro.structures.heap import IndexedHeap, MaxIndexedHeap, MinIndexedHeap
 from repro.structures.interval_tree import Interval, IntervalHandle, IntervalTree
 from repro.structures.labelset import LabelSet
 from repro.structures.mbr import MBR
 from repro.structures.rbtree import RedBlackTree
 from repro.structures.rtree import RTree, RTreeEntry
-from repro.structures.rtree_soa import SoAEntry, SoARTree
 
 __all__ = [
+    "DenseEntry",
+    "DenseIndex",
     "IndexedHeap",
     "MaxIndexedHeap",
     "MinIndexedHeap",
@@ -38,6 +40,4 @@ __all__ = [
     "RedBlackTree",
     "RTree",
     "RTreeEntry",
-    "SoAEntry",
-    "SoARTree",
 ]

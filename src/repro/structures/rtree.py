@@ -28,10 +28,10 @@ same underfull-node handling).  Every node additionally carries
 Entries are points: ``(point, kappa, data)``; ``kappa`` values must be
 unique (they are stream positions).
 
-The engines run the struct-of-arrays rebuild of this surface
-(:mod:`repro.structures.rtree_soa`); this tree is the paper-faithful
+The engines run the same search surface over a dense matrix
+(:mod:`repro.structures.dense_index`); this tree is the paper-faithful
 reference behind BBS, the fan-out/split ablation benchmarks and the
-test oracle the SoA index is checked against.
+test oracle the dense index is checked against.
 """
 
 from __future__ import annotations
@@ -680,27 +680,6 @@ class RTree:
                 for child in node.children:
                     push(child, child.max_kappa)
         return None
-
-    def top_kappa_dominators(self, q: Sequence[float], k: int) -> List[RTreeEntry]:
-        """The ``k`` youngest entries weakly dominating ``q``, youngest
-        first (fewer if fewer exist).
-
-        Used by the windowed k-skyband engine, which needs an element's
-        top-k older dominators rather than just the critical one.
-        Implemented as ``k`` constrained best-first searches — ``k`` is
-        small in practice, and each search prunes independently.
-        """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        found: List[RTreeEntry] = []
-        bound: Optional[int] = None
-        while len(found) < k:
-            entry = self.max_kappa_dominator(q, kappa_below=bound)
-            if entry is None:
-                break
-            found.append(entry)
-            bound = entry.kappa
-        return found
 
     def _descend_max_kappa(
         self, node: _Node, kappa_below: Optional[int]

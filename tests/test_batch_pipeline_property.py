@@ -282,7 +282,7 @@ class TestBatchChunkKnob:
             )
         spec = {
             "kind": "skyband", "dim": 2, "capacity": 10, "k": 2,
-            "stride": 2, "rtree_max_entries": 12, "sanitize": "off",
+            "stride": 2, "sanitize": "off",
             "query_cache": True, "batch_chunk": 9,
         }
         engine = build_shard_engine(spec)

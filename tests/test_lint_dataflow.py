@@ -121,23 +121,6 @@ class TestRepro103ShmLifecycle:
         assert result.unused_waivers == []
 
 
-class TestRepro104KernelInvalidation:
-    """The SoA pool half: a raw write into the pooled ``_points`` /
-    ``_kappas`` matrices (the index's vectorised mirror of its entries)
-    must be followed by block-summary maintenance."""
-
-    def test_violation(self):
-        assert hits("repro104_violation.py") == [("REPRO104", 18)]
-
-    def test_clean(self):
-        assert hits("repro104_clean.py") == []
-
-    def test_waived(self):
-        result = run_fixture("repro104_waived.py")
-        assert result.findings == []
-        assert result.unused_waivers == []
-
-
 class TestRepro104MirrorKernels:
     """The ``X`` / ``X_kernel`` convention: a tracked container with a
     lazily rebuilt flat mirror must drop the mirror on every mutation
@@ -170,59 +153,6 @@ class TestRepro104MirrorKernels:
         )
         result = analyze_sources({"free.py": src})
         assert result.findings == []
-
-    # A pooled class's bulk maintenance methods satisfy the rule by
-    # *name* (POOLED_MAINTENANCE_METHODS): calling them after a raw
-    # pooled write is maintenance even when their own bodies delegate
-    # and never touch a summary attribute directly.
-    POOLED_BULK_SRC = (
-        "class Pool:\n"
-        "    def __init__(self):\n"
-        "        self._points = _np.zeros((8, 2))\n"
-        "        self._kappas = _np.zeros(8)\n"
-        "        self._dirty = set()\n"
-        "\n"
-        "    def insert_many(self, points, kappas):\n"
-        "        self._bulk_place(points, kappas)\n"
-        "\n"
-        "    def delete_many(self, kappas):\n"
-        "        self._bulk_drop(kappas)\n"
-        "\n"
-        "    def rewrite(self, rows, pts):\n"
-        "        self._points[rows] = pts\n"
-        "        self.insert_many(pts, rows)\n"
-        "\n"
-        "    def erase(self, rows):\n"
-        "        self._kappas[rows] = -1\n"
-        "        self.delete_many(rows)\n"
-    )
-
-    def test_bulk_methods_count_as_maintenance_by_name(self):
-        result = analyze_sources({"src/repro/pool.py": self.POOLED_BULK_SRC})
-        assert [f.code for f in result.findings] == []
-
-    def test_model_folds_contract_methods_into_pooled_classes(self):
-        import ast
-
-        from tools.lint.model import POOLED_MAINTENANCE_METHODS, build_model
-
-        model = build_model(
-            {"src/repro/pool.py": ast.parse(self.POOLED_BULK_SRC)}
-        )
-        cls = model.modules["src/repro/pool.py"].classes["Pool"]
-        assert cls.is_pooled
-        assert POOLED_MAINTENANCE_METHODS <= cls.maintenance_methods
-        # A non-pooled class gets no contract fold: the names only mean
-        # "re-summarise" on an SoA pool.
-        plain = build_model({
-            "src/repro/other.py": ast.parse(
-                "class Router:\n"
-                "    def insert_many(self, xs):\n"
-                "        self.xs = xs\n"
-            )
-        })
-        router = plain.modules["src/repro/other.py"].classes["Router"]
-        assert not router.maintenance_methods
 
 
 class TestRepro105SnapshotParity:
@@ -264,7 +194,7 @@ class TestUnusedWaivers:
 
 class TestBaseline:
     def _findings(self):
-        name = "repro104_violation.py"
+        name = "repro104_mirror_violation.py"
         return run_fixture(name).findings
 
     def test_round_trip_matches_everything(self, tmp_path):
@@ -360,7 +290,7 @@ class TestCli:
 
     def test_write_then_check_baseline(self, tmp_path):
         baseline = tmp_path / "baseline.txt"
-        target = "tests/fixtures/lint/repro104_violation.py"
+        target = "tests/fixtures/lint/repro104_mirror_violation.py"
         proc = run_cli(target, "--baseline", str(baseline),
                        "--write-baseline")
         assert proc.returncode == 0
@@ -370,9 +300,9 @@ class TestCli:
 
     def test_stale_baseline_entry_fails(self, tmp_path):
         baseline = tmp_path / "baseline.txt"
-        target = "tests/fixtures/lint/repro104_violation.py"
+        target = "tests/fixtures/lint/repro104_mirror_violation.py"
         run_cli(target, "--baseline", str(baseline), "--write-baseline")
-        proc = run_cli("tests/fixtures/lint/repro104_clean.py",
+        proc = run_cli("tests/fixtures/lint/repro104_mirror_clean.py",
                        "--baseline", str(baseline))
         assert proc.returncode == 1
         assert "stale baseline entry" in proc.stderr

@@ -206,8 +206,8 @@ class TestNofNCorruption:
         assert invariant_of(excinfo) == "forest"
 
     def test_rtree_augmentation_tamper(self):
-        # The pointer tree (the engines' reference structure) raises the
-        # same invariant name as the SoA index the engines run.
+        # The pointer tree is the reference the engines' dense index is
+        # checked against; its own augmentation check stays pinned here.
         tree = RTree(2)
         for kappa, point in enumerate(points_stream(40, seed=10), start=1):
             tree.insert(point, kappa)
@@ -216,14 +216,16 @@ class TestNofNCorruption:
             tree.check_invariants()
         assert invariant_of(excinfo) == "rtree-augmentation"
 
-    def test_rtree_augmentation_tamper_soa(self):
+    def test_dense_index_order_tamper(self):
+        # The kappa order is what the dense index's newest-first
+        # dominator sweep relies on, as the pointer tree relies on its
+        # max-kappa augmentation.
         engine = fed_nofn()
         tree = engine._rtree
-        blocks = [b for b in range(len(tree._blk_len)) if tree._blk_len[b]]
-        tree._blk_maxk[blocks[0]] = -5
+        tree._kappas[0] = tree._kappas[len(tree._rows) - 1] + 1
         with pytest.raises(StructureCorruptionError) as excinfo:
             engine.check_invariants()
-        assert invariant_of(excinfo) == "rtree-augmentation"
+        assert invariant_of(excinfo) == "dense-order"
 
     def test_stabbing_mismatch(self, monkeypatch):
         engine = fed_nofn()

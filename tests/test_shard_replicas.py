@@ -17,6 +17,7 @@ Three properties carry the design (see :mod:`repro.parallel.replicas`):
 
 from __future__ import annotations
 
+import _posixshmem
 import os
 import signal
 import struct
@@ -67,7 +68,6 @@ def nofn_spec(capacity, stride=1, dim=2, query_cache=True):
         "dim": dim,
         "capacity": capacity,
         "stride": stride,
-        "rtree_max_entries": 12,
         "sanitize": "off",
         "query_cache": query_cache,
     }
@@ -119,6 +119,30 @@ class TestPublisherReaderRoundTrip:
         assert reader.read() is None
         assert reader.unavailable == 1
         reader.close()
+
+    def test_unsized_segment_is_unavailable_and_cleaned_up(self):
+        # ``SharedMemory(create=True)`` runs ``shm_open`` and only then
+        # ``ftruncate``; a reader or janitor that opens the segment in
+        # between finds an empty file that cannot be mapped.
+        prefix = fresh_prefix()
+        name = "/" + prefix + "c"  # the control segment
+        fd = _posixshmem.shm_open(
+            name, os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600
+        )
+        try:
+            reader = ReplicaReader(prefix)
+            assert reader.read() is None
+            assert reader.unavailable == 1
+            reader.close()
+            cleanup_replica_segments([prefix])
+            with pytest.raises(FileNotFoundError):
+                _posixshmem.shm_unlink(name)
+        finally:
+            os.close(fd)
+            try:
+                _posixshmem.shm_unlink(name)
+            except FileNotFoundError:
+                pass
 
     def test_pending_elements_counts_round_robin_exactly(self):
         for shards in (1, 2, 3, 5):

@@ -12,8 +12,8 @@ The engine layers, bottom up:
 * :mod:`tools.lint.cfg` — per-function control-flow graphs with
   exception edges and the path queries;
 * :mod:`tools.lint.model` — the cross-module class/protocol model
-  (version counters, seqlock structs, shm wrappers, flat mirrors and
-  SoA pools, snapshot producers/consumers);
+  (version counters, seqlock structs, shm wrappers, flat mirrors,
+  snapshot producers/consumers);
 * :mod:`tools.lint.dataflow` — the REPRO101-105 rule pack on top of
   the two;
 * :mod:`tools.lint.baseline` — the grandfathered-findings file.

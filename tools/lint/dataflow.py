@@ -23,12 +23,9 @@ REPRO103   A ``SharedMemory(create=True)`` handle must be owned before
            function — on **all** paths, exception edges included; and
            any module that creates segments must also know how to
            ``unlink`` them.
-REPRO104   A raw write into the SoA index's pooled ``_points``/
-           ``_kappas`` arrays must be followed on every normal path by a
-           block-summary maintenance touch.  Likewise a class keeping an
-           ``X`` container beside an ``X_kernel`` flat mirror (the query
-           index's sorted axis) must drop the mirror whenever it
-           mutates ``X``.
+REPRO104   A class keeping an ``X`` container beside an ``X_kernel``
+           flat mirror (the query index's sorted axis) must drop the
+           mirror on every normal path that mutates ``X``.
 REPRO105   Snapshot round-trip parity: keys a producer writes that no
            consumer ever reads rot silently (persist-but-never-restore);
            keys a consumer subscripts that no producer writes crash
@@ -44,7 +41,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from tools.lint.cfg import CFG, CFGNode, FunctionNode, build_cfg
 from tools.lint.model import (
     MUTATOR_NAMES,
-    POOLED_SUMMARY_ATTRS,
     ClassModel,
     Model,
     ModuleModel,
@@ -468,7 +464,7 @@ def _check_shm_lifecycle(module: ModuleModel, findings: List[Finding]) -> None:
 
 
 # ----------------------------------------------------------------------
-# REPRO104 — flat-mirror / block-summary invalidation
+# REPRO104 — flat-mirror invalidation
 # ----------------------------------------------------------------------
 
 
@@ -529,65 +525,6 @@ def _check_mirror_kernels(module: ModuleModel,
                             f"routing will search a stale axis",
                             scope,
                         ))
-
-
-def _pooled_write(frag: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
-    for target in _assign_targets(frag):
-        if not isinstance(target, ast.Subscript):
-            continue
-        path = resolve_path(target.value, aliases)
-        if path in ("self._points", "self._kappas"):
-            return path
-    return None
-
-
-def _check_pooled_summaries(module: ModuleModel,
-                            findings: List[Finding]) -> None:
-    for cls in module.classes.values():
-        if not cls.is_pooled:
-            continue
-        for name, fn in cls.methods.items():
-            if name == "__init__":
-                continue
-            aliases = local_aliases(fn)
-            cfg = build_cfg(fn)
-            scope = f"{cls.name}.{name}"
-            maintenance = cls.maintenance_methods
-
-            def maintains(node: CFGNode,
-                          _maint: Set[str] = maintenance) -> bool:
-                frag = node.frag
-                if frag is None:
-                    return False
-                for sub in ast.walk(frag):
-                    if (isinstance(sub, ast.Attribute)
-                            and sub.attr in POOLED_SUMMARY_ATTRS):
-                        return True
-                    if (isinstance(sub, ast.Call)
-                            and isinstance(sub.func, ast.Attribute)
-                            and isinstance(sub.func.value, ast.Name)
-                            and sub.func.value.id == "self"
-                            and sub.func.attr in _maint):
-                        return True
-                return False
-
-            for node, frag in _frags(cfg):
-                path = _pooled_write(frag, aliases)
-                if path is None:
-                    continue
-                if maintains(node):
-                    continue
-                if not cfg.must_pass_through(
-                    node.index, maintains, count_exceptional=False
-                ):
-                    findings.append(_finding(
-                        module, frag, "REPRO104",
-                        f"{scope}: raw write into {path} on a path that "
-                        f"never refreshes the block summaries "
-                        f"(_blk_*/_dirty) — maintenance pruning goes "
-                        f"stale",
-                        scope,
-                    ))
 
 
 # ----------------------------------------------------------------------
@@ -661,5 +598,4 @@ def check_module_dataflow(module: ModuleModel) -> List[Finding]:
     _check_seqlock(module, findings)
     _check_shm_lifecycle(module, findings)
     _check_mirror_kernels(module, findings)
-    _check_pooled_summaries(module, findings)
     return findings

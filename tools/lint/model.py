@@ -11,8 +11,8 @@ rules care about:
   flip, and the header-reader helpers (REPRO102);
 * which functions wrap ``SharedMemory`` creation and whether the module
   has an unlink-capable janitor (REPRO103);
-* which classes keep an ``X_kernel`` flat mirror or pool SoA blocks,
-  and which methods count as block-summary maintenance (REPRO104);
+* which classes keep an ``X_kernel`` flat mirror of a tracked
+  container (REPRO104);
 * which functions produce snapshot/spec dictionaries and which consume
   them (REPRO105).
 
@@ -30,8 +30,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
 
 __all__ = [
     "ClassModel", "FunctionInfo", "Model", "ModuleModel", "ProducerInfo",
-    "ConsumerInfo", "MUTATOR_NAMES", "POOLED_MAINTENANCE_METHODS",
-    "POOLED_SUMMARY_ATTRS", "VERSION_COUNTER_ATTRS", "build_model",
+    "ConsumerInfo", "MUTATOR_NAMES", "VERSION_COUNTER_ATTRS", "build_model",
     "expr_path", "local_aliases", "iter_functions",
 ]
 
@@ -58,25 +57,6 @@ MUTATOR_NAMES: FrozenSet[str] = frozenset({
 _CONTAINER_CTORS: FrozenSet[str] = frozenset({
     "list", "dict", "set", "deque", "defaultdict", "OrderedDict",
     "Counter", "bytearray",
-})
-
-#: Block-summary attributes of an SoA pool (REPRO104).  A statement that
-#: touches any of these (or calls a method that does) counts as keeping
-#: the summaries honest after a pooled-array write.
-POOLED_SUMMARY_ATTRS: FrozenSet[str] = frozenset({
-    "_blk_lower", "_blk_upper", "_blk_maxk", "_blk_len", "_dirty",
-})
-
-#: Pooled arrays whose raw writes trigger the SoA side of REPRO104.
-_POOLED_TRIGGER_ATTRS: FrozenSet[str] = frozenset({"_points", "_kappas"})
-
-#: Bulk-maintenance methods of an SoA pool (REPRO104).  These are part
-#: of the pooled-class *contract* — each call re-summarises every block
-#: it touches — so they count as maintenance by name, independently of
-#: the attribute-reference heuristic below (no blanket waivers needed
-#: in the batched-ingest call sites).
-POOLED_MAINTENANCE_METHODS: FrozenSet[str] = frozenset({
-    "insert_many", "delete_many",
 })
 
 #: Function-name pattern marking snapshot/spec *producers* (REPRO105).
@@ -212,8 +192,7 @@ class ClassModel:
 
     __slots__ = (
         "name", "path", "lineno", "has_version", "version_attr",
-        "tracked_containers", "cache_attrs", "is_pooled", "methods",
-        "has_close", "maintenance_methods",
+        "tracked_containers", "cache_attrs", "methods", "has_close",
     )
 
     def __init__(self, name: str, path: str, lineno: int) -> None:
@@ -228,12 +207,8 @@ class ClassModel:
         self.tracked_containers: Set[str] = set()
         #: flat-mirror attrs (``self._axis_kernel = None`` style)
         self.cache_attrs: Set[str] = set()
-        #: SoA pool (``_points`` + ``_dirty``) — summary-discipline rules
-        self.is_pooled = False
         self.methods: Dict[str, FunctionNode] = {}
         self.has_close = False
-        #: methods that touch the SoA block summaries
-        self.maintenance_methods: Set[str] = set()
 
 
 class ModuleModel:
@@ -347,54 +322,6 @@ def _scan_init(model: ClassModel, init: FunctionNode) -> None:
             model.tracked_containers.add(attr)
 
 
-def _writes_attr(fn: FunctionNode, attrs: FrozenSet[str]) -> bool:
-    for node in ast.walk(fn):
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        for target in targets:
-            inner = target
-            while isinstance(inner, ast.Subscript):
-                inner = inner.value
-            if isinstance(inner, ast.Attribute) and inner.attr in attrs:
-                return True
-    return False
-
-
-def _references_attr(fn: FunctionNode, attrs: FrozenSet[str]) -> bool:
-    return any(
-        isinstance(node, ast.Attribute) and node.attr in attrs
-        for node in ast.walk(fn)
-    )
-
-
-def _finish_class(model: ClassModel) -> None:
-    if model.is_pooled:
-        model.maintenance_methods |= POOLED_MAINTENANCE_METHODS
-    for name, fn in model.methods.items():
-        if name == "close":
-            model.has_close = True
-        if _references_attr(fn, POOLED_SUMMARY_ATTRS) or _writes_attr(
-            fn, POOLED_SUMMARY_ATTRS
-        ):
-            model.maintenance_methods.add(name)
-    # One transitive round: a method that only calls maintenance methods
-    # (e.g. delete -> _release_block) is itself maintenance.
-    for name, fn in model.methods.items():
-        if name in model.maintenance_methods:
-            continue
-        for node in ast.walk(fn):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == "self"
-                    and node.func.attr in model.maintenance_methods):
-                model.maintenance_methods.add(name)
-                break
-
-
 def _scan_class(module: ModuleModel, node: ast.ClassDef) -> None:
     model = ClassModel(node.name, module.path, node.lineno)
     for stmt in node.body:
@@ -403,12 +330,7 @@ def _scan_class(module: ModuleModel, node: ast.ClassDef) -> None:
     init = model.methods.get("__init__")
     if init is not None:
         _scan_init(model, init)
-        # SoA pools assign numpy arrays (`_np.zeros(...)`) which are not
-        # container literals; detect the pool by its signature attrs.
-        attrs_assigned = {attr for attr, _ in _init_self_assigns(init)}
-        if "_points" in attrs_assigned and "_dirty" in attrs_assigned:
-            model.is_pooled = True
-    _finish_class(model)
+    model.has_close = "close" in model.methods
     module.classes[node.name] = model
 
 
