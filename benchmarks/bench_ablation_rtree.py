@@ -3,19 +3,24 @@
 Section 3.3 builds the maintenance path on an in-memory R-tree because
 "most in-memory data structures for points are difficult to balance
 when data are updated".  But Theorem 2 bounds ``|R_N|`` by
-``O(log^d N)`` on independent data, so a plain linear scan over
-``R_N`` is a legitimate contender.  This bench feeds identical streams
-through the R-tree engine and through
-:class:`repro.core.nofn_linear.LinearScanNofNSkyline` (same engine,
-flat-scan searches) and reports per-element maintenance cost.
+``O(log^d N)`` on independent data, so a plain scan over ``R_N`` is a
+legitimate contender.  This bench feeds identical streams through the
+same n-of-N engine over three dominance indexes and reports
+per-element maintenance cost:
 
-Expected shape: in pure Python the flat scan *wins* at reproduction
-scale — interpreter call overhead taxes tree traversal more than the
-pruning saves while ``|R_N|`` is in the tens-to-hundreds — but the
-R-tree's *relative* gap narrows steadily as ``|R_N|`` grows
-(anti-correlated, higher d), pointing at the crossover the paper's
-C-implementation sits beyond.  The scan's worst-case (max) cost also
-degrades faster.  EXPERIMENTS.md discusses this candidly.
+* ``rtree`` — the paper's pointer R-tree
+  (:class:`repro.structures.rtree.RTree`, fan-out 12), swapped in as
+  ``bench_ablation_fanout.py`` does;
+* ``dense`` — the engines' default, one NumPy scan over a dense
+  kappa-ordered matrix (:mod:`repro.structures.dense_index`);
+* ``scan`` — :class:`repro.core.nofn_linear.LinearScanNofNSkyline`,
+  the same scans in pure Python.
+
+Expected shape: both scans beat the pointer tree at reproduction scale
+— interpreter call overhead taxes tree traversal more than the pruning
+saves while ``|R_N|`` is in the tens-to-hundreds — and the NumPy scan
+beats the pure-Python one once ``|R_N|`` reaches the low hundreds.
+EXPERIMENTS.md discusses this candidly.
 """
 
 from __future__ import annotations
@@ -33,75 +38,79 @@ from repro.bench import (
 )
 from repro.core.nofn import NofNSkyline
 from repro.core.nofn_linear import LinearScanNofNSkyline
+from repro.structures.rtree import RTree
 
 DIMS = (2, 3, 5)
+VARIANTS = ("rtree", "dense", "scan")
 
 
-def _run(engine_cls, dist: str, dim: int, capacity: int):
+def _engine(variant: str, dim: int, capacity: int) -> NofNSkyline:
+    if variant == "scan":
+        return LinearScanNofNSkyline(dim, capacity)
+    engine = NofNSkyline(dim, capacity)
+    if variant == "rtree":
+        engine._rtree = RTree(dim)  # type: ignore[assignment]
+    return engine
+
+
+def _run(variant: str, dist: str, dim: int, capacity: int):
     points = stream_points(dist, dim, 2 * capacity, seed=71)
-    engine = engine_cls(dim, capacity)
+    engine = _engine(variant, dim, capacity)
     cost = feed_timed(engine, points, warmup=capacity)
     return cost, engine.rn_size
 
 
 def test_ablation_rtree_vs_linear_scan(report, benchmark):
-    """Per-element maintenance: R-tree searches vs flat scans."""
+    """Per-element maintenance: R-tree searches vs dense and flat scans."""
     capacity = scaled(1500)
     results = {}
 
     def run_figure():
         for dim in DIMS:
             for dist in DISTRIBUTIONS:
-                results[(dim, dist, "rtree")] = _run(
-                    NofNSkyline, dist, dim, capacity
-                )
-                results[(dim, dist, "scan")] = _run(
-                    LinearScanNofNSkyline, dist, dim, capacity
-                )
+                for variant in VARIANTS:
+                    results[(dim, dist, variant)] = _run(
+                        variant, dist, dim, capacity
+                    )
 
     benchmark.pedantic(run_figure, rounds=1, iterations=1)
 
-    headers = ["config", "|R_N|", "rtree avg", "scan avg", "rtree max", "scan max"]
+    headers = ["config", "|R_N|"]
+    headers += [f"{variant} avg" for variant in VARIANTS]
+    headers += [f"{variant} max" for variant in VARIANTS]
     rows = []
     for dim in DIMS:
         for dist in DISTRIBUTIONS:
-            rtree_cost, rn = results[(dim, dist, "rtree")]
-            scan_cost, _ = results[(dim, dist, "scan")]
+            costs = [results[(dim, dist, v)][0] for v in VARIANTS]
             rows.append(
-                [
-                    f"d{dim}-{DIST_LABELS[dist]}",
-                    rn,
-                    format_seconds(rtree_cost.avg_seconds),
-                    format_seconds(scan_cost.avg_seconds),
-                    format_seconds(rtree_cost.max_seconds),
-                    format_seconds(scan_cost.max_seconds),
-                ]
+                [f"d{dim}-{DIST_LABELS[dist]}", results[(dim, dist, "dense")][1]]
+                + [format_seconds(cost.avg_seconds) for cost in costs]
+                + [format_seconds(cost.max_seconds) for cost in costs]
             )
     report(
         "ablation_rtree",
         render_table(
-            f"Ablation — R-tree vs linear scan maintenance (N={capacity})",
+            f"Ablation — R-tree vs dense and linear scan maintenance "
+            f"(N={capacity})",
             headers,
             rows,
         ),
     )
 
-    # Both engines must produce identical R_N sizes (they are the same
-    # algorithm); this guards the ablation against silent divergence.
+    # All three engines must produce identical R_N sizes (they are the
+    # same algorithm); this guards the ablation against silent divergence.
     for dim in DIMS:
         for dist in DISTRIBUTIONS:
-            assert results[(dim, dist, "rtree")][1] == (
-                results[(dim, dist, "scan")][1]
-            )
+            sizes = {results[(dim, dist, v)][1] for v in VARIANTS}
+            assert len(sizes) == 1
 
 
-@pytest.mark.parametrize("variant", ["rtree", "scan"])
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_maintenance_variant_benchmark(benchmark, variant):
     """Micro-benchmark: steady-state append, anti-correlated d=3."""
     capacity = scaled(800)
     rounds = 300
-    cls = NofNSkyline if variant == "rtree" else LinearScanNofNSkyline
-    engine = cls(3, capacity)
+    engine = _engine(variant, 3, capacity)
     for point in stream_points("anticorrelated", 3, capacity, seed=73):
         engine.append(point)
     points = iter(stream_points("anticorrelated", 3, rounds + 10, seed=79))

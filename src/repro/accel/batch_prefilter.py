@@ -3,9 +3,9 @@
 Real feeds deliver points in bursts, and Theorem 2 (``E[|R_N|] =
 O(log^d N)``) says almost every burst member is dominated quickly —
 most often by a *younger member of the same burst*.  Such an element
-would be inserted into the R-tree / interval tree / label set only to
-be ejected again before any query can observe it (queries never run
-mid-batch).  The batched ingestion paths
+would be inserted into the dominance index / interval tree / label set
+only to be ejected again before any query can observe it (queries never
+run mid-batch).  The batched ingestion paths
 (:meth:`repro.core.nofn.NofNSkyline.append_many` and friends) therefore
 precompute, with two NumPy broadcasts over the batch, *when* each batch
 member dies at the hands of a younger same-batch member — and skip all
@@ -132,7 +132,7 @@ class BatchPrefilter:
     def older_weak_victims(self, j: int) -> List[int]:
         """Batch indices ``h < j`` weakly dominated by ``j``, ascending —
         the already-arrived members whose younger-dominator counts grow
-        when member ``j`` arrives (the batch-side mirror of an R-tree
+        when member ``j`` arrives (the batch-side mirror of an index
         dominance report)."""
         return _np.flatnonzero(self._weak[j, :j]).tolist()
 

@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="internal chunk size of the batched pipeline: "
                           "each append_many call is processed in slices "
                           "of at most C elements (prefilter matrix, bulk "
-                          "R-tree searches and flushes are per-slice); "
+                          "index searches and flushes are per-slice); "
                           "default is the library chunk (1024)")
     win.add_argument("--sanitize", default="off", choices=list(MODES),
                      help="runtime invariant checking: verify the paper's "

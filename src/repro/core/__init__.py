@@ -13,8 +13,8 @@
 * :class:`~repro.core.skyband.KSkybandEngine` — windowed k-skybands
   (the standard skyline generalisation, built on the same machinery);
 * :class:`~repro.core.nofn_linear.LinearScanNofNSkyline` — the engine
-  with flat scans instead of the R-tree (ablation / small-``R_N``
-  deployments);
+  with pure-Python scans instead of the dense NumPy index (the
+  reference for ablations and tests);
 * :mod:`~repro.core.persistence` — engine snapshot / restore.
 """
 

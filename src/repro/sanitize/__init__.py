@@ -3,8 +3,8 @@
 Attachable runtime verification for every engine in the library: the
 :class:`InvariantSanitizer` re-derives the properties the paper proves
 (Theorem 1 non-redundancy, the Theorem 3 interval encoding and its
-stabbing answers, Theorem 4's CBC ancestors, R-tree max-kappa
-augmentation, trigger-heap consistency, ...) directly from engine
+stabbing answers, Theorem 4's CBC ancestors, the dominance index's
+kappa order, trigger-heap consistency, ...) directly from engine
 state, and raises :class:`~repro.exceptions.StructureCorruptionError`
 with a structured :class:`~repro.exceptions.SanitizerReport` instead of
 erasable ``assert`` statements — every check survives ``python -O``.
