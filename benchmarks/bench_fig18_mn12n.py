@@ -6,7 +6,8 @@ anti-correlated data at ``d in {2, 5}``; the results "confirmed our
 theoretical analysis that mn12N and mnN should have about the same
 efficiency" — the extra work per arrival is one interval-tree move
 (``I_RN`` to ``I_RN-``) per newly-dominated element, amortised
-``O(log N)``.
+``O(log N)``; in this reproduction that move is one write to the
+element's backward-ancestor column.
 
 Reproduction: ten window sizes ``N = i * scaled(200)``, streams of
 ``2N``, per-element average and maximum after the window fills, plus

@@ -14,7 +14,11 @@ optimisation level it is launched with, and verifies that:
 * the interval tree rejects a dead handle before changing anything;
 * the engines' dense dominance index rejects a kappa not above its
   newest row and a NaN coordinate (NaN is its tombstone) before any
-  write, and its ``dense-mirror`` check still fires.
+  write, and its ``dense-mirror`` check still fires;
+* every engine rejects a wrong-dimension, NaN or empty point before
+  any state changes;
+* restoring an (n1,n2) snapshot rejects a window with a hole, a record
+  beyond ``seen_so_far`` and out-of-range ancestors.
 
 Exits non-zero on the first discrepancy.  Run as:
 
@@ -39,8 +43,10 @@ from repro import (
     TimeWindowSkyline,
 )
 from repro.core.element import StreamElement
+from repro.core.persistence import SnapshotError, dumps, restore, snapshot
 from repro.exceptions import (
     KeyNotFoundError,
+    ReproError,
     ShardFailureError,
     StructureCorruptionError,
 )
@@ -355,6 +361,77 @@ def smoke_dense_index_guards_survive_dash_o(sanitize: str) -> None:
                  "(check erased by -O?)")
 
 
+def smoke_rejected_append_changes_nothing(sanitize: str) -> None:
+    engines = (
+        NofNSkyline(dim=2, capacity=3, sanitize=sanitize),
+        TimeWindowSkyline(dim=2, horizon=3.0, sanitize=sanitize),
+        KSkybandEngine(dim=2, capacity=3, k=2, sanitize=sanitize),
+        N1N2Skyline(dim=2, capacity=3, sanitize=sanitize),
+    )
+    points = points_stream(7, 2, seed=7)
+
+    def feed(engine, point, arrival):
+        if isinstance(engine, TimeWindowSkyline):
+            engine.append(point, float(arrival))
+        else:
+            engine.append(point)
+
+    def state(engine):
+        if isinstance(engine, KSkybandEngine):  # no snapshot support
+            return (engine.seen_so_far, len(engine),
+                    [e.kappa for e in engine.skyband()])
+        return dumps(engine)
+
+    for engine in engines:
+        name = type(engine).__name__
+        for arrival, point in enumerate(points[:3], start=1):
+            feed(engine, point, arrival)
+        before = state(engine)
+        for bad in ((0.5, 0.5, 0.5), (float("nan"), 0.5), ()):
+            try:
+                feed(engine, bad, 4)
+            except (ValueError, ReproError):
+                pass
+            else:
+                check(False, f"{name} accepted the point {bad!r}")
+            check(state(engine) == before,
+                  f"{name}: the rejected point {bad!r} changed the engine "
+                  "(guard erased by -O?)")
+        for arrival, point in enumerate(points[3:], start=4):
+            feed(engine, point, arrival)
+        engine.check_invariants()
+
+
+def smoke_n1n2_restore_checks_survive_dash_o(sanitize: str) -> None:
+    engine = N1N2Skyline(dim=2, capacity=5, sanitize=sanitize)
+    for point in points_stream(12, 2, seed=8):
+        engine.append(point)
+    restore(snapshot(engine)).check_invariants()
+
+    def hole(snap):
+        snap["records"].pop(2)
+
+    def beyond_seen(snap):
+        snap["records"].append(dict(snap["records"][-1], kappa=40))
+
+    def ancestor_not_older(snap):
+        snap["records"][-1]["a"] = snap["records"][-1]["kappa"]
+
+    def backward_ancestor_beyond_seen(snap):
+        snap["records"][0].update(b=snap["seen_so_far"] + 1, in_rn=False)
+
+    for defect in (hole, beyond_seen, ancestor_not_older,
+                   backward_ancestor_beyond_seen):
+        snap = snapshot(engine)
+        defect(snap)
+        try:
+            restore(snap)
+        except SnapshotError:
+            continue
+        check(False, f"n1n2 restore accepted a snapshot with the defect "
+                     f"{defect.__name__} (check erased by -O?)")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -401,6 +478,8 @@ def main() -> int:
     smoke_corruption_check_survives_dash_o(args.sanitize)
     smoke_slot_mirror_check_survives_dash_o(args.sanitize)
     smoke_dense_index_guards_survive_dash_o(args.sanitize)
+    smoke_rejected_append_changes_nothing(args.sanitize)
+    smoke_n1n2_restore_checks_survive_dash_o(args.sanitize)
     if args.continuous:
         smoke_continuous_index(args.sanitize)
     if args.shards:

@@ -37,10 +37,10 @@ memoizes per elementary span:
   queries collapse onto at most ``2 |R_N| + 1`` spans and answer from
   the memo.
 
-With ``ordered=True`` every answer is ordered by ascending ``high``
-once, on the miss (one ``argsort`` over the hits), instead of per query
-by the caller: in every engine an interval's ``high`` is its element's
-own label, so this is kappa order.  Callers receive a **fresh list**
+Every answer is ordered by ascending ``high`` once, on the miss (one
+``argsort`` over the hits), instead of per query by the caller: in
+every engine an interval's ``high`` is its element's own label, so
+this is kappa order.  Callers receive a **fresh list**
 per call and may mutate it freely; the memo stores immutable tuples.
 The cache never mutates the tree, keeps no view of its slots between
 calls, and may be dropped or re-attached at any time.
@@ -76,11 +76,6 @@ class StabCache(Generic[D]):
     max_memo:
         Memo-table capacity (distinct elementary spans); the table is
         cleared when full.
-    ordered:
-        When true, answers are sorted by ascending ``high`` once per
-        memo entry, so every :meth:`stab` returns an ordered list for
-        free (intervals sharing a high come back in no set order).
-        Otherwise results follow slot order.
 
     Attributes
     ----------
@@ -97,7 +92,6 @@ class StabCache(Generic[D]):
         "_bounds",
         "_memo",
         "_max_memo",
-        "_ordered",
         "hits",
         "misses",
         "rebuilds",
@@ -107,7 +101,6 @@ class StabCache(Generic[D]):
         self,
         tree: IntervalTree[D],
         max_memo: int = DEFAULT_MAX_MEMO,
-        ordered: bool = False,
     ) -> None:
         if max_memo < 1:
             raise ValueError(f"max_memo must be >= 1, got {max_memo}")
@@ -116,7 +109,6 @@ class StabCache(Generic[D]):
         self._bounds = array("d")
         self._memo: Dict[int, Tuple[D, ...]] = {}
         self._max_memo = max_memo
-        self._ordered = ordered
         self.hits = 0
         self.misses = 0
         self.rebuilds = 0
@@ -128,9 +120,9 @@ class StabCache(Generic[D]):
     def stab(self, t: float) -> List[D]:
         """Payloads of every interval with ``low < t <= high``.
 
-        Same answer set as :meth:`IntervalTree.stab`; output is ordered
-        by ascending ``high`` when the cache is ``ordered``, otherwise
-        by slot.  Always returns a fresh list.
+        Same answer set as :meth:`IntervalTree.stab`, ordered by
+        ascending ``high`` (intervals sharing a high come back in no set
+        order).  Always returns a fresh list.
         """
         # The tree's counter is read directly: the property call would
         # be a measurable share of a memo hit.
@@ -148,10 +140,9 @@ class StabCache(Generic[D]):
         self.misses += 1
         lows, highs, payloads = self._tree.slots()
         hit = _np.flatnonzero((lows < t) & (highs >= t))
-        if self._ordered:
-            # The engines' highs are distinct labels, so the default
-            # (unstable, SIMD) sort is exact and ~3x a stable one.
-            hit = hit[_np.argsort(highs[hit])]
+        # The engines' highs are distinct labels, so the default
+        # (unstable, SIMD) sort is exact and ~3x a stable one.
+        hit = hit[_np.argsort(highs[hit])]
         out = [payloads[i] for i in hit.tolist()]
         if len(self._memo) >= self._max_memo:
             self._memo.clear()

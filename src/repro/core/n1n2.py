@@ -11,39 +11,43 @@ could equal ``n2``).  Every element ``e`` carries two ancestors:
 * ``a_e`` — the **critical ancestor**: youngest *older* dominator
   (Equation 1; ``0`` when none exists), and
 * ``b_e`` — the **backward critical ancestor**: oldest *younger*
-  dominator (Equation 2; ``infinity`` — stored as ``None`` — while no
-  younger dominator exists, i.e. while ``e`` is in ``R_N``).
+  dominator (Equation 2; infinity while no younger dominator exists,
+  i.e. while ``e`` is in ``R_N``).
 
 Theorem 4: ``e`` answers an (n1,n2)-of-N query iff ::
 
     kappa(a_e) < M - n2 + 1 <= kappa(e) <= M - n1 + 1 < kappa(b_e)
 
-The edge set (the *CBC dominance graph*) is encoded as intervals
-``(kappa(a_e), kappa(e)]`` annotated with ``kappa(b_e)`` and split over
-two interval trees (Figure 11):
+so a query is one filter over the contiguous kappa range
+``[M - n2 + 1, M - n1 + 1]``.  The engine holds ``P_N`` as a ring of
+``N`` slots (``e`` in slot ``(kappa(e) - 1) % N``) with two float64
+columns beside it: ``a`` (``kappa(a_e)``, 0 for none) and ``b``
+(``kappa(b_e)``, ``+inf`` while in ``R_N``).  The kappa range covers
+one or two runs of slots, and Algorithm 3 is the mask
+``(a < M - n2 + 1) & (b > M - n1 + 1)`` over them; the hits come out
+in kappa order.  Maintenance (Algorithm 4) mirrors Algorithm 1 over a
+dense dominance index of ``R_N``: a demotion writes the newcomer's
+kappa into the demoted element's ``b``, and an arrival overwrites the
+slot of the element it expires.
 
-* ``I_RN`` — elements still in ``R_N`` (``b_e = infinity``), which is
-  exactly the n-of-N structure of section 3.2, and
-* ``I_RN-`` — superseded elements (finite ``b_e``).
-
-Queries stab both trees with ``M - n2 + 1`` and post-filter on the
-``b_e`` condition (Algorithm 3); maintenance (Algorithm 4) mirrors
-Algorithm 1, with dominated elements *demoted* from ``I_RN`` to
-``I_RN-`` instead of discarded.  Every element moves between the trees
-at most once, keeping updates amortised ``O(log N)``.
+Expiry needs no re-rooting.  Every admissible stab point
+``M - n2 + 1`` is at least ``M - N + 1``, so the raw kappa of an
+expired critical ancestor passes ``a < M - n2 + 1`` exactly as 0
+would; :meth:`N1N2Skyline.ancestors` and snapshots report it as 0.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, List, Optional, Sequence, Set, Tuple, cast
+
+import numpy as _np
 
 from repro.accel.batch_prefilter import (
     BatchPrefilter,
     iter_chunks,
     resolve_batch_chunk,
 )
-from repro.accel.stab_cache import StabCache
 from repro.core.element import StreamElement
 from repro.core.stats import EngineStats
 from repro.exceptions import (
@@ -53,29 +57,8 @@ from repro.exceptions import (
 )
 from repro.sanitize.sanitizer import InvariantSanitizer, SanitizeArg
 from repro.structures.dense_index import DenseIndex
-from repro.structures.interval_tree import IntervalHandle, IntervalTree
 
-
-class _WindowRecord:
-    """Book-keeping for one element of ``P_N`` (CBC graph vertex)."""
-
-    __slots__ = (
-        "element",
-        "a_kappa",
-        "b_kappa",
-        "handle",
-        "in_rn",
-        "dependents",
-    )
-
-    def __init__(self, element: StreamElement) -> None:
-        self.element = element
-        self.a_kappa: int = 0
-        self.b_kappa: Optional[int] = None  # None encodes +infinity
-        self.handle: Optional[IntervalHandle] = None
-        self.in_rn = True
-        #: kappas of elements whose critical ancestor is this element.
-        self.dependents: Set[int] = set()
+_INF = float("inf")
 
 
 class N1N2Skyline:
@@ -92,17 +75,15 @@ class N1N2Skyline:
         Runtime invariant checking: ``"off"`` (default), ``"sampled"``,
         ``"full"``, or a shared
         :class:`~repro.sanitize.InvariantSanitizer`.
-    query_cache / batch_chunk:
-        Query and batched-ingest knobs (see
-        :class:`~repro.core.nofn.NofNSkyline`).  Each interval tree
-        (``I_RN`` and ``I_RN-``) gets its own versioned stab cache; the
-        cached answers are the *raw* stab lists, post-filtered per query
-        on the Theorem-4 bounds exactly as the uncached path does.
+    batch_chunk:
+        Batched-ingest chunk size (see
+        :class:`~repro.core.nofn.NofNSkyline`).
 
     Notes
     -----
     Space is ``O(N)``: the whole window is retained, as section 4
-    requires.  Use :class:`repro.core.nofn.NofNSkyline` when only
+    requires, and the ring and its two columns are allocated up front
+    (24 bytes per slot).  Use :class:`repro.core.nofn.NofNSkyline` when only
     ``n1 = 1`` queries are needed — it stores only ``R_N``.
     """
 
@@ -111,7 +92,6 @@ class N1N2Skyline:
         dim: int,
         capacity: int,
         sanitize: SanitizeArg = "off",
-        query_cache: bool = True,
         batch_chunk: Optional[int] = None,
     ) -> None:
         if capacity < 1:
@@ -123,16 +103,12 @@ class N1N2Skyline:
         self._batch_chunk = resolve_batch_chunk(batch_chunk)
         self._sanitizer = InvariantSanitizer.coerce(sanitize)
         self._m = 0
-        self._records: Dict[int, _WindowRecord] = {}
-        self._live = IntervalTree()  # I_RN   (b = infinity)
-        self._superseded = IntervalTree()  # I_RN- (finite b)
+        #: ``P_N``: the element labelled ``kappa`` sits in slot
+        #: ``(kappa - 1) % capacity``.
+        self._ring: List[Optional[StreamElement]] = [None] * capacity
+        self._a = _np.zeros(capacity)  # kappa(a_e); 0 for none
+        self._b = _np.full(capacity, _INF)  # kappa(b_e); +inf in R_N
         self._rtree = DenseIndex(dim)
-        self._live_cache: Optional[StabCache[_WindowRecord]] = (
-            StabCache(self._live) if query_cache else None
-        )
-        self._superseded_cache: Optional[StabCache[_WindowRecord]] = (
-            StabCache(self._superseded) if query_cache else None
-        )
         self.stats = EngineStats()
 
     # ------------------------------------------------------------------
@@ -140,40 +116,35 @@ class N1N2Skyline:
     # ------------------------------------------------------------------
 
     def append(self, values: Sequence[float], payload: Any = None) -> StreamElement:
-        """Ingest one stream element; return it."""
-        self._m += 1
-        element = StreamElement(values, self._m, payload)
+        """Ingest one stream element; return it.
 
-        # -- Expire the element leaving P_N (always the oldest). --------
+        A point the engine rejects raises before any state changes."""
+        element = self._batch_elements([values], [payload])[0]
+        self._m = kappa = element.kappa
+        n = self.capacity
+        slot = (kappa - 1) % n
+
+        # -- Expire the element leaving P_N: the one in this slot. ------
         expired = 0
-        leaving = self._m - self.capacity
-        if leaving >= 1:
-            self._expire(self._records[leaving])
+        if kappa > n:
             expired = 1
+            if self._b[slot] == _INF:
+                self._rtree.delete(kappa - n)
 
         # -- Demote D_{e_new}: e_new becomes their backward ancestor. ---
-        demoted = 0
-        for entry in self._rtree.remove_dominated(element.values):
-            record: _WindowRecord = entry.data
-            self._demote(record, b_kappa=element.kappa)
-            demoted += 1
+        demoted = self._rtree.remove_dominated(element.values)
+        if demoted:
+            self._b[[(entry.kappa - 1) % n for entry in demoted]] = kappa
 
         # -- Critical ancestor of the newcomer (best-first search). -----
-        record = _WindowRecord(element)
-        parent_entry = self._rtree.max_kappa_dominator(element.values)
-        if parent_entry is not None:
-            parent: _WindowRecord = parent_entry.data
-            record.a_kappa = parent.element.kappa
-            parent.dependents.add(element.kappa)
-
-        record.handle = self._live.insert(
-            float(record.a_kappa), float(element.kappa), record
-        )
-        self._rtree.insert(element.values, element.kappa, record)
-        self._records[element.kappa] = record
+        parent = self._rtree.max_kappa_dominator(element.values)
+        self._ring[slot] = element
+        self._a[slot] = 0 if parent is None else parent.kappa
+        self._b[slot] = _INF
+        self._rtree.insert(element.values, kappa)
 
         self.stats.record_arrival(
-            expired=expired, dominated=demoted, rn_size=len(self._rtree)
+            expired=expired, dominated=len(demoted), rn_size=len(self._rtree)
         )
         if self._sanitizer is not None:
             self._sanitizer.maybe_verify(self)
@@ -191,9 +162,8 @@ class N1N2Skyline:
         and maintenance stats afterwards — but faster on bursty feeds:
         batch members the vectorised intra-batch prefilter proves
         dominated by a younger same-batch member are installed as
-        superseded records directly (their backward critical ancestor is
-        already known), skipping the R-tree and ``I_RN`` insert/remove
-        cycle entirely.
+        superseded directly (their backward critical ancestor is
+        already known), skipping the dominance index entirely.
 
         Validation is all-or-nothing: dimension mismatches and invalid
         values raise before any engine state changes.
@@ -238,31 +208,32 @@ class N1N2Skyline:
     ) -> int:
         """Ingest ``elements[lo:hi]`` (at most ``capacity`` of them, so
         no chunk member can expire before its in-chunk dominator
-        arrives).
+        arrives, and no two share a slot).
 
-        All R-tree mutations the chunk causes are deferred: demotions
-        and expiries accumulate into one bulk
-        :meth:`~repro.structures.dense_index.DenseIndex.delete_many` and the
-        chunk's surviving members land with one
-        :meth:`~repro.structures.dense_index.DenseIndex.insert_many`, so the
-        tree is searched (and re-summarised) once per chunk instead of
-        once per element.  The tree therefore stays at its chunk-start
-        state throughout; the two batched searches below answer every
-        member's demotion report and critical-ancestor query against
-        that frozen state, and per-arrival staleness is repaired with
-        window-membership (``_records``) and ``in_rn`` checks.  Chunk
+        All dominance-index mutations the chunk causes are deferred:
+        demotions and expiries accumulate into one bulk
+        :meth:`~repro.structures.dense_index.DenseIndex.delete_many` and
+        the chunk's surviving members land with one
+        :meth:`~repro.structures.dense_index.DenseIndex.insert_many`.
+        The index therefore stays at its chunk-start state throughout;
+        the two batched searches below answer every member's demotion
+        report and critical-ancestor query against that frozen state,
+        and per-arrival staleness is repaired from the columns: an
+        indexed element is still in ``R_N`` iff its kappa is above
+        ``M - N`` (a victim that expired earlier in the chunk shares its
+        slot with a younger member) and its ``b`` is ``+inf``.  Chunk
         members themselves never appear in the frozen answers, so the
         intra-chunk prefilter stream is merged in first — chunk kappas
         outrank every indexed kappa, making the first logically-alive
         intra candidate automatically the youngest.
 
-        ``alive_doomed`` tracks prefilter casualties whose killer has
-        not arrived yet: logically still in ``R_N`` (they count towards
+        ``alive_doomed`` holds prefilter casualties whose killer has not
+        arrived yet: logically still in ``R_N`` (they count towards
         ``rn_size``, are candidate critical ancestors, and are reported
-        as demotions at their killer's arrival) but physically already
-        installed as superseded records.  A surviving member never has
-        an alive doomed ancestor: that ancestor's killer would dominate
-        the survivor too.
+        as demotions at their killer's arrival) but already installed
+        with their final ``b``.  A surviving member never has an alive
+        doomed ancestor: that ancestor's killer would dominate the
+        survivor too.
         """
         chunk = elements[lo:hi]
         points = [e.values for e in chunk]
@@ -271,87 +242,66 @@ class N1N2Skyline:
         rtree = self._rtree
         victims0 = rtree.report_dominated_batch(points)
         parents0 = rtree.max_kappa_dominator_batch(points)
+        n = self.capacity
+        a, b = self._a, self._b
 
-        deferred_deletes: List[int] = []
-        deferred_inserts: Dict[int, _WindowRecord] = {}
-
-        def defer_delete(kappa: int) -> None:
-            if deferred_inserts.pop(kappa, None) is None:
-                deferred_deletes.append(kappa)
-
-        alive_doomed: Dict[int, _WindowRecord] = {}
-        live_rn = len(rtree)  # |R_N| were the deferred flushes applied
+        deletes: List[int] = []
+        survivors: List[StreamElement] = []
+        alive_doomed: Set[int] = set()
+        live_rn = len(rtree)  # |R_N| were the deferred writes applied
         for i, element in enumerate(chunk):
             kappa = element.kappa
             self._m = kappa
+            slot = (kappa - 1) % n
 
             expired = 0
-            leaving = kappa - self.capacity
-            if leaving >= 1:
-                leaving_record = self._records[leaving]
-                if leaving_record.in_rn:
-                    live_rn -= 1
-                self._expire(leaving_record, defer_delete)
+            if kappa > n:
                 expired = 1
+                if b[slot] == _INF:
+                    deletes.append(kappa - n)
+                    live_rn -= 1
 
             demoted = 0
-            for entry in victims0[i]:
-                victim = self._records.get(entry.kappa)
-                if victim is None:
-                    continue  # expired earlier in the chunk
-                self._demote(victim, b_kappa=kappa)
-                defer_delete(entry.kappa)
-                live_rn -= 1
-                demoted += 1
-            for h in pre.killed_at(i):
-                if alive_doomed.pop(base_kappa + h, None) is not None:
+            for victim in victims0[i]:
+                if victim.kappa > kappa - n:  # not expired in this chunk
+                    b[(victim.kappa - 1) % n] = kappa
+                    deletes.append(victim.kappa)
+                    live_rn -= 1
                     demoted += 1
+            for h in pre.killed_at(i):
+                alive_doomed.remove(base_kappa + h)
+                demoted += 1
 
-            record = _WindowRecord(element)
             # Youngest logically-alive older dominator: intra-chunk
-            # candidates first (surviving members sit in
-            # ``deferred_inserts``, doomed-but-unkilled ones in
-            # ``alive_doomed`` — neither is in the frozen tree), then
-            # the frozen-tree answer, stale-walked past members the
-            # chunk has already expired or demoted.
-            parent: Optional[_WindowRecord] = None
+            # candidates first (survivors have b = +inf, doomed ones
+            # are alive until their killer arrives), then the
+            # frozen-index answer, stale-walked past elements the chunk
+            # has already demoted.  The walk stops at the first expired
+            # candidate: every older one has expired too.
+            parent = 0
             for h in pre.older_weak_dominators(i):
                 kappa_h = base_kappa + h
-                candidate = alive_doomed.get(kappa_h)
-                if candidate is None:
-                    record_h = self._records.get(kappa_h)
-                    if record_h is not None and record_h.in_rn:
-                        candidate = record_h
-                if candidate is not None:
-                    parent = candidate
+                if kappa_h in alive_doomed or b[(kappa_h - 1) % n] == _INF:
+                    parent = kappa_h
                     break
-            if parent is None:
-                parent_entry = parents0[i]
-                while parent_entry is not None:
-                    stale = self._records.get(parent_entry.kappa)
-                    if stale is not None and stale.in_rn:
-                        parent = stale
+            if not parent:
+                entry = parents0[i]
+                while entry is not None and entry.kappa > kappa - n:
+                    if b[(entry.kappa - 1) % n] == _INF:
+                        parent = entry.kappa
                         break
-                    parent_entry = rtree.max_kappa_dominator(
-                        element.values, kappa_below=parent_entry.kappa
+                    entry = rtree.max_kappa_dominator(
+                        element.values, kappa_below=entry.kappa
                     )
-            if parent is not None:
-                record.a_kappa = parent.element.kappa
-                parent.dependents.add(kappa)
+            self._ring[slot] = element
+            a[slot] = parent
             if pre.is_doomed(i):
-                record.b_kappa = base_kappa + pre.kill[i]
-                record.in_rn = False
-                record.handle = self._superseded.insert(
-                    float(record.a_kappa), float(kappa), record
-                )
-                alive_doomed[kappa] = record
+                b[slot] = base_kappa + pre.kill[i]
+                alive_doomed.add(kappa)
             else:
-                record.handle = self._live.insert(
-                    float(record.a_kappa), float(kappa), record
-                )
-                deferred_inserts[kappa] = record
+                b[slot] = _INF
+                survivors.append(element)
                 live_rn += 1
-            self._records[kappa] = record
 
             self.stats.record_arrival(
                 expired=expired,
@@ -362,61 +312,13 @@ class N1N2Skyline:
             raise StructureCorruptionError(
                 f"{len(alive_doomed)} doomed batch members survived their chunk"
             )
-        if deferred_deletes:
-            rtree.delete_many(deferred_deletes)
-        if deferred_inserts:
-            survivors = list(deferred_inserts.values())
+        if deletes:
+            rtree.delete_many(deletes)
+        if survivors:
             rtree.insert_many(
-                [r.element.values for r in survivors],
-                [r.element.kappa for r in survivors],
-                survivors,
+                [e.values for e in survivors], [e.kappa for e in survivors]
             )
         return pre.dropped
-
-    def _expire(
-        self,
-        record: _WindowRecord,
-        defer: Optional[Callable[[int], None]] = None,
-    ) -> None:
-        """Drop the oldest window element, re-rooting its dependents.
-
-        ``defer``, when given, receives the R-tree deletion instead of
-        it being applied immediately (the batched frozen-tree path)."""
-        if record.a_kappa != 0:
-            raise StructureCorruptionError(
-                f"expiring element {record.element.kappa} of P_N still has "
-                f"a live critical ancestor ({record.a_kappa})"
-            )
-        for dep_kappa in sorted(record.dependents):
-            dep = self._records[dep_kappa]
-            tree = self._live if dep.in_rn else self._superseded
-            dep.handle = tree.replace(dep.handle, 0.0, float(dep_kappa))
-            dep.a_kappa = 0
-        record.dependents.clear()
-        tree = self._live if record.in_rn else self._superseded
-        tree.remove(record.handle)
-        record.handle = None
-        if record.in_rn:
-            if defer is None:
-                self._rtree.delete(record.element.kappa)
-            else:
-                defer(record.element.kappa)
-        del self._records[record.element.kappa]
-
-    def _demote(self, record: _WindowRecord, b_kappa: int) -> None:
-        """Move a newly-dominated element from ``I_RN`` to ``I_RN-``.
-
-        Its R-tree entry has already been removed (by
-        :meth:`DenseIndex.remove_dominated`, or queued for the chunk's
-        :meth:`DenseIndex.delete_many`); its interval keeps the same
-        endpoints, but now carries a finite backward ancestor.
-        """
-        self._live.remove(record.handle)
-        record.handle = self._superseded.insert(
-            float(record.a_kappa), float(record.element.kappa), record
-        )
-        record.b_kappa = b_kappa
-        record.in_rn = False
 
     # ------------------------------------------------------------------
     # Query processing (Algorithm 3)
@@ -436,38 +338,27 @@ class N1N2Skyline:
                 f"need 1 <= n1 <= n2 <= {self.capacity}, got ({n1}, {n2})"
             )
         self.stats.queries += 1
-        if self._m == 0:
-            return []
         upper = self._m - n1 + 1  # kappa of the n1-th most recent element
         if upper < 1:
             return []  # the requested slice predates the stream
-        stab = max(1, self._m - n2 + 1)
-
-        results: List[StreamElement] = []
-        live = (
-            self._live_cache.stab(stab)
-            if self._live_cache is not None
-            else self._live.stab(stab)
-        )
-        for record in live:
-            # Live elements have b = infinity; only the upper bound on
-            # kappa(e) needs checking.
-            if record.element.kappa <= upper:
-                results.append(record.element)
-        if n1 > 1:
-            # Superseded elements have finite b <= M; they can only
-            # qualify when the slice ends strictly before the present.
-            superseded = (
-                self._superseded_cache.stab(stab)
-                if self._superseded_cache is not None
-                else self._superseded.stab(stab)
-            )
-            for record in superseded:
-                if record.element.kappa <= upper < record.b_kappa:
-                    results.append(record.element)
-        results.sort(key=lambda e: e.kappa)
+        results = self._slice_skyline(max(1, self._m - n2 + 1), upper)
         self.stats.query_results += len(results)
         return results
+
+    def _slice_skyline(self, stab: int, upper: int) -> List[StreamElement]:
+        """Theorem 4's filter over the slots of kappas ``[stab, upper]``
+        (both inside the window), in kappa order."""
+        n = self.capacity
+        first, last = (stab - 1) % n, (upper - 1) % n
+        runs = [(first, last + 1)] if first <= last else [(first, n), (0, last + 1)]
+        ring = cast(List[StreamElement], self._ring)  # window slots are full
+        out: List[StreamElement] = []
+        for start, stop in runs:
+            hits = _np.flatnonzero(
+                (self._a[start:stop] < stab) & (self._b[start:stop] > upper)
+            )
+            out.extend(ring[start + i] for i in hits.tolist())
+        return out
 
     def query_nofn(self, n: int) -> List[StreamElement]:
         """The n-of-N special case (``n1 = 1``)."""
@@ -485,7 +376,7 @@ class N1N2Skyline:
     @property
     def window_size(self) -> int:
         """Current ``|P_N|`` (= min(M, N))."""
-        return len(self._records)
+        return len(self)
 
     @property
     def rn_size(self) -> int:
@@ -494,25 +385,43 @@ class N1N2Skyline:
 
     def window_elements(self) -> List[StreamElement]:
         """Every element of ``P_N``, oldest first."""
-        return [self._records[k].element for k in sorted(self._records)]
+        n = self.capacity
+        ring = cast(List[StreamElement], self._ring)  # window slots are full
+        first = self._m - len(self) + 1
+        return [ring[(kappa - 1) % n] for kappa in range(first, self._m + 1)]
 
     def ancestors(self, kappa: int) -> Tuple[int, Optional[int]]:
         """``(kappa(a_e), kappa(b_e))`` for the window element labelled
-        ``kappa`` (``0`` means no critical ancestor; ``None`` means the
-        backward critical ancestor does not exist yet)."""
-        record = self._records[kappa]
-        return record.a_kappa, record.b_kappa
+        ``kappa`` (``0`` means no critical ancestor in the window;
+        ``None`` means the backward critical ancestor does not exist
+        yet).
+
+        Raises
+        ------
+        KeyError
+            If ``kappa`` is not in the window.
+        """
+        if not self._m - len(self) < kappa <= self._m:
+            raise KeyError(kappa)
+        slot = (kappa - 1) % self.capacity
+        a = int(self._a[slot])
+        b = float(self._b[slot])
+        return (
+            a if a > self._m - self.capacity else 0,
+            None if b == _INF else int(b),
+        )
 
     def __len__(self) -> int:
-        return len(self._records)
+        return min(self._m, self.capacity)
 
     # ------------------------------------------------------------------
     # Validation (used by the test suite)
     # ------------------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Verify CBC-graph and cross-structure consistency, with the
-        Theorem-4 ancestors recomputed by brute force.
+        """Verify the ring, its columns and the dominance index, with
+        the Theorem-4 ancestors and slice skylines recomputed by brute
+        force.
 
         Raises
         ------
@@ -534,26 +443,10 @@ class N1N2Skyline:
         return "off" if self._sanitizer is None else self._sanitizer.mode
 
     @property
-    def structure_version(self) -> int:
-        """Monotonic version of the interval encoding: the sum of both
-        trees' versions (every demotion, expiry or arrival bumps it)."""
-        return self._live.version + self._superseded.version
-
-    @property
     def batch_chunk(self) -> int:
         """The effective batched-ingest chunk size (the ``batch_chunk``
         knob, or the library default when unset)."""
         return self._batch_chunk
-
-    def cache_stats(self) -> Optional[Dict[str, int]]:
-        """Combined hit/miss/rebuild counters of the two stab caches
-        (``None`` when caching is disabled)."""
-        if self._live_cache is None or self._superseded_cache is None:
-            return None
-        merged = dict(self._live_cache.stats())
-        for key, value in self._superseded_cache.stats().items():
-            merged[key] += value
-        return merged
 
 
 class ContinuousN1N2Query:
@@ -562,7 +455,7 @@ class ContinuousN1N2Query:
     The paper develops a space-efficient trigger algorithm for this case
     but omits it for space (section 4, final paragraph); following
     DESIGN.md §4, this wrapper maintains the result by re-running the
-    stabbing query per arrival — the strategy the paper itself
+    query per arrival — the strategy the paper itself
     benchmarks as "running nN per new data element" in Figure 16 — and
     reports the per-arrival result delta so applications can react to
     changes only.

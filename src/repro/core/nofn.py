@@ -144,9 +144,7 @@ class NofNSkyline:
         # element's own label, hence query (kappa) order — so the cached
         # query path never re-sorts.
         self._stab_cache: Optional[StabCache[_Record]] = (
-            StabCache(self._intervals, ordered=True)
-            if query_cache
-            else None
+            StabCache(self._intervals) if query_cache else None
         )
         self.stats = EngineStats()
 
@@ -180,10 +178,11 @@ class NofNSkyline:
         """Ingest one stream element; return what changed.
 
         The returned :class:`ArrivalOutcome` feeds the continuous-query
-        manager (Algorithm 2); ad-hoc users may ignore it.
+        manager (Algorithm 2); ad-hoc users may ignore it.  A point the
+        engine rejects raises before any state changes.
         """
+        element = self._batch_elements([values], [payload])[0]
         self._m += 1
-        element = StreamElement(values, self._m, payload)
         label = self._assign_label(element)
         return self._arrive(element, label)
 

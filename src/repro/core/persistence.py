@@ -49,7 +49,7 @@ import json
 from typing import Any, Dict, List, Optional, Union
 
 from repro.core.continuous import ContinuousQueryHandle, ContinuousQueryManager
-from repro.core.n1n2 import N1N2Skyline, _WindowRecord
+from repro.core.n1n2 import N1N2Skyline
 from repro.core.nofn import NofNSkyline, _Record
 from repro.core.element import StreamElement
 from repro.core.timewindow import TimeWindowSkyline
@@ -153,7 +153,9 @@ def _snapshot_nofn(engine: NofNSkyline) -> Dict[str, Any]:
         "seen_so_far": engine.seen_so_far,
         "records": records,
         "stats": engine.stats.snapshot_raw(),
-        "query": _query_config(engine),
+        # The query fast-path knob, so restore rebuilds with the
+        # caching choice the operator made.
+        "query": {"cache": engine._stab_cache is not None},
         "batch_chunk": engine.batch_chunk,
         "sanitize": engine.sanitize_mode,
     }
@@ -163,28 +165,18 @@ def _snapshot_nofn(engine: NofNSkyline) -> Dict[str, Any]:
     return snap
 
 
-def _query_config(engine: Union[NofNSkyline, N1N2Skyline]) -> Dict[str, Any]:
-    """The engine's query fast-path knob, so :func:`restore` rebuilds
-    with the caching choice the operator made."""
-    if isinstance(engine, N1N2Skyline):
-        cache = engine._live_cache is not None
-    else:
-        cache = engine._stab_cache is not None
-    return {"cache": cache}
-
-
 def _snapshot_n1n2(engine: N1N2Skyline) -> Dict[str, Any]:
     records: List[Dict[str, Any]] = []
-    for kappa in sorted(engine._records):
-        record = engine._records[kappa]
+    for element in engine.window_elements():
+        a, b = engine.ancestors(element.kappa)
         records.append(
             {
-                "kappa": kappa,
-                "values": list(record.element.values),
-                "a": record.a_kappa,
-                "b": record.b_kappa,
-                "in_rn": record.in_rn,
-                "payload": record.element.payload,
+                "kappa": element.kappa,
+                "values": list(element.values),
+                "a": a,
+                "b": b,
+                "in_rn": b is None,
+                "payload": element.payload,
             }
         )
     return {
@@ -195,7 +187,6 @@ def _snapshot_n1n2(engine: N1N2Skyline) -> Dict[str, Any]:
         "seen_so_far": engine.seen_so_far,
         "records": records,
         "stats": engine.stats.snapshot_raw(),
-        "query": _query_config(engine),
         "batch_chunk": engine.batch_chunk,
         "sanitize": engine.sanitize_mode,
     }
@@ -452,46 +443,56 @@ def _restore_nofn(snap: Dict[str, Any], engine: NofNSkyline) -> NofNSkyline:
 def _restore_n1n2(
     snap: Dict[str, Any], sanitize: SanitizeArg = "off"
 ) -> N1N2Skyline:
+    """Refill the ring from the records of exactly the window's kappas.
+
+    Older snapshots also carry a ``query`` section (the retired stab
+    cache knob); it selects nothing and is ignored.
+    """
     engine = N1N2Skyline(
         snap["dim"],
         snap["capacity"],
         sanitize=sanitize,
-        **_query_kwargs(snap),
         **_batch_kwargs(snap),
     )
-    engine._m = int(snap["seen_so_far"])
-    by_kappa: Dict[int, _WindowRecord] = {}
-    for raw in snap["records"]:
-        element = StreamElement(
-            raw["values"], int(raw["kappa"]), raw.get("payload")
+    seen = int(snap["seen_so_far"])
+    first = max(1, seen - engine.capacity + 1)
+    records = sorted(snap["records"], key=lambda raw: int(raw["kappa"]))
+    kappas = [int(raw["kappa"]) for raw in records]
+    _require(
+        seen >= 0 and kappas == list(range(first, seen + 1)),
+        f"n1n2 records must be exactly kappas {first}..{seen}, each once",
+    )
+    engine._m = seen
+    for raw, kappa in zip(records, kappas):
+        element = StreamElement(raw["values"], kappa, raw.get("payload"))
+        _require(
+            len(element.values) == engine.dim,
+            f"record {kappa} has {len(element.values)} coordinates, "
+            f"expected {engine.dim}",
         )
-        record = _WindowRecord(element)
-        record.a_kappa = int(raw["a"])
-        record.b_kappa = None if raw["b"] is None else int(raw["b"])
-        record.in_rn = bool(raw["in_rn"])
-        by_kappa[element.kappa] = record
-
-    for kappa in sorted(by_kappa):
-        record = by_kappa[kappa]
-        if record.a_kappa:
-            parent = by_kappa.get(record.a_kappa)
-            _require(
-                parent is not None,
-                f"record {kappa} references missing ancestor "
-                f"{record.a_kappa}",
-            )
-            parent.dependents.add(kappa)
-        tree = engine._live if record.in_rn else engine._superseded
-        record.handle = tree.insert(
-            float(record.a_kappa), float(kappa), record
+        a = int(raw["a"])
+        _require(
+            a == 0 or first <= a < kappa,
+            f"record {kappa} names ancestor {a}, not an older record",
         )
-        if record.in_rn:
-            _require(
-                record.b_kappa is None,
-                f"record {kappa} is in R_N but has a finite b",
-            )
-            engine._rtree.insert(record.element.values, kappa, record)
-        engine._records[kappa] = record
+        b = raw["b"]
+        in_rn = bool(raw["in_rn"])
+        _require(
+            (b is None) == in_rn,
+            f"record {kappa} has b={b!r} but in_rn={in_rn}",
+        )
+        _require(
+            b is None or kappa < int(b) <= seen,
+            f"record {kappa} has backward ancestor {b} outside "
+            f"({kappa}, {seen}]",
+        )
+        slot = (kappa - 1) % engine.capacity
+        engine._ring[slot] = element
+        engine._a[slot] = a
+        if in_rn:
+            engine._rtree.insert(element.values, kappa)
+        else:
+            engine._b[slot] = int(b)
 
     _restore_stats(engine, snap.get("stats"))
     return engine

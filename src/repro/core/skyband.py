@@ -140,9 +140,7 @@ class KSkybandEngine:
         # element's own label, hence query (kappa) order — so the cached
         # query path never re-sorts.
         self._stab_cache: Optional[StabCache[_BandRecord]] = (
-            StabCache(self._intervals, ordered=True)
-            if query_cache
-            else None
+            StabCache(self._intervals) if query_cache else None
         )
         self.stats = EngineStats()
 
@@ -151,9 +149,11 @@ class KSkybandEngine:
     # ------------------------------------------------------------------
 
     def append(self, values: Sequence[float], payload: Any = None) -> StreamElement:
-        """Ingest one stream element; return it."""
+        """Ingest one stream element; return it.
+
+        A point the engine rejects raises before any state changes."""
+        element = self._batch_elements([values], [payload])[0]
         self._m += 1
-        element = StreamElement(values, self._m, payload)
         self._arrive(element)
         return element
 

@@ -81,6 +81,9 @@ class TimeWindowSkyline(NofNSkyline):
     ) -> ArrivalOutcome:
         """Ingest one element stamped ``timestamp``.
 
+        A timestamp or point the engine rejects raises before any state
+        changes.
+
         Raises
         ------
         ValueError
@@ -95,9 +98,9 @@ class TimeWindowSkyline(NofNSkyline):
                 f"timestamps must be strictly increasing: "
                 f"{timestamp} <= {self._now}"
             )
+        element = self._batch_elements([values], [payload])[0]
         self._now = timestamp
         self._m += 1
-        element = StreamElement(values, self._m, payload)
         return self._arrive(element, timestamp)
 
     def append_many(  # type: ignore[override]

@@ -19,10 +19,13 @@ The invariant catalogue (the ``invariant`` field of the report):
                     *youngest* older dominator within ``R_N``
 ``interval-encoding`` each element's interval is exactly
                     ``(label(parent), label(e)]`` (Theorem 3) /
-                    ``(kappa(a_e), kappa(e)]`` (section 4) /
-                    ``(threshold, kappa(e)]`` (k-skyband)
+                    ``(threshold, kappa(e)]`` (k-skyband); section 4's
+                    ``a``/``b`` columns hold a kappa in
+                    ``[0, kappa(e))`` and ``+inf`` or a kappa in
+                    ``(kappa(e), M]``
 ``stabbing-bruteforce`` stabbing-query answers equal a brute-force
-                    skyline/skyband of the window suffix
+                    skyline/skyband of the window suffix (of the
+                    queried slice, for (n1,n2)-of-N)
 ``cbc-ancestor``    Theorem 4's ``a_e``/``b_e`` ancestors match a
                     brute-force recomputation over ``P_N``
 ``band-count``      k-skyband younger-dominator counters are in range
@@ -68,6 +71,7 @@ here), so at module level this file may only import *leaf* modules:
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from repro.core.dominance import dominates, weakly_dominates
@@ -390,7 +394,11 @@ def _check_timewindow_stabbing(
 
 
 def verify_n1n2(engine: "N1N2Skyline") -> None:
-    """Verify every documented invariant of an (n1,n2)-of-N engine.
+    """Verify every documented invariant of an (n1,n2)-of-N engine:
+    the ring holds exactly the window, the ``a``/``b`` columns encode
+    kappas of the right range, the dominance index holds exactly the
+    ``b = +inf`` elements, and both ancestors and the slice skylines
+    match a brute-force recomputation.
 
     Raises
     ------
@@ -398,125 +406,62 @@ def verify_n1n2(engine: "N1N2Skyline") -> None:
         On the first violated invariant.
     """
     name = type(engine).__name__
-    records = engine._records
-    expected_window = min(engine._m, engine.capacity)
-    if len(records) != expected_window:
-        raise corruption(
-            "engine",
-            "counts",
-            f"|P_N| is {len(records)}, expected {expected_window}",
-            engine=name,
-        )
-    if len(engine._live) + len(engine._superseded) != expected_window:
-        raise corruption(
-            "engine",
-            "counts",
-            f"interval trees hold {len(engine._live)} + "
-            f"{len(engine._superseded)} intervals for a window of "
-            f"{expected_window}",
-            engine=name,
-        )
-    if len(engine._rtree) != len(engine._live):
-        raise corruption(
-            "engine",
-            "counts",
-            f"the dominance index holds {len(engine._rtree)} entries but "
-            f"I_RN holds {len(engine._live)}",
-            engine=name,
-        )
-    engine._rtree.check_invariants()
-    engine._live.check_invariants()
-    engine._superseded.check_invariants()
-
-    for kappa, record in records.items():
-        if record.element.kappa != kappa:
+    m, capacity = engine._m, engine.capacity
+    window = range(max(1, m - capacity + 1), m + 1)
+    live: List[int] = []
+    for kappa in window:
+        slot = (kappa - 1) % capacity
+        element = engine._ring[slot]
+        if element is None or element.kappa != kappa:
             raise corruption(
                 "engine",
                 "counts",
-                f"record keyed {kappa} holds element "
-                f"kappa={record.element.kappa}",
+                f"ring slot {slot} holds "
+                f"{None if element is None else element.kappa}, expected "
+                f"element {kappa}",
                 kappas=(kappa,),
                 engine=name,
             )
-        if record.handle is None:
+        a, b = float(engine._a[slot]), float(engine._b[slot])
+        if not (0 <= a < kappa and a.is_integer()):
             raise corruption(
                 "engine",
                 "interval-encoding",
-                f"element {kappa} of P_N has no interval",
+                f"element {kappa}: critical ancestor column holds {a}, "
+                f"not a kappa in [0, {kappa})",
                 kappas=(kappa,),
                 engine=name,
             )
-        interval = record.handle.interval
-        if interval.high != float(kappa) or interval.low != float(
-            record.a_kappa
-        ):
+        if b == math.inf:
+            live.append(kappa)
+        elif not (kappa < b <= m and b.is_integer()):
             raise corruption(
                 "engine",
                 "interval-encoding",
-                f"element {kappa}: interval ({interval.low}, "
-                f"{interval.high}] != ({float(record.a_kappa)}, "
-                f"{float(kappa)}]",
+                f"element {kappa}: backward ancestor column holds {b}, "
+                f"not +inf or a kappa in ({kappa}, {m}]",
                 kappas=(kappa,),
                 engine=name,
             )
-        if record.a_kappa:
-            parent = records.get(record.a_kappa)
-            if parent is None or parent.element.kappa >= kappa:
-                raise corruption(
-                    "engine",
-                    "forest",
-                    f"element {kappa}: critical ancestor "
-                    f"{record.a_kappa} is missing or not older",
-                    kappas=(kappa, record.a_kappa),
-                    engine=name,
-                )
-            if kappa not in parent.dependents:
-                raise corruption(
-                    "engine",
-                    "forest",
-                    f"element {kappa} is missing from the dependents of "
-                    f"its ancestor {record.a_kappa}",
-                    kappas=(kappa, record.a_kappa),
-                    engine=name,
-                )
-        if record.in_rn:
-            if record.b_kappa is not None:
-                raise corruption(
-                    "engine",
-                    "cbc-ancestor",
-                    f"element {kappa} is in R_N but has a finite "
-                    f"backward ancestor {record.b_kappa}",
-                    kappas=(kappa,),
-                    engine=name,
-                )
-            if kappa not in engine._rtree:
-                raise corruption(
-                    "engine",
-                    "counts",
-                    f"live element {kappa} is missing from the dominance "
-                    f"index",
-                    kappas=(kappa,),
-                    engine=name,
-                )
-        for dep_kappa in record.dependents:
-            dep = records.get(dep_kappa)
-            if dep is None or dep.a_kappa != kappa:
-                raise corruption(
-                    "engine",
-                    "forest",
-                    f"stale dependent link {kappa} -> {dep_kappa}",
-                    kappas=(kappa, dep_kappa),
-                    engine=name,
-                )
+    indexed = sorted(entry.kappa for entry in engine._rtree.entries())
+    if indexed != live:
+        raise corruption(
+            "engine",
+            "counts",
+            f"the dominance index holds kappas {indexed}, but R_N "
+            f"(b = +inf) is {live}",
+            engine=name,
+        )
+    engine._rtree.check_invariants()
 
     # Theorem 4's ancestors, recomputed by brute force over P_N (which
     # this engine retains in full).  ``a_e`` uses *strict* dominance: an
     # older exact duplicate is demoted by the newcomer before the
     # ancestor search runs, so it can never be recorded (DESIGN.md §7).
     # ``b_e`` uses *weak* dominance: a younger duplicate does demote.
-    elements = [record.element for record in records.values()]
-    for kappa, record in records.items():
-        point = record.element.values
+    elements = engine.window_elements()
+    for element in elements:
+        kappa, point = element.kappa, element.values
         brute_a = 0
         brute_b = None
         for other in elements:
@@ -528,29 +473,32 @@ def verify_n1n2(engine: "N1N2Skyline") -> None:
             ):
                 if brute_b is None or other.kappa < brute_b:
                     brute_b = other.kappa
-        if brute_a != record.a_kappa:
+        recorded_a, recorded_b = engine.ancestors(kappa)
+        if brute_a != recorded_a:
             raise corruption(
                 "engine",
                 "cbc-ancestor",
-                f"element {kappa}: recorded a_e={record.a_kappa}, brute "
+                f"element {kappa}: recorded a_e={recorded_a}, brute "
                 f"force gives {brute_a} (Equation 1)",
-                kappas=(kappa, record.a_kappa, brute_a),
+                kappas=(kappa, recorded_a, brute_a),
                 engine=name,
             )
-        if brute_b != record.b_kappa:
+        if brute_b != recorded_b:
             raise corruption(
                 "engine",
                 "cbc-ancestor",
-                f"element {kappa}: recorded b_e={record.b_kappa}, brute "
+                f"element {kappa}: recorded b_e={recorded_b}, brute "
                 f"force gives {brute_b} (Equation 2)",
                 kappas=(kappa,),
                 engine=name,
             )
 
-    _check_n1n2_stabbing(engine, name)
+    _check_n1n2_stabbing(engine, elements, name)
 
 
-def _check_n1n2_stabbing(engine: "N1N2Skyline", name: str) -> None:
+def _check_n1n2_stabbing(
+    engine: "N1N2Skyline", elements: List[StreamElement], name: str
+) -> None:
     """Algorithm 3 end-to-end against a brute-force skyline of the
     queried slice (full window retained, so the slice is exact)."""
     m = engine._m
@@ -563,47 +511,18 @@ def _check_n1n2_stabbing(engine: "N1N2Skyline", name: str) -> None:
         if upper < 1:
             continue
         stab = max(1, m - n2 + 1)
-        got = sorted(
-            record.element.kappa
-            for record in engine._live.stab(stab)
-            if record.element.kappa <= upper
+        got = [e.kappa for e in engine._slice_skyline(stab, upper)]
+        expected = _brute_skyline(
+            [e for e in elements if stab <= e.kappa <= upper]
         )
-        if n1 > 1:
-            got = sorted(
-                got
-                + [
-                    record.element.kappa
-                    for record in engine._superseded.stab(stab)
-                    if record.b_kappa is not None
-                    and record.element.kappa <= upper < record.b_kappa
-                ]
-            )
-        window_slice = [
-            record.element
-            for record in engine._records.values()
-            if stab <= record.element.kappa <= upper
-        ]
-        expected = _brute_skyline(window_slice)
         if got != expected:
             raise corruption(
                 "engine",
                 "stabbing-bruteforce",
-                f"({n1},{n2})-of-N stab reported kappas {got}, brute "
+                f"({n1},{n2})-of-N filter reported kappas {got}, brute "
                 f"force over the slice gives {expected}",
                 engine=name,
             )
-        _check_stab_cache_at(
-            engine._live_cache,
-            stab,
-            sorted(r.element.kappa for r in engine._live.stab(stab)),
-            name,
-        )
-        _check_stab_cache_at(
-            engine._superseded_cache,
-            stab,
-            sorted(r.element.kappa for r in engine._superseded.stab(stab)),
-            name,
-        )
 
 
 # ----------------------------------------------------------------------

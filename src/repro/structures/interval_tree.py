@@ -47,8 +47,8 @@ _INITIAL_SLOTS = 16
 class Interval(Generic[D]):
     """A half-open interval ``(low, high]`` carrying an opaque payload.
 
-    ``high`` may be ``math.inf`` (used by the (n1,n2)-of-N structures
-    for live elements whose backward critical ancestor does not exist).
+    ``high`` may be ``math.inf``: every point above ``low`` stabs such
+    an interval.
     """
 
     __slots__ = ("low", "high", "data")

@@ -252,15 +252,14 @@ class TestStabbingProperties:
     @settings(max_examples=60, deadline=None)
     @given(intervals_strategy, updates_strategy, st.integers(0, 100))
     def test_matches_linear_scan(self, spans, updates, stab_at):
-        """The tree, a plain :class:`StabCache` and an ordered one all
+        """The tree and a :class:`StabCache` (answers ascending by high)
         agree with a linear scan, across slot recycling (removals,
         replacements, re-inserts), slot-array growth past its initial 16
         slots (up to 80 initial inserts), ``inf`` highs and stab points
         on endpoint values; the size, the ``(low, high, insertion)``
         iteration order and the low-sorted export follow the model."""
         tree = IntervalTree()
-        plain = StabCache(tree)
-        ordered = StabCache(tree, ordered=True)
+        cache = StabCache(tree)
         live = {}
         handles = {}
 
@@ -289,7 +288,7 @@ class TestStabbingProperties:
                     live[key] = (lo, _high(lo, width))
                     handles[key] = tree.replace(handles[key], *live[key])
             # Read between writes so every version is caught up with.
-            assert sorted(plain.stab(stab_at)) == scan(stab_at)
+            assert sorted(cache.stab(stab_at)) == scan(stab_at)
             assert len(tree) == len(live)
         # Intervals come sorted by (low, high), ties in insertion order
         # (``sorted`` is stable over the insertion-ordered ``live``).
@@ -307,15 +306,14 @@ class TestStabbingProperties:
         for t in sorted(points):
             expected = scan(t)
             assert sorted(tree.stab(t)) == expected
-            assert sorted(plain.stab(t)) == expected
-            answers[t] = ordered.stab(t)
+            answers[t] = cache.stab(t)
             assert sorted(answers[t]) == expected
             highs = [live[i][1] for i in answers[t]]
             assert highs == sorted(highs)
         for t, first in answers.items():
-            hits = ordered.hits
-            assert ordered.stab(t) == first
-            assert ordered.hits == hits + 1
+            hits = cache.hits
+            assert cache.stab(t) == first
+            assert cache.hits == hits + 1
         # The replica export: every live interval once, sorted by low.
         lows, highs, payloads = tree.sorted_by_low()
         assert list(zip(lows.tolist(), highs.tolist())) == sorted(live.values())

@@ -158,6 +158,51 @@ class TestValidation:
         with pytest.raises(SnapshotError, match="unsupported"):
             snapshot(object())  # type: ignore[arg-type]
 
+    @staticmethod
+    def n1n2_snapshot():
+        """``N = 5`` after 12 arrivals: kappas 8..12, where 8 and 9 are
+        superseded by 11 (``b = 11``), 10 and 11 are in ``R_N``, and 12
+        has critical ancestor 10."""
+        engine = N1N2Skyline(dim=2, capacity=5)
+        for point in materialize("independent", 2, 12, seed=1):
+            engine.append(point)
+        snap = snapshot(engine)
+        assert [(r["kappa"], r["a"], r["b"]) for r in snap["records"]] == [
+            (8, 0, 11), (9, 0, 11), (10, 0, None), (11, 0, None),
+            (12, 10, None),
+        ]
+        return snap
+
+    @staticmethod
+    def record(snap, kappa):
+        return next(r for r in snap["records"] if r["kappa"] == kappa)
+
+    N1N2_DEFECTS = {
+        "hole": lambda s, rec: s["records"].remove(rec(s, 9)),
+        "beyond-seen": lambda s, rec: s["records"].append(
+            dict(rec(s, 12), kappa=40)
+        ),
+        "expired": lambda s, rec: s["records"].insert(
+            0, dict(rec(s, 8), kappa=7)
+        ),
+        "duplicate": lambda s, rec: s["records"].append(dict(rec(s, 10))),
+        "a-not-older": lambda s, rec: rec(s, 12).update(a=12),
+        "a-outside-window": lambda s, rec: rec(s, 12).update(a=3),
+        "finite-b-in-rn": lambda s, rec: rec(s, 10).update(b=11),
+        "no-b-superseded": lambda s, rec: rec(s, 8).update(b=None),
+        "b-not-younger": lambda s, rec: rec(s, 8).update(b=8),
+        "b-beyond-seen": lambda s, rec: rec(s, 8).update(b=13),
+        "wrong-dimension": lambda s, rec: rec(s, 9).update(values=[0.5]),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(N1N2_DEFECTS))
+    def test_rejects_malformed_n1n2_window(self, defect):
+        snap = self.n1n2_snapshot()
+        restore(json.loads(json.dumps(snap))).check_invariants()
+        self.N1N2_DEFECTS[defect](snap, self.record)
+        with pytest.raises(SnapshotError):
+            restore(snap)
+
 
 class TestPropertyRoundTrip:
     coord = st.integers(0, 6).map(lambda v: v / 6)
@@ -330,9 +375,12 @@ class TestOlderFormatSnapshots:
         engine = self.build(kind)
         self.feed(engine, points[:50], start=1)
         snap = snapshot(engine)
-        # New snapshots carry only the live knobs.
+        # New snapshots carry only the live knobs; n1n2 has no query
+        # knob left.
         assert "rtree" not in snap
-        assert snap["query"] == {"cache": True}
+        assert snap.get("query") == (
+            None if kind == "n1n2" else {"cache": True}
+        )
         assert snap["kind"] == kind
         older_keys(snap)
         clone = restore(json.loads(json.dumps(snap)))
@@ -358,7 +406,9 @@ class TestOlderFormatSnapshots:
                 "max_entries": 8, "min_entries": 3, "split": "rstar",
                 "layout": "pointer",
             }
-            snap["query"]["kernels"] = "off"
+            # n1n2 snapshots of that age also recorded the stab cache
+            # knob, here switched off.
+            snap.setdefault("query", {"cache": False})["kernels"] = "off"
 
         self.check_restores_and_evolves(kind, older_keys)
 

@@ -6,14 +6,19 @@ documents the failure modes as well as guarding against their return.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import (
     ContinuousQueryManager,
     KSkybandEngine,
+    N1N2Skyline,
     NofNSkyline,
     TimeWindowSkyline,
 )
+from repro.core.persistence import snapshot
+from repro.exceptions import ReproError
 from repro.structures.rtree import RTree
 
 
@@ -221,3 +226,66 @@ class TestContinuousHandleSlots:
         manager = ContinuousQueryManager(NofNSkyline(dim=2, capacity=8))
         handle = manager.register(4)
         assert not hasattr(handle, "__dict__")
+
+
+class TestRejectedAppendChangesNothing:
+    """``append`` once advanced ``M`` (and a time window's clock) before
+    the point was validated, and expired the oldest element before the
+    dominance index rejected a wrong dimension: the raise left a
+    changed engine, whose later appends broke the window (an (n1,n2)
+    engine then raised ``KeyError``, a continuous manager failed
+    ``graph-mirror``)."""
+
+    N = 3
+    KINDS = ("nofn", "timewindow", "skyband", "n1n2", "continuous")
+    BAD_POINTS = {
+        "wrong-dimension": (0.5, 0.5, 0.5),
+        "nan": (float("nan"), 0.5),
+        "empty": (),
+    }
+
+    def build(self, kind):
+        if kind == "nofn":
+            return NofNSkyline(dim=2, capacity=self.N)
+        if kind == "timewindow":
+            return TimeWindowSkyline(dim=2, horizon=float(self.N))
+        if kind == "skyband":
+            return KSkybandEngine(dim=2, capacity=self.N, k=2)
+        if kind == "n1n2":
+            return N1N2Skyline(dim=2, capacity=self.N)
+        manager = ContinuousQueryManager(NofNSkyline(dim=2, capacity=self.N))
+        for n in range(1, self.N + 1):
+            manager.register(n)
+        return manager
+
+    @staticmethod
+    def append(target, point, arrival):
+        if isinstance(target, TimeWindowSkyline):
+            return target.append(point, float(arrival))
+        return target.append(point)
+
+    def state(self, target):
+        if isinstance(target, KSkybandEngine):  # no snapshot support
+            return (
+                target.seen_so_far,
+                len(target),
+                [[e.kappa for e in target.query(n)] for n in range(1, self.N + 1)],
+            )
+        return json.dumps(snapshot(target), sort_keys=True)
+
+    @pytest.mark.parametrize("bad", sorted(BAD_POINTS))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rejected_point_leaves_engine_unchanged(self, kind, bad):
+        target = self.build(kind)
+        points = [(0.3, 0.6), (0.6, 0.3), (0.2, 0.2)] + [
+            ((i * 0.37) % 1, (i * 0.61) % 1) for i in range(self.N + 1)
+        ]
+        for arrival, point in enumerate(points[:3], start=1):
+            self.append(target, point, arrival)
+        before = self.state(target)
+        with pytest.raises((ValueError, ReproError)):
+            self.append(target, self.BAD_POINTS[bad], 4)
+        assert self.state(target) == before
+        for arrival, point in enumerate(points[3:], start=4):
+            self.append(target, point, arrival)
+            target.check_invariants()

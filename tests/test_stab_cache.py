@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.accel import DEFAULT_MAX_MEMO, StabCache
 from repro.core.continuous import ContinuousQueryManager
-from repro.core.n1n2 import N1N2Skyline
 from repro.core.nofn import NofNSkyline
 from repro.core.skyband import KSkybandEngine
 from repro.core.timewindow import TimeWindowSkyline
@@ -102,11 +101,9 @@ class TestStabCacheUnit:
         tree.insert(0, 9, "b")
         tree.insert(1, 7, "a")
         tree.insert(2, 8, "c")
-        plain = StabCache(tree)
-        assert plain.stab(5) == ["b", "a", "c"]  # slot (insertion) order
-        ordered = StabCache(tree, ordered=True)
-        assert ordered.stab(5) == ["a", "c", "b"]
-        assert ordered.stab(5) == ["a", "c", "b"]  # the memo hit too
+        cache = StabCache(tree)
+        assert cache.stab(5) == ["a", "c", "b"]  # not slot (insertion) order
+        assert cache.stab(5) == ["a", "c", "b"]  # the memo hit too
 
     def test_max_memo_validation(self):
         with pytest.raises(ValueError):
@@ -250,21 +247,6 @@ class TestEngineIntegration:
                 assert [e.kappa for e in cached.query(n)] == [
                     e.kappa for e in plain.query(n)
                 ]
-
-    def test_n1n2_cached_query_matches_uncached(self):
-        cached = N1N2Skyline(dim=2, capacity=8)
-        plain = N1N2Skyline(dim=2, capacity=8, query_cache=False)
-        for i in range(30):
-            point = ((i * 7) % 10, (i * 13) % 9)
-            cached.append(point)
-            plain.append(point)
-            for n1, n2 in ((1, 8), (2, 8), (4, 6)):
-                assert [e.kappa for e in cached.query(n1, n2)] == [
-                    e.kappa for e in plain.query(n1, n2)
-                ]
-        stats = cached.cache_stats()
-        assert stats is not None and stats["rebuilds"] > 0
-        assert plain.cache_stats() is None
 
     def test_continuous_manager_rides_the_cache(self):
         engine = NofNSkyline(dim=2, capacity=10)
