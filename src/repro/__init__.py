@@ -17,7 +17,7 @@ Quick start::
 See :mod:`repro.core` for the engines, :mod:`repro.baselines` for the
 classic skyline algorithms (KLP, BNL, SFS), :mod:`repro.streams` for
 the benchmark data generators and :mod:`repro.structures` for the
-data-structure substrates (interval tree, R-tree, heaps).
+data-structure substrates (interval tree, R-tree, dense index).
 """
 
 from repro.core import (

@@ -21,10 +21,10 @@ Pareto dominance; exact duplicates all reported).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+import heapq
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from repro.core.dominance import weakly_dominates
-from repro.structures.heap import IndexedHeap
 from repro.structures.rtree import RTree, RTreeEntry
 
 Point = Tuple[float, ...]
@@ -72,20 +72,20 @@ def bbs_progressive(
     for i, point in enumerate(pts):
         tree.insert(point, kappa=i + 1)
 
-    heap: IndexedHeap[int] = IndexedHeap()
-    frontier: Dict[int, Union[RTreeEntry, object]] = {}
+    # (mindist, corner, counter, item): the unique counter settles every
+    # tie before the item, so nodes and entries are never compared.
+    heap: List[Tuple[float, Point, int, Any]] = []
     counter = 0
 
-    def push(item: Union[RTreeEntry, object], corner: Point) -> None:
+    def push(item: Any, corner: Point) -> None:
         nonlocal counter
-        frontier[counter] = item
         # The corner tie-break matters for correctness, not just
         # determinism: float addition is monotone under componentwise <=
         # but can round two *different* corners to the same sum (e.g. a
         # subnormal coordinate vanishing into 1.0).  Dominance implies
         # lexicographic <=, so on equal sums the dominator still pops
         # first and the emitted-points-are-final invariant holds.
-        heap.push(counter, (sum(corner), corner, counter))
+        heapq.heappush(heap, (sum(corner), corner, counter, item))
         counter += 1
 
     root = tree._root
@@ -94,8 +94,7 @@ def bbs_progressive(
 
     skyline: List[Point] = []
     while heap:
-        key, _ = heap.pop()
-        item = frontier.pop(key)
+        item = heapq.heappop(heap)[3]
         if isinstance(item, RTreeEntry):
             if _dominated(item.point, skyline):
                 continue

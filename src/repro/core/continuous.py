@@ -10,12 +10,15 @@ instead applies Proposition 1 incrementally:
 * **Insertion** — the newcomer enters when its critical dominator (if
   any) is already outside the window; and when a result element
   expires, the elements it *critically dominated* take its place
-  (cascading until the trigger heap's top is inside the window again).
+  (cascading until the trigger list's oldest kappa is inside the window
+  again).
 
-Each query keeps a **min-heap on kappa** over ``S_n`` — the trigger
-list.  Only the heap top must be examined per arrival, giving
-``O(delta)`` result maintenance plus ``O(log s)`` heap work per result
-change, where ``delta`` is the number of result changes.
+The paper keeps a min-heap on kappa over ``S_n`` as the trigger list;
+here each query keeps the kappas of ``S_n`` in one ascending list.
+Only its first entry must be examined per arrival, giving ``O(delta)``
+result maintenance plus an ``O(log s)`` search and an ``O(s)`` C-level
+memmove per result change, where ``delta`` is the number of result
+changes.
 
 The manager consumes the :class:`~repro.core.events.ArrivalOutcome`
 emitted by :meth:`NofNSkyline.append`; this realises the paper's
@@ -58,7 +61,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    cast,
 )
 
 import numpy as _np
@@ -74,7 +76,6 @@ from repro.core.query_index import (
 )
 from repro.exceptions import InvalidWindowError, QueryNotRegisteredError
 from repro.sanitize.sanitizer import InvariantSanitizer, SanitizeArg
-from repro.structures.heap import MinIndexedHeap
 
 if TYPE_CHECKING:
     from repro.accel.stab_cache import StabCache
@@ -122,10 +123,6 @@ class ContinuousQueryHandle:
     def _members(self) -> Dict[int, StreamElement]:
         return self._group._members
 
-    @property
-    def _heap(self) -> MinIndexedHeap[int]:
-        return self._group._heap
-
     def result(self) -> List[StreamElement]:
         """The current skyline of the most recent ``n`` elements,
         sorted by arrival position."""
@@ -165,7 +162,7 @@ class ContinuousQueryManager:
         The n-of-N engine to wrap.
     sanitize:
         Runtime invariant checking of the manager's own state (trigger
-        heaps, graph mirror, result sync, query-index structure):
+        lists, graph mirror, result sync, query-index structure):
         ``"off"`` (default), ``"sampled"``, ``"full"``, or a shared
         :class:`~repro.sanitize.InvariantSanitizer`.  Independent of
         the engine's own ``sanitize`` setting.
@@ -504,35 +501,19 @@ class ContinuousQueryManager:
         removed_kappas: FrozenSet[int],
         expired_children: Dict[int, Tuple[StreamElement, ...]],
     ) -> None:
-        """Fire every group whose next-trigger entry is due at stream
-        length ``m``, cascading child promotions exactly as the seed
-        per-handle loop did.
+        """Fire every group whose due is at most stream length ``m``,
+        cascading child promotions exactly as the seed per-handle loop
+        did.
 
-        Entries may be stale-early (a removal can leave the entry
-        pointing at an already-gone heap top); an early firing pops
-        nothing and :meth:`QueryIndex.schedule` re-anchors the entry.
-        The loop terminates because every rescheduled entry is due at
-        ``top_kappa + n >= m + 1`` once its cascade has drained.
+        Dues may be stale-early (a removal can leave a due pointing at
+        an already-gone trigger); an early firing expires nothing and
+        :meth:`QueryIndex.schedule` re-anchors the due, which is then at
+        ``kappas[0] + n >= m + 1``.
         """
-        expiry = index._expiry
-        while expiry:
-            n, due_obj = expiry.peek()
-            if cast(int, due_obj) > m:
-                break
-            group = index._groups[n]
-            window_start = m - n + 1
-            heap = group._heap
-            while heap:
-                top_kappa, _ = heap.peek()
-                if top_kappa >= window_start:
-                    break
-                group.remove(top_kappa)
-                for child in self._children_of(top_kappa, expired_children):
-                    if child.kappa in removed_kappas or child.kappa in group._members:
-                        # Dominated by the newcomer this very arrival
-                        # (and hence not skyline), or already present.
-                        continue
-                    group.add(child)
+        for group in index.pop_due(m):
+            self._expire(
+                group, m - group.n + 1, removed_kappas, expired_children
+            )
             index.schedule(group)
 
     # ------------------------------------------------------------------
@@ -587,18 +568,26 @@ class ContinuousQueryManager:
         if outcome.parent_kappa == 0 or outcome.parent_kappa < window_start:
             group.add(outcome.element)
 
-        # Lines 9-14: fire the trigger while the heap top has expired
-        # from the n-window; each firing promotes the children of the
-        # expired result element (cascading if a child is itself already
-        # outside the window).
-        heap = group._heap
-        while heap:
-            top_kappa, _ = heap.peek()
-            if top_kappa >= window_start:
-                break
+        self._expire(group, window_start, removed_kappas, expired_children)
+
+    def _expire(
+        self,
+        group: QueryGroup,
+        window_start: int,
+        removed_kappas: FrozenSet[int],
+        expired_children: Dict[int, Tuple[StreamElement, ...]],
+    ) -> None:
+        """Lines 9-14: fire the trigger while the oldest result element
+        has left the window; each firing promotes the children of the
+        expired element (cascading if a child is itself already outside
+        the window)."""
+        kappas = group._kappas
+        members = group._members
+        while kappas and kappas[0] < window_start:
+            top_kappa = kappas[0]
             group.remove(top_kappa)
             for child in self._children_of(top_kappa, expired_children):
-                if child.kappa in removed_kappas or child.kappa in group._members:
+                if child.kappa in removed_kappas or child.kappa in members:
                     # Dominated by the newcomer this very arrival (and
                     # hence not skyline), or already present.
                     continue
@@ -656,7 +645,7 @@ class ContinuousQueryManager:
         return None if self._index is None else self._index.stats()
 
     def check_invariants(self) -> None:
-        """Verify trigger heaps, the graph mirror, result sync and the
+        """Verify trigger lists, the graph mirror, result sync and the
         query-index structure.
 
         Raises

@@ -8,7 +8,7 @@ full deal object in the stock-market example of section 1).
 
 Elements compare, hash and print by ``kappa``: within one stream the
 label is unique, and the engines use it as the identity throughout
-(label set, interval endpoints, index keys, trigger heaps).
+(label set, interval endpoints, index keys, trigger lists).
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ Supported engines:
   registry (query id, window size and ``changes`` counter per handle).
   Only the registry travels: restore re-registers every handle against
   the restored engine, so the per-``n`` query-index groups, trigger
-  heaps and dominance-forest mirror are all re-derived — groups restore
+  lists and dominance-forest mirror are all re-derived — groups restore
   from the handle registry, not from serialised member sets.
 
 Round-trip guarantee: ``restore(snapshot(engine))`` answers every query
@@ -201,7 +201,7 @@ def _snapshot_continuous(manager: ContinuousQueryManager) -> Dict[str, Any]:
     """Dump a continuous-query manager: the wrapped engine plus the
     handle registry.
 
-    Member sets, trigger heaps and the query index are deliberately not
+    Member sets, trigger lists and the query index are deliberately not
     serialised — they are functions of the engine state and the
     registry, and restore re-derives them by re-registering each handle
     (one stabbing query per distinct ``n``).
@@ -290,30 +290,60 @@ def _restore_continuous(
     """Rebuild a manager by restoring its engine and re-registering the
     handle registry (groups restore from the registry, not from dumped
     member sets).  ``sanitize`` applies to the manager; the engine keeps
-    its own recorded mode."""
+    its own recorded mode.
+
+    The registry is validated before any handle is registered: ids are
+    unique integers >= 1 below ``next_id`` (a colliding ``next_id``
+    would hand a later registration a live id), each ``n`` lies in
+    ``[1, capacity]`` and each ``changes`` is >= 0.
+    """
     engine = restore(snap["engine"])
     if not isinstance(engine, NofNSkyline):
         raise SnapshotError("continuous snapshot must embed an nofn engine")
+    queries = snap["queries"]
+    ids = [raw["id"] for raw in queries]
+    _require(
+        all(_is_int(query_id) and query_id >= 1 for query_id in ids),
+        f"continuous query ids must be integers >= 1, got {ids}",
+    )
+    _require(len(set(ids)) == len(ids), "duplicate continuous query id")
+    next_id = snap.get("next_id", max(ids, default=0) + 1)
+    _require(
+        _is_int(next_id) and next_id > max(ids, default=0),
+        f"next_id {next_id!r} must be an integer above every query id",
+    )
+    for raw in queries:
+        n, changes = raw["n"], raw.get("changes", 0)
+        _require(
+            _is_int(n) and 1 <= n <= engine.capacity,
+            f"query {raw['id']} has n={n!r} outside "
+            f"[1, {engine.capacity}]",
+        )
+        _require(
+            _is_int(changes) and changes >= 0,
+            f"query {raw['id']} has changes={changes!r}, not a count",
+        )
     manager = ContinuousQueryManager(
         engine,
         sanitize=sanitize,
         query_index=str(snap.get("query_index", "auto")),
     )
     handles: Dict[int, ContinuousQueryHandle] = {}
-    for raw in snap["queries"]:
-        handle = manager.register(int(raw["n"]))
-        query_id = int(raw["id"])
-        _require(query_id not in handles, "duplicate continuous query id")
-        handle.query_id = query_id
+    for raw in queries:
+        handle = manager.register(raw["n"])
+        handle.query_id = raw["id"]
         # Re-anchor the handle's changes counter: re-registration reset
         # it to zero, the original had accumulated `changes`.
-        handle._changes_base -= int(raw.get("changes", 0))
-        handles[query_id] = handle
+        handle._changes_base -= raw.get("changes", 0)
+        handles[handle.query_id] = handle
     manager._queries = handles
-    manager._next_id = int(
-        snap.get("next_id", max(handles, default=0) + 1)
-    )
+    manager._next_id = next_id
     return manager
+
+
+def _is_int(value: Any) -> bool:
+    """A JSON integer (``bool`` is an ``int`` subclass but not a count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _restore_sharded(

@@ -90,13 +90,13 @@ class SanitizerReport:
     ----------
     structure:
         The structure at fault (``"rtree"``, ``"interval_tree"``,
-        ``"labelset"``, ``"heap"``, ``"rbtree"``, ``"dominance_graph"``,
-        ``"R_N"``, ``"trigger_heap"`` …).
+        ``"labelset"``, ``"rbtree"``, ``"dominance_graph"``, ``"R_N"``,
+        ``"engine"`` …).
     invariant:
         Machine-readable invariant name from the catalogue in
         ``docs/DEVELOPING.md`` (``"non-redundancy"``, ``"forest"``,
         ``"interval-encoding"``, ``"stabbing-bruteforce"``,
-        ``"rtree-augmentation"``, ``"heap-order"`` …).
+        ``"rtree-augmentation"``, ``"trigger-heap"`` …).
     message:
         Human-readable details.
     kappas:

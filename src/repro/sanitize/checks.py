@@ -30,16 +30,19 @@ The invariant catalogue (the ``invariant`` field of the report):
                     brute-force recomputation over ``P_N``
 ``band-count``      k-skyband younger-dominator counters are in range
                     and consistent with the retained set
-``trigger-heap``    a continuous query's min-heap mirrors its result
+``trigger-heap``    a continuous query's trigger list is the ascending
+                    kappa list of its result (the paper's min-heap)
 ``graph-mirror``    the manager's dominance-forest mirror matches the
                     engine's graph (checked only when in sync)
 ``result-sync``     a continuous result equals the stabbing answer
 ``continuous-index`` the query-index axis is sorted and aligned, group
-                    refcounts match the handle registry, no trigger
-                    entry is scheduled later than its group's real due
-                    time, and every group's member set equals a
-                    brute-force per-window replay over the manager's
-                    dominance-forest mirror (valid mid-batch)
+                    refcounts match the handle registry, the expiry
+                    schedule is a ``heapq`` holding every mapped due,
+                    every non-empty group has a due and none is later
+                    than its group's real due time, and every group's
+                    member set equals a brute-force per-window replay
+                    over the manager's dominance-forest mirror (valid
+                    mid-batch)
 ``stab-cache``      the versioned query cache's answer at each tested
                     stab point equals a fresh stab of the live interval
                     tree (checked whenever a cache is attached)
@@ -55,8 +58,8 @@ The invariant catalogue (the ``invariant`` field of the report):
 ================== ====================================================
 
 plus the structure-level invariants raised by the structures themselves
-(``rbtree-*``, ``slot-mirror``, ``labelset-*``, ``heap-*``,
-``rtree-*`` from the pointer R-tree, and ``dense-*`` from the engines'
+(``rbtree-*``, ``slot-mirror``, ``labelset-*``, ``rtree-*`` from the
+pointer R-tree, and ``dense-*`` from the engines'
 dense dominance index — e.g. ``dense-mirror``, its matrix no longer
 mirroring its entry objects).
 
@@ -655,7 +658,7 @@ def verify_continuous(manager: "ContinuousQueryManager") -> None:
 
     The mirror and result sets are compared against the live engine only
     when the manager has processed every arrival the engine has ingested
-    (during batch replay the engine runs ahead; the heap invariants are
+    (during batch replay the engine runs ahead; the trigger lists are
     always checked).
 
     Raises
@@ -666,13 +669,13 @@ def verify_continuous(manager: "ContinuousQueryManager") -> None:
     name = type(manager).__name__
     engine = manager.engine
     for handle in manager:
-        handle._heap.check_invariants()
-        if sorted(handle._heap.keys()) != sorted(handle._members):
+        kappas = handle._group._kappas
+        if kappas != sorted(handle._members):
             raise corruption(
                 "engine",
                 "trigger-heap",
-                f"query {handle.query_id} (n={handle.n}): trigger heap "
-                f"keys disagree with the result set",
+                f"query {handle.query_id} (n={handle.n}): trigger list "
+                f"{kappas} is not the ascending kappas of the result set",
                 engine=name,
             )
 
@@ -736,7 +739,8 @@ def _verify_query_index(manager: "ContinuousQueryManager", name: str) -> None:
     """The ``continuous-index`` invariant (``query_index="on"`` only).
 
     Structural checks first (sorted axis, aligned group registry,
-    refcounts, expiry entries never scheduled late), then a brute-force
+    refcounts, a well-formed expiry schedule whose dues never run
+    late), then a brute-force
     replay: each group's member set must equal Proposition 1 evaluated
     directly over the manager's dominance-forest mirror.  The mirror —
     not the live engine — is the oracle, so the check is valid
@@ -792,35 +796,54 @@ def _verify_query_index(manager: "ContinuousQueryManager", name: str) -> None:
             engine=name,
         )
 
-    for n in index._expiry.keys():
+    expiry = index._expiry
+    dues = index._due
+    for slot in range(1, len(expiry)):
+        if expiry[(slot - 1) // 2] > expiry[slot]:
+            raise corruption(
+                "engine",
+                "continuous-index",
+                f"expiry schedule breaks heap order at slot {slot}",
+                engine=name,
+            )
+    unqueued = set(dues.items()) - {(n, due) for due, n in expiry}
+    if unqueued:
+        raise corruption(
+            "engine",
+            "continuous-index",
+            f"mapped dues {sorted(unqueued)} (n, due) have no schedule "
+            f"entry — they would never fire",
+            engine=name,
+        )
+    for n in dues:
         if n not in groups:
             raise corruption(
                 "engine",
                 "continuous-index",
-                f"expiry entry for unregistered window n={n}",
+                f"expiry due for unregistered window n={n}",
                 engine=name,
             )
     for group in order:
-        if not group._heap:
+        if not group._kappas:
             continue
-        top_kappa, _ = group._heap.peek()
+        top_kappa = group._kappas[0]
         real_due = top_kappa + group.n
-        if group.n not in index._expiry:
+        scheduled = dues.get(group.n)
+        if scheduled is None:
             raise corruption(
                 "engine",
                 "continuous-index",
-                f"group n={group.n} has a trigger top ({top_kappa}) but "
-                f"no expiry entry — its window expiries would never fire",
+                f"group n={group.n} has a trigger ({top_kappa}) but no "
+                f"due — its window expiries would never fire",
                 engine=name,
             )
-        scheduled = index._expiry.priority_of(group.n)
-        if not isinstance(scheduled, int) or scheduled > real_due:
+        if scheduled > real_due:
             raise corruption(
                 "engine",
                 "continuous-index",
-                f"group n={group.n} is scheduled at {scheduled!r}, later "
-                f"than its real due time {real_due} — a stale-late entry "
-                f"would miss expiries",
+                f"group n={group.n} is due at {scheduled}, later than its "
+                f"real due time {real_due} — a stale-late due would miss "
+                f"expiries",
                 engine=name,
             )
 

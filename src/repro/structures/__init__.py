@@ -12,14 +12,12 @@ Everything here is self-contained and paper-faithful:
 * :mod:`repro.structures.dense_index` — the same search surface over
   one dense kappa-ordered matrix, the dominance index every engine
   runs;
-* :mod:`repro.structures.heap` — indexed min/max heaps (trigger lists);
 * :mod:`repro.structures.mbr` — bounding-box algebra incl. Figure 7's
   candidate-region tests;
 * :mod:`repro.structures.labelset` — the ordered label set of Figure 6.
 """
 
 from repro.structures.dense_index import DenseEntry, DenseIndex
-from repro.structures.heap import IndexedHeap, MaxIndexedHeap, MinIndexedHeap
 from repro.structures.interval_tree import Interval, IntervalHandle, IntervalTree
 from repro.structures.labelset import LabelSet
 from repro.structures.mbr import MBR
@@ -29,9 +27,6 @@ from repro.structures.rtree import RTree, RTreeEntry
 __all__ = [
     "DenseEntry",
     "DenseIndex",
-    "IndexedHeap",
-    "MaxIndexedHeap",
-    "MinIndexedHeap",
     "Interval",
     "IntervalHandle",
     "IntervalTree",

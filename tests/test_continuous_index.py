@@ -7,11 +7,13 @@ counters and trigger behaviour alike — under interleaved single and
 batched feeding, duplicate window sizes, and mid-stream registration
 and unregistration.  The ``continuous-index``
 sanitizer invariant must catch seeded corruption of every structural
-piece: the sorted axis, the refcounts, the expiry heap and the group
-member sets.
+piece: the sorted axis, the refcounts, the expiry schedule and the
+group member sets.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import pytest
 from hypothesis import given, settings
@@ -27,11 +29,13 @@ from repro.core.query_index import (
     resolve_index_mode,
 )
 from repro.exceptions import (
+    DuplicateKeyError,
     InvalidWindowError,
     KeyNotFoundError,
     QueryNotRegisteredError,
     StructureCorruptionError,
 )
+from repro.streams import materialize
 
 coord = st.integers(0, 6).map(lambda v: v / 6)
 
@@ -154,14 +158,13 @@ class TestMemoisedResults:
     def test_result_memoised_between_maintenance(self):
         engine, manager = _drive(capacity=16, points=40)
         handle = manager.register(8)
-        group = handle._group
         first = handle.result()
-        assert group._sorted_changes == group.changes
-        memo = group._sorted_elements
         again = handle.result()
-        assert group._sorted_elements is memo
         assert first == again
-        assert first is not again  # copies: callers cannot corrupt memo
+        assert first is not again  # copies: callers cannot corrupt state
+        first.clear()
+        handle.result_kappas().clear()
+        assert handle.result() == again
         manager.append((0.05, 0.05))
         refreshed = handle.result_kappas()
         assert refreshed == _fresh_kappas(engine, 8)
@@ -284,16 +287,70 @@ class TestIndexedMatchesLegacy:
         assert stats["routed_events"] > 0
 
 
+class TestLargeResults:
+    """Anti-correlated d=5 results hold hundreds of members, so promoted
+    children land mid-list and removals hit deep inside the trigger
+    lists — sizes the property tests (d <= 3, N <= 12) never reach."""
+
+    CAPACITY = 300
+    WINDOWS = (1, 2, 7, 33, 64, 64, 100, 128, 150, 150,
+               199, 200, 231, 250, 250, 277, 290, 299, 300, 300)
+
+    @pytest.mark.parametrize("chunk, sanitize", [
+        (None, "off"), (1, "off"), (7, "off"), (64, "off"), (64, "full"),
+    ])
+    def test_matches_legacy_twin_and_fresh_queries(self, chunk, sanitize):
+        points = materialize("anti", 5, 2 * self.CAPACITY, seed=18)
+        engine = NofNSkyline(dim=5, capacity=self.CAPACITY)
+        indexed = ContinuousQueryManager(engine, sanitize=sanitize)
+        legacy = ContinuousQueryManager(engine, query_index="off")
+        pairs = [(indexed.register(n), legacy.register(n))
+                 for n in self.WINDOWS]
+        step = chunk or 1
+        largest = 0
+        for start in range(0, len(points), step):
+            if chunk is None:
+                legacy.process(indexed.append(points[start]))
+            else:
+                legacy.process_batch(
+                    indexed.append_many(points[start:start + step])
+                )
+            for ih, lh in pairs:
+                fresh = _fresh_kappas(engine, ih.n)
+                assert ih.result_kappas() == fresh, f"n={ih.n} diverged"
+                assert [e.kappa for e in ih.result()] == fresh
+                assert lh.result_kappas() == fresh
+                assert ih.changes == lh.changes
+                largest = max(largest, len(fresh))
+        assert largest >= 200
+
+
+class TestGroupWrites:
+    def test_duplicate_add_and_unknown_remove_write_nothing(self):
+        engine, manager = _drive(capacity=16, points=40)
+        group = manager.register(8)._group
+        members = dict(group._members)
+        kappas = list(group._kappas)
+        changes = group.changes
+        with pytest.raises(DuplicateKeyError):
+            group.add(group.result()[0])
+        with pytest.raises(KeyNotFoundError):
+            group.remove(10 ** 6)
+        assert group._members == members
+        assert group._kappas == kappas
+        assert group.changes == changes
+
+
 class TestContinuousIndexSanitizer:
     def _corrupt(self, manager, poke):
         poke(manager._index)
         with pytest.raises(StructureCorruptionError) as excinfo:
-            manager.check_invariants()
+            manager.sanitizer.maybe_verify(manager)
         assert excinfo.value.report is not None
         return excinfo.value.report.invariant
 
     def _manager(self):
-        engine, manager = _drive(capacity=30, points=80)
+        engine, manager = _drive(capacity=30, points=80, sanitize="full")
         for n in (6, 11, 11, 19, 27):
             manager.register(n)
         return manager
@@ -316,10 +373,38 @@ class TestContinuousIndexSanitizer:
 
         def poke(idx):
             n = idx._axis[0]
-            if n in idx._expiry:
-                idx._expiry.update_priority(n, 10 ** 9)
-            else:
-                idx._expiry.push(n, 10 ** 9)
+            idx._due[n] = 10 ** 9
+            heapq.heappush(idx._expiry, (10 ** 9, n))
+
+        assert self._corrupt(manager, poke) == "continuous-index"
+
+    def test_mapped_due_not_queued(self):
+        manager = self._manager()
+
+        def poke(idx):
+            n = next(iter(idx._due))
+            idx._due[n] -= 1
+
+        assert self._corrupt(manager, poke) == "continuous-index"
+
+    def test_group_without_due(self):
+        manager = self._manager()
+
+        def poke(idx):
+            del idx._due[idx._axis[-1]]
+
+        assert self._corrupt(manager, poke) == "continuous-index"
+
+    def test_schedule_out_of_heap_order(self):
+        manager = self._manager()
+
+        def poke(idx):
+            # A stale entry (no mapped due) is legal; moving it to the
+            # root above smaller entries is not.
+            idx._expiry.append((10 ** 9, -1))
+            idx._expiry[0], idx._expiry[-1] = (
+                idx._expiry[-1], idx._expiry[0]
+            )
 
         assert self._corrupt(manager, poke) == "continuous-index"
 
@@ -329,11 +414,11 @@ class TestContinuousIndexSanitizer:
         def poke(idx):
             group = next(g for g in idx._order if len(g) > 0)
             kappa = group.result_kappas()[0]
-            # Consistent drop (members + heap + no counter bump): only
-            # the brute-force Proposition 1 replay can notice.
+            # Consistent drop (members + trigger list + no counter
+            # bump): only the brute-force Proposition 1 replay can
+            # notice.
             del group._members[kappa]
-            group._heap.delete(kappa)
-            group._sorted_changes = -1
+            group._kappas.remove(kappa)
 
         assert self._corrupt(manager, poke) == "continuous-index"
 

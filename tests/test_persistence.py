@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    ContinuousQueryManager,
     N1N2Skyline,
     NofNSkyline,
     ShardedKSkyband,
@@ -200,6 +201,35 @@ class TestValidation:
         snap = self.n1n2_snapshot()
         restore(json.loads(json.dumps(snap))).check_invariants()
         self.N1N2_DEFECTS[defect](snap, self.record)
+        with pytest.raises(SnapshotError):
+            restore(snap)
+
+    @staticmethod
+    def continuous_snapshot():
+        """``N = 20`` with query ids 1 and 2 (``next_id`` 3)."""
+        manager = ContinuousQueryManager(NofNSkyline(dim=2, capacity=20))
+        for n in (5, 12):
+            manager.register(n)
+        for point in materialize("independent", 2, 30, seed=3):
+            manager.append(point)
+        return snapshot(manager)
+
+    # One defect per registry rule.
+    CONTINUOUS_DEFECTS = {
+        "id-below-one": lambda s: s["queries"][0].update(id=0),
+        "duplicate-id": lambda s: s["queries"][1].update(id=1),
+        "next-id-collides": lambda s: s.update(next_id=1),
+        "n-outside-window": lambda s: s["queries"][0].update(n=500),
+        "negative-changes": lambda s: s["queries"][0].update(changes=-7),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(CONTINUOUS_DEFECTS))
+    def test_rejects_malformed_continuous_registry(self, defect):
+        snap = self.continuous_snapshot()
+        clone = restore(json.loads(json.dumps(snap)))
+        clone.check_invariants()
+        assert clone.register(4).query_id == 3 and len(clone) == 3
+        self.CONTINUOUS_DEFECTS[defect](snap)
         with pytest.raises(SnapshotError):
             restore(snap)
 

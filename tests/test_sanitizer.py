@@ -397,8 +397,8 @@ class TestSkybandCorruption:
 
 
 class TestContinuousCorruption:
-    def fed(self):
-        manager = ContinuousQueryManager(NofNSkyline(2, 15))
+    def fed(self, **manager_kwargs):
+        manager = ContinuousQueryManager(NofNSkyline(2, 15), **manager_kwargs)
         handle = manager.register(10)
         for point in points_stream(50, seed=15):
             manager.append(point)
@@ -406,16 +406,24 @@ class TestContinuousCorruption:
 
     def test_heap_member_divergence(self):
         manager, handle = self.fed()
-        kappa = handle.result_kappas()[0]
-        handle._heap.delete(kappa)
+        del handle._group._kappas[0]
+        with pytest.raises(StructureCorruptionError) as excinfo:
+            manager.check_invariants()
+        assert invariant_of(excinfo) == "trigger-heap"
+
+    def test_trigger_list_out_of_order(self):
+        manager, handle = self.fed()
+        kappas = handle._group._kappas
+        kappas[0], kappas[1] = kappas[1], kappas[0]
         with pytest.raises(StructureCorruptionError) as excinfo:
             manager.check_invariants()
         assert invariant_of(excinfo) == "trigger-heap"
 
     def test_result_out_of_sync(self):
-        manager, handle = self.fed()
-        kappa = handle.result_kappas()[0]
-        handle._heap.delete(kappa)
+        # Without the query index: its Proposition 1 replay would name
+        # this consistent drop first (``continuous-index``).
+        manager, handle = self.fed(query_index="off")
+        kappa = handle._group._kappas.pop(0)
         del handle._members[kappa]
         with pytest.raises(StructureCorruptionError) as excinfo:
             manager.check_invariants()
@@ -436,19 +444,6 @@ class TestContinuousCorruption:
 
 
 class TestStructureReports:
-    def test_heap_order_tamper(self):
-        from repro.structures.heap import MinIndexedHeap
-
-        heap = MinIndexedHeap()
-        for value in (5, 3, 8, 1):
-            heap.push(value, value)
-        # Clobber the root's priority so a child now beats it.
-        priority, tiebreak, key = heap._entries[0]
-        heap._entries[0] = (99, tiebreak, key)
-        with pytest.raises(StructureCorruptionError) as excinfo:
-            heap.check_invariants()
-        assert invariant_of(excinfo) == "heap-order"
-
     def test_labelset_order_tamper(self):
         engine = fed_nofn()
         node = engine._labels._head  # oldest node

@@ -10,8 +10,8 @@ REPRO101   Every method of a version-bearing class (``_version`` or a
            ``changes`` counter) that mutates a tracked container must
            bump the counter on *every* CFG path through the mutation
            (exception edges included) — otherwise versioned caches
-           (``StabCache``, memoised ``QueryGroup`` views) serve stale
-           answers.
+           (``StabCache``) serve stale answers and a ``QueryGroup``'s
+           handles under-report their ``changes``.
 REPRO102   Seqlock protocol: inside a flip function, every write to the
            control buffer must sit between the odd and even seq words;
            a reader that copies bytes out of a data segment must

@@ -38,10 +38,11 @@ FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 #: Attributes that act as a class's change/version counter (REPRO101).
 #: ``_version`` is the StabCache convention; ``changes`` is the
-#: continuous-query convention — a :class:`QueryGroup`'s memoised
-#: sorted views are invalidated through its cumulative ``changes``
-#: counter exactly the way versioned caches key on ``_version``, so a
-#: container mutation that skips the bump serves the same stale answer.
+#: continuous-query convention — a :class:`QueryGroup`'s cumulative
+#: ``changes`` counter is the paper's ``delta`` every handle reports,
+#: so a container mutation that skips the bump under-reports it just as
+#: a skipped ``_version`` bump lets a versioned cache serve a stale
+#: answer.
 #: ``changes`` only counts when ``__init__`` assigns it an integer
 #: literal (plain data attributes named ``changes`` stay untracked).
 VERSION_COUNTER_ATTRS: FrozenSet[str] = frozenset({"_version", "changes"})
