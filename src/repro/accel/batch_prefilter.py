@@ -7,10 +7,14 @@ would be inserted into the dominance index / interval tree / label set
 only to be ejected again before any query can observe it (queries never
 run mid-batch).  The batched ingestion paths
 (:meth:`repro.core.nofn.NofNSkyline.append_many` and friends) therefore
-precompute, with two NumPy broadcasts over the batch, *when* each batch
-member dies at the hands of a younger same-batch member — and skip all
-index maintenance for those casualties while still synthesising their
-exact per-element :class:`~repro.core.events.ArrivalOutcome`.
+build one row-oriented ``B x B`` weak-dominance matrix over the batch
+(``dom_by[i, h]``: member ``h`` weakly dominates member ``i``) and read
+two row reductions off it: *when* each member dies at the hands of a
+younger same-batch member, and which older same-batch member is its
+youngest weak dominator (Algorithm 1's critical-parent candidate).  The
+engines skip all index maintenance for the casualties while still
+synthesising their exact per-element
+:class:`~repro.core.events.ArrivalOutcome`.
 
 The filter is a *skyband* filter: ``k = 1`` marks an element as doomed
 at its first younger weak dominator (the skyline engines), ``k > 1`` at
@@ -23,6 +27,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
+
+from repro.structures.dense_index import _mask_buffers
 
 __all__ = ["BatchPrefilter", "intra_batch_survivors", "resolve_batch_chunk"]
 
@@ -70,9 +76,13 @@ class BatchPrefilter:
         ``i`` accumulates its ``k``-th younger same-batch weak
         dominator (the arrival that removes it from the engine), or
         ``-1`` if fewer than ``k`` younger batch members dominate it.
+    youngest_older:
+        ``youngest_older[i]`` is the largest batch index ``h < i`` whose
+        member weakly dominates member ``i`` — the first entry of
+        :meth:`older_weak_dominators` — or ``-1`` if there is none.
     """
 
-    __slots__ = ("size", "k", "kill", "_weak", "_killed_at")
+    __slots__ = ("size", "k", "kill", "youngest_older", "_dom_by", "_killed_at")
 
     def __init__(self, points: Sequence[Sequence[float]], k: int = 1) -> None:
         if k < 1:
@@ -80,33 +90,48 @@ class BatchPrefilter:
         self.size = len(points)
         self.k = k
         self.kill: List[int] = []
-        self._weak = _np.zeros((0, 0), dtype=bool)
+        self.youngest_older: List[int] = []
+        self._dom_by = _np.zeros((0, 0), dtype=bool)
         arr = _np.asarray([tuple(p) for p in points], dtype=float)
         if arr.size:
-            # weak[a, b] <=> points[a] weakly dominates points[b].  One
-            # outer comparison per dimension keeps the working set at
-            # B^2 booleans instead of materialising a B^2 x d cube.
-            weak = arr[:, 0, None] <= arr[None, :, 0]
-            for c in range(1, arr.shape[1]):
-                weak &= arr[:, c, None] <= arr[None, :, c]
-            # Younger-dominator relation: row index (the dominator) must
-            # arrive after the column index.  tril(k=-1) keeps a > b.
-            younger = _np.tril(weak, k=-1)
-            if k == 1:
-                # argmax finds each column's first younger dominator
-                # directly; the cumsum is only needed for skyband depths.
-                has = younger.any(axis=0)
-                first = younger.argmax(axis=0)
-            else:
-                reached = _np.cumsum(younger, axis=0) >= k
-                has = reached[-1]
-                first = _np.argmax(reached, axis=0)
-            self._weak = weak
-            self.kill = _np.where(has, first, -1).tolist()
+            # One contiguous row per axis: each outer comparison below
+            # then reads two contiguous vectors.
+            cols = _np.ascontiguousarray(arr.T)
+            idx = _np.arange(self.size, dtype=_np.int32)
+            with _mask_buffers():
+                # dom_by[i, h] <=> points[h] weakly dominates points[i].
+                # One outer comparison per axis keeps the working set at
+                # B^2 booleans instead of a B^2 x d cube.
+                dom_by = cols[0, :, None] >= cols[0, None, :]
+                for c in range(1, cols.shape[0]):
+                    dom_by &= cols[c, :, None] >= cols[c, None, :]
+                # Younger dominators (h > i); a row reaches k at its
+                # k-th, so only skyband depths need the cumsum.  Both
+                # triangle masks are written into ``hit`` in place: a
+                # temporary B x B mask per triangle added about 0.7 MB
+                # of peak RSS at B = 1,024.
+                hit = idx[:, None] < idx[None, :]
+                hit &= dom_by
+                if k > 1:
+                    hit = _np.cumsum(hit, axis=1, dtype=_np.int32) >= k
+                # A row's argmax is its first hit, or 0 when it has none.
+                first = hit.argmax(axis=1)
+                self.kill = _np.where(hit[idx, first], first, -1).tolist()
+                # Older dominators (h < i), into the same buffer with the
+                # columns reversed (column j holds h = B - 1 - j): a
+                # row's first hit is then its youngest older dominator,
+                # and the argmax reads contiguous rows without a copy.
+                _np.greater(idx[:, None], (self.size - 1) - idx[None, :], out=hit)
+                hit &= dom_by[:, ::-1]
+                pos = hit.argmax(axis=1)
+                self.youngest_older = _np.where(
+                    hit[idx, pos], (self.size - 1) - pos, -1
+                ).tolist()
+            self._dom_by = dom_by
         self._killed_at: Dict[int, List[int]] = {}
-        for idx, at in enumerate(self.kill):
+        for i, at in enumerate(self.kill):
             if at >= 0:
-                self._killed_at.setdefault(at, []).append(idx)
+                self._killed_at.setdefault(at, []).append(i)
 
     # -- queries --------------------------------------------------------
 
@@ -127,18 +152,18 @@ class BatchPrefilter:
         """Batch indices ``h < i`` weakly dominating ``i``, youngest
         first — the batch-side candidates for member ``i``'s critical
         dominator search."""
-        return _np.flatnonzero(self._weak[:i, i])[::-1].tolist()
+        return _np.flatnonzero(self._dom_by[i, :i])[::-1].tolist()
 
     def older_weak_victims(self, j: int) -> List[int]:
         """Batch indices ``h < j`` weakly dominated by ``j``, ascending —
         the already-arrived members whose younger-dominator counts grow
         when member ``j`` arrives (the batch-side mirror of an index
         dominance report)."""
-        return _np.flatnonzero(self._weak[j, :j]).tolist()
+        return _np.flatnonzero(self._dom_by[:j, j]).tolist()
 
     def weakly_dominates(self, a: int, b: int) -> bool:
         """Whether batch member ``a`` weakly dominates member ``b``."""
-        return bool(self._weak[a, b])
+        return bool(self._dom_by[b, a])
 
 
 def intra_batch_survivors(

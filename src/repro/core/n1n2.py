@@ -279,11 +279,19 @@ class N1N2Skyline:
             # has already demoted.  The walk stops at the first expired
             # candidate: every older one has expired too.
             parent = 0
-            for h in pre.older_weak_dominators(i):
+            h = pre.youngest_older[i]
+            if h >= 0:
                 kappa_h = base_kappa + h
                 if kappa_h in alive_doomed or b[(kappa_h - 1) % n] == _INF:
                     parent = kappa_h
-                    break
+                else:
+                    # An equal point killed at this arrival: walk the
+                    # older candidates.
+                    for h in pre.older_weak_dominators(i):
+                        kappa_h = base_kappa + h
+                        if kappa_h in alive_doomed or b[(kappa_h - 1) % n] == _INF:
+                            parent = kappa_h
+                            break
             if not parent:
                 entry = parents0[i]
                 while entry is not None and entry.kappa > kappa - n:

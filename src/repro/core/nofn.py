@@ -372,11 +372,14 @@ class NofNSkyline:
           prefilter would have doomed it), so survivors installed
           mid-chunk only ever *leave* via expiry — handled by dropping
           their deferred insert;
-        * critical parents resolve intra-chunk candidates from the
-          prefilter's dominance matrix (youngest alive wins — chunk
-          kappas exceed every indexed kappa) and fall back to the
-          frozen-tree answer, walked past entries that died mid-chunk
-          via ``max_kappa_dominator(kappa_below=...)``.
+        * critical parents resolve intra-chunk candidates first
+          (youngest alive wins — chunk kappas exceed every indexed
+          kappa): the prefilter's ``youngest_older`` member, and only
+          when it is gone (by transitivity, an equal point killed at
+          this arrival, or an expired member) the walk over
+          :meth:`BatchPrefilter.older_weak_dominators`; then they fall
+          back to the frozen-tree answer, walked past entries that died
+          mid-chunk via ``max_kappa_dominator(kappa_below=...)``.
         """
         chunk = elements[lo:hi]
         points = [e.values for e in chunk]
@@ -430,12 +433,18 @@ class NofNSkyline:
             # chunk survivors can qualify — an *alive* pending dominator
             # would imply the survivor is doomed (transitivity).
             best: Optional[_Record] = None
-            for h in pre.older_weak_dominators(i):
+            h = pre.youngest_older[i]
+            if h >= 0:
                 kappa_h = chunk[h].kappa
                 best = pending.get(kappa_h) or self._records.get(kappa_h)
-                if best is not None:
-                    break
-                # killed or expired already — keep walking
+                if best is None:
+                    # The youngest candidate is gone: an equal point
+                    # killed at this arrival, or expired.  Walk on.
+                    for h in pre.older_weak_dominators(i):
+                        kappa_h = chunk[h].kappa
+                        best = pending.get(kappa_h) or self._records.get(kappa_h)
+                        if best is not None:
+                            break
             if best is None:
                 parent_entry = parents0[i]
                 while (
