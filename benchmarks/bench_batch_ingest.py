@@ -3,8 +3,8 @@
 Not a paper figure: the paper's Algorithm 1 is strictly per-element.
 This benchmark quantifies the batched fast path added on top of it —
 a vectorized intra-batch dominance prefilter drops batch members that
-a younger same-batch element weakly dominates before any R-tree work,
-and expiry checks are amortized to once per chunk.
+a younger same-batch element weakly dominates before any index work,
+and the expiry sweep runs only at arrivals that can expire something.
 
 Workload: uniform (independent) streams at ``d = 2..5`` into an
 ``N = scaled(100_000)`` window, fed once per element and once through

@@ -380,26 +380,49 @@ def smoke_rejected_append_changes_nothing(sanitize: str) -> None:
         else:
             engine.append(point)
 
+    def feed_many(engine, batch, arrival):
+        if isinstance(engine, TimeWindowSkyline):
+            engine.append_many(
+                batch, [float(arrival + i) for i in range(len(batch))]
+            )
+        else:
+            engine.append_many(batch)
+
     def state(engine):
         if isinstance(engine, KSkybandEngine):  # no snapshot support
             return (engine.seen_so_far, len(engine),
                     [e.kappa for e in engine.skyband()])
         return dumps(engine)
 
+    nan = float("nan")
     for engine in engines:
         name = type(engine).__name__
         for arrival, point in enumerate(points[:3], start=1):
             feed(engine, point, arrival)
         before = state(engine)
-        for bad in ((0.5, 0.5, 0.5), (float("nan"), 0.5), ()):
+        rejected = [
+            (f"the point {bad!r}", lambda e, bad=bad: feed(e, bad, 4))
+            for bad in ((0.5, 0.5, 0.5), (nan, 0.5), ())
+        ] + [
+            (f"a batch holding {bad!r} mid-batch",
+             lambda e, bad=bad: feed_many(e, [points[3], bad, points[4]], 4))
+            for bad in ((0.5, 0.5, 0.5), (nan, 0.5))
+        ]
+        if isinstance(engine, TimeWindowSkyline):
+            rejected += [
+                ("a NaN timestamp", lambda e: e.append(points[3], nan)),
+                ("a NaN timestamp mid-batch",
+                 lambda e: e.append_many(points[3:6], [4.0, nan, 6.0])),
+            ]
+        for what, call in rejected:
             try:
-                feed(engine, bad, 4)
+                call(engine)
             except (ValueError, ReproError):
                 pass
             else:
-                check(False, f"{name} accepted the point {bad!r}")
+                check(False, f"{name} accepted {what}")
             check(state(engine) == before,
-                  f"{name}: the rejected point {bad!r} changed the engine "
+                  f"{name}: rejecting {what} changed the engine "
                   "(guard erased by -O?)")
         for arrival, point in enumerate(points[3:], start=4):
             feed(engine, point, arrival)

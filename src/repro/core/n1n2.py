@@ -48,13 +48,9 @@ from repro.accel.batch_prefilter import (
     iter_chunks,
     resolve_batch_chunk,
 )
-from repro.core.element import StreamElement
+from repro.core.element import StreamElement, batch_elements, checked_element
 from repro.core.stats import EngineStats
-from repro.exceptions import (
-    DimensionMismatchError,
-    InvalidWindowError,
-    StructureCorruptionError,
-)
+from repro.exceptions import InvalidWindowError, StructureCorruptionError
 from repro.sanitize.sanitizer import InvariantSanitizer, SanitizeArg
 from repro.structures.dense_index import DenseIndex
 
@@ -119,7 +115,7 @@ class N1N2Skyline:
         """Ingest one stream element; return it.
 
         A point the engine rejects raises before any state changes."""
-        element = self._batch_elements([values], [payload])[0]
+        element = checked_element(values, self._m + 1, self.dim, payload)
         self._m = kappa = element.kappa
         n = self.capacity
         slot = (kappa - 1) % n
@@ -166,14 +162,15 @@ class N1N2Skyline:
         already known), skipping the dominance index entirely.
 
         Validation is all-or-nothing: dimension mismatches and invalid
-        values raise before any engine state changes.
+        values raise before any engine state changes.  ``points`` may
+        also be a ``(B, dim)`` NumPy array.
         """
         started = perf_counter()
-        elements = self._batch_elements(points, payloads)
+        elements, matrix = batch_elements(points, self._m + 1, self.dim, payloads)
         dropped = 0
         chunk = min(self._batch_chunk, self.capacity)
         for lo, hi in iter_chunks(len(elements), chunk):
-            dropped += self._arrive_chunk(elements, lo, hi)
+            dropped += self._arrive_chunk(elements[lo:hi], matrix[lo:hi])
             if self._sanitizer is not None:
                 self._sanitizer.maybe_verify(self)
         self.stats.record_batch(
@@ -181,34 +178,10 @@ class N1N2Skyline:
         )
         return elements
 
-    def _batch_elements(
-        self,
-        points: Sequence[Sequence[float]],
-        payloads: Optional[Sequence[Any]],
-    ) -> List[StreamElement]:
-        """Construct and validate the batch's elements without mutating
-        engine state (all-or-nothing ingestion)."""
-        pts = list(points)
-        if payloads is None:
-            payloads = [None] * len(pts)
-        elif len(payloads) != len(pts):
-            raise ValueError(
-                f"got {len(pts)} points but {len(payloads)} payloads"
-            )
-        elements = []
-        for offset, (values, payload) in enumerate(zip(pts, payloads)):
-            element = StreamElement(values, self._m + offset + 1, payload)
-            if len(element.values) != self.dim:
-                raise DimensionMismatchError(self.dim, len(element.values))
-            elements.append(element)
-        return elements
-
-    def _arrive_chunk(
-        self, elements: List[StreamElement], lo: int, hi: int
-    ) -> int:
-        """Ingest ``elements[lo:hi]`` (at most ``capacity`` of them, so
-        no chunk member can expire before its in-chunk dominator
-        arrives, and no two share a slot).
+    def _arrive_chunk(self, chunk: List[StreamElement], block: Any) -> int:
+        """Ingest one chunk, ``block`` holding its coordinate rows (at
+        most ``capacity`` members, so no chunk member can expire before
+        its in-chunk dominator arrives, and no two share a slot).
 
         All dominance-index mutations the chunk causes are deferred:
         demotions and expiries accumulate into one bulk
@@ -216,8 +189,8 @@ class N1N2Skyline:
         the chunk's surviving members land with one
         :meth:`~repro.structures.dense_index.DenseIndex.insert_many`.
         The index therefore stays at its chunk-start state throughout;
-        the two batched searches below answer every member's demotion
-        report and critical-ancestor query against that frozen state,
+        the two batched searches below answer the members' demotion
+        reports and critical-ancestor queries against that frozen state,
         and per-arrival staleness is repaired from the columns: an
         indexed element is still in ``R_N`` iff its kappa is above
         ``M - N`` (a victim that expired earlier in the chunk shares its
@@ -225,7 +198,11 @@ class N1N2Skyline:
         members themselves never appear in the frozen answers, so the
         intra-chunk prefilter stream is merged in first — chunk kappas
         outrank every indexed kappa, making the first logically-alive
-        intra candidate automatically the youngest.
+        intra candidate automatically the youngest.  As in
+        :meth:`repro.core.nofn.NofNSkyline._arrive_chunk`, the demotion
+        report searches with the prefilter's survivors alone, and only
+        members without an older same-chunk dominator take their
+        critical ancestor from the chunk-wide search.
 
         ``alive_doomed`` holds prefilter casualties whose killer has not
         arrived yet: logically still in ``R_N`` (they count towards
@@ -235,20 +212,20 @@ class N1N2Skyline:
         doomed ancestor: that ancestor's killer would dominate the
         survivor too.
         """
-        chunk = elements[lo:hi]
-        points = [e.values for e in chunk]
-        pre = BatchPrefilter(points, k=1)
+        pre = BatchPrefilter(block, k=1)
         base_kappa = chunk[0].kappa
         rtree = self._rtree
-        victims0 = rtree.report_dominated_batch(points)
-        parents0 = rtree.max_kappa_dominator_batch(points)
+        victims0 = rtree.report_dominated_batch(block, survivors=pre.survivors)
+        youngest = pre.youngest_older
+        roots = [i for i, h in enumerate(youngest) if h < 0]
+        parents0 = dict(zip(roots, rtree.max_kappa_dominator_batch(block[roots])))
         n = self.capacity
         a, b = self._a, self._b
 
         deletes: List[int] = []
-        survivors: List[StreamElement] = []
         alive_doomed: Set[int] = set()
         live_rn = len(rtree)  # |R_N| were the deferred writes applied
+        expired_count = dominated_count = rn_sum = rn_peak = 0
         for i, element in enumerate(chunk):
             kappa = element.kappa
             self._m = kappa
@@ -279,9 +256,9 @@ class N1N2Skyline:
             # has already demoted.  The walk stops at the first expired
             # candidate: every older one has expired too.
             parent = 0
-            h = pre.youngest_older[i]
-            if h >= 0:
-                kappa_h = base_kappa + h
+            head = youngest[i]
+            if head >= 0:
+                kappa_h = base_kappa + head
                 if kappa_h in alive_doomed or b[(kappa_h - 1) % n] == _INF:
                     parent = kappa_h
                 else:
@@ -293,7 +270,10 @@ class N1N2Skyline:
                             parent = kappa_h
                             break
             if not parent:
-                entry = parents0[i]
+                entry = (
+                    parents0[i] if head < 0
+                    else rtree.max_kappa_dominator(element.values)
+                )
                 while entry is not None and entry.kappa > kappa - n:
                     if b[(entry.kappa - 1) % n] == _INF:
                         parent = entry.kappa
@@ -308,23 +288,28 @@ class N1N2Skyline:
                 alive_doomed.add(kappa)
             else:
                 b[slot] = _INF
-                survivors.append(element)
                 live_rn += 1
 
-            self.stats.record_arrival(
-                expired=expired,
-                dominated=demoted,
-                rn_size=live_rn + len(alive_doomed),
-            )
+            expired_count += expired
+            dominated_count += demoted
+            rn_size = live_rn + len(alive_doomed)
+            rn_sum += rn_size
+            if rn_size > rn_peak:
+                rn_peak = rn_size
+        self.stats.record_arrivals(
+            len(chunk), expired_count, dominated_count, rn_sum, rn_peak
+        )
         if alive_doomed:
             raise StructureCorruptionError(
                 f"{len(alive_doomed)} doomed batch members survived their chunk"
             )
         if deletes:
             rtree.delete_many(deletes)
-        if survivors:
+        if pre.survivors:
+            # No member expires within its chunk, so every survivor
+            # is installed.
             rtree.insert_many(
-                [e.values for e in survivors], [e.kappa for e in survivors]
+                block[pre.survivors], [base_kappa + i for i in pre.survivors]
             )
         return pre.dropped
 

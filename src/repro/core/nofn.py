@@ -38,7 +38,7 @@ in section 6).
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.accel.batch_prefilter import (
     BatchPrefilter,
@@ -46,14 +46,10 @@ from repro.accel.batch_prefilter import (
     resolve_batch_chunk,
 )
 from repro.accel.stab_cache import StabCache
-from repro.core.element import StreamElement
+from repro.core.element import StreamElement, batch_elements, checked_element
 from repro.core.events import ArrivalOutcome, BatchOutcome, ExpiredRecord
 from repro.core.stats import EngineStats
-from repro.exceptions import (
-    DimensionMismatchError,
-    InvalidWindowError,
-    StructureCorruptionError,
-)
+from repro.exceptions import InvalidWindowError, StructureCorruptionError
 from repro.sanitize.sanitizer import InvariantSanitizer, SanitizeArg
 from repro.structures.dense_index import DenseIndex
 from repro.structures.interval_tree import IntervalHandle, IntervalTree
@@ -164,12 +160,6 @@ class NofNSkyline:
         """Per-arrival clock bookkeeping for the batched path (no-op for
         count-based windows; the time-window variant advances ``now``)."""
 
-    def _final_threshold(self, last_label: float, count: int) -> float:
-        """The value :meth:`_window_start` will return at the last of the
-        next ``count`` arrivals (ending at ``last_label``) — the batched
-        path's once-per-chunk expiry gate."""
-        return self._m + count - self.capacity + 1
-
     # ------------------------------------------------------------------
     # Maintenance (Algorithm 1)
     # ------------------------------------------------------------------
@@ -181,7 +171,7 @@ class NofNSkyline:
         manager (Algorithm 2); ad-hoc users may ignore it.  A point the
         engine rejects raises before any state changes.
         """
-        element = self._batch_elements([values], [payload])[0]
+        element = checked_element(values, self._m + 1, self.dim, payload)
         self._m += 1
         label = self._assign_label(element)
         return self._arrive(element, label)
@@ -251,48 +241,30 @@ class NofNSkyline:
         vectorised intra-batch prefilter proves which batch members are
         dominated by a younger same-batch member before any query could
         observe them, and those members skip all index / interval-tree
-        / label-set maintenance.  The window-expiry scan is likewise
-        gated once per chunk instead of once per arrival.
+        / label-set maintenance.  The window-expiry sweep runs only at
+        arrivals whose window start passes the oldest live label.
 
         Validation is all-or-nothing: dimension mismatches and invalid
-        values raise before any engine state changes.
+        values raise before any engine state changes.  ``points`` may
+        also be a ``(B, dim)`` NumPy array.
         """
-        elements = self._batch_elements(points, payloads)
+        elements, matrix = batch_elements(points, self._m + 1, self.dim, payloads)
         return self._ingest_batch(
-            elements, [self._assign_label(e) for e in elements]
+            elements, [self._assign_label(e) for e in elements], matrix
         )
 
-    def _batch_elements(
-        self,
-        points: Sequence[Sequence[float]],
-        payloads: Optional[Sequence[Any]],
-    ) -> List[StreamElement]:
-        """Construct and validate the batch's elements without mutating
-        engine state (all-or-nothing ingestion)."""
-        pts = list(points)
-        if payloads is None:
-            payloads = [None] * len(pts)
-        elif len(payloads) != len(pts):
-            raise ValueError(
-                f"got {len(pts)} points but {len(payloads)} payloads"
-            )
-        elements = []
-        for offset, (values, payload) in enumerate(zip(pts, payloads)):
-            element = StreamElement(values, self._m + offset + 1, payload)
-            if len(element.values) != self.dim:
-                raise DimensionMismatchError(self.dim, len(element.values))
-            elements.append(element)
-        return elements
-
     def _ingest_batch(
-        self, elements: List[StreamElement], labels: List[float]
+        self, elements: List[StreamElement], labels: List[float], matrix: Any
     ) -> BatchOutcome:
-        """Run the chunked batch-arrival loop over validated elements."""
+        """Run the chunked batch-arrival loop over validated elements
+        and their ``(B, dim)`` coordinate matrix."""
         started = perf_counter()
         outcomes: List[ArrivalOutcome] = []
         dropped = 0
         for lo, hi in iter_chunks(len(elements), self._batch_chunk):
-            dropped += self._arrive_chunk(elements, labels, lo, hi, outcomes)
+            dropped += self._arrive_chunk(
+                elements[lo:hi], labels[lo:hi], matrix[lo:hi], outcomes
+            )
             if self._sanitizer is not None:
                 self._sanitizer.maybe_verify(self)
         batch = BatchOutcome(tuple(outcomes), prefilter_dropped=dropped)
@@ -301,25 +273,15 @@ class NofNSkyline:
         )
         return batch
 
-    def _chunk_expiry_gate(
-        self, labels: List[float], lo: int, hi: int
-    ) -> bool:
-        """Once-per-chunk expiry gate: if neither the oldest live label
-        nor the chunk's own first label can fall below the window start
-        as of the chunk's *last* arrival, no arrival in the chunk can
-        expire anything (thresholds are monotone)."""
-        threshold_end = self._final_threshold(labels[hi - 1], hi - lo)
-        return labels[lo] < threshold_end or (
-            bool(self._labels) and self._labels.oldest()[0] < threshold_end
-        )
-
     def _expire_step(
         self,
         threshold: float,
         pending: Dict[int, _Record],
         defer: Callable[[int], None],
-    ) -> List[ExpiredRecord]:
-        """Run one arrival's merged pending/indexed expiry sweep."""
+    ) -> Tuple[List[ExpiredRecord], Optional[float]]:
+        """Run one arrival's merged pending/indexed expiry sweep; return
+        what expired and the oldest live label left (``None`` when
+        ``R_N`` is empty)."""
         expired: List[ExpiredRecord] = []
         while True:
             tree_oldest = self._labels.oldest() if self._labels else None
@@ -328,25 +290,24 @@ class NofNSkyline:
                 pend_oldest is None or tree_oldest[0] <= pend_oldest.label
             ):
                 if tree_oldest[0] >= threshold:
-                    break
+                    return expired, tree_oldest[0]
                 expired.append(self._expire(tree_oldest[1], pending, defer))
             elif pend_oldest is not None:
                 if pend_oldest.label >= threshold:
-                    break
+                    return expired, pend_oldest.label
                 expired.append(self._expire_pending(pend_oldest, pending))
             else:
-                break
-        return expired
+                return expired, None
 
     def _arrive_chunk(
         self,
-        elements: List[StreamElement],
+        chunk: List[StreamElement],
         labels: List[float],
-        lo: int,
-        hi: int,
+        block: Any,
         outcomes: List[ArrivalOutcome],
     ) -> int:
-        """Ingest ``elements[lo:hi]``, appending one outcome per element.
+        """Ingest one chunk with its labels and coordinate rows
+        (``block``), appending one outcome per element.
 
         The dominance index is *frozen* for the duration of the chunk:
         both chunk-wide searches (:meth:`DenseIndex.report_dominated_batch`,
@@ -361,7 +322,10 @@ class NofNSkyline:
         until their killer arrives or they expire.  Correctness of the
         shortcut rests on weak dominance being transitive: a pending
         member can never be the critical parent of a surviving member
-        (its killer would doom the survivor too).
+        (its killer would doom the survivor too), and whatever a doomed
+        member dominates, the survivor ending its chain of killers
+        dominates too — so the dominance report searches the index with
+        the survivors alone.
 
         Per-element semantics are reconstructed exactly:
 
@@ -378,16 +342,22 @@ class NofNSkyline:
           when it is gone (by transitivity, an equal point killed at
           this arrival, or an expired member) the walk over
           :meth:`BatchPrefilter.older_weak_dominators`; then they fall
-          back to the frozen-tree answer, walked past entries that died
-          mid-chunk via ``max_kappa_dominator(kappa_below=...)``.
+          back to the frozen index, walked past entries that died
+          mid-chunk via ``max_kappa_dominator(kappa_below=...)``.  Only
+          members with no older same-chunk dominator take the frozen
+          answer from the chunk-wide search; a member whose candidates
+          have all died asks the index with one probe.
+        * the expiry sweep runs only once an arrival's window start
+          passes ``oldest``, a lower bound on the oldest live label
+          (arrivals only add larger labels), and the stats counters are
+          added once per chunk.
         """
-        chunk = elements[lo:hi]
-        points = [e.values for e in chunk]
-        pre = BatchPrefilter(points, k=1)
-        may_expire = self._chunk_expiry_gate(labels, lo, hi)
+        pre = BatchPrefilter(block, k=1)
         rtree = self._rtree
-        victims0 = rtree.report_dominated_batch(points)
-        parents0 = rtree.max_kappa_dominator_batch(points)
+        victims0 = rtree.report_dominated_batch(block, survivors=pre.survivors)
+        youngest = pre.youngest_older
+        roots = [i for i, h in enumerate(youngest) if h < 0]
+        parents0 = dict(zip(roots, rtree.max_kappa_dominator_batch(block[roots])))
         deferred_deletes: List[int] = []
         deferred_inserts: Dict[int, _Record] = {}
 
@@ -395,17 +365,24 @@ class NofNSkyline:
             if deferred_inserts.pop(kappa, None) is None:
                 deferred_deletes.append(kappa)
 
+        oldest = labels[0]
+        if self._labels:
+            oldest = min(oldest, self._labels.oldest()[0])
+        expired_count = dominated_count = rn_sum = rn_peak = 0
         pending: Dict[int, _Record] = {}
         for i, element in enumerate(chunk):
-            label = labels[lo + i]
+            label = labels[i]
             self._m = element.kappa
             self._note_arrival(label)
 
             expired: List[ExpiredRecord] = []
-            if may_expire:
-                expired = self._expire_step(
-                    self._window_start(label), pending, defer_delete
+            threshold = self._window_start(label)
+            if threshold > oldest:
+                expired, stop = self._expire_step(
+                    threshold, pending, defer_delete
                 )
+                oldest = label if stop is None else stop
+                expired_count += len(expired)
 
             dominated: List[StreamElement] = []
             for entry in victims0[i]:
@@ -425,6 +402,7 @@ class NofNSkyline:
                 if parent is not None:
                     parent.children.discard(doomed.element.kappa)
                 dominated.append(doomed.element)
+            dominated_count += len(dominated)
 
             record = _Record(element, label)
             # Intra-chunk parent candidates, youngest first.  Any alive
@@ -433,9 +411,9 @@ class NofNSkyline:
             # chunk survivors can qualify — an *alive* pending dominator
             # would imply the survivor is doomed (transitivity).
             best: Optional[_Record] = None
-            h = pre.youngest_older[i]
-            if h >= 0:
-                kappa_h = chunk[h].kappa
+            head = youngest[i]
+            if head >= 0:
+                kappa_h = chunk[head].kappa
                 best = pending.get(kappa_h) or self._records.get(kappa_h)
                 if best is None:
                     # The youngest candidate is gone: an equal point
@@ -446,7 +424,10 @@ class NofNSkyline:
                         if best is not None:
                             break
             if best is None:
-                parent_entry = parents0[i]
+                parent_entry = (
+                    parents0[i] if head < 0
+                    else rtree.max_kappa_dominator(element.values)
+                )
                 while (
                     parent_entry is not None
                     and parent_entry.kappa not in self._records
@@ -469,11 +450,10 @@ class NofNSkyline:
                 self._labels.append(label, record)
                 self._records[element.kappa] = record
 
-            self.stats.record_arrival(
-                expired=len(expired),
-                dominated=len(dominated),
-                rn_size=len(self._records) + len(pending),
-            )
+            rn_size = len(self._records) + len(pending)
+            rn_sum += rn_size
+            if rn_size > rn_peak:
+                rn_peak = rn_size
             outcomes.append(
                 ArrivalOutcome(
                     element=element,
@@ -483,6 +463,9 @@ class NofNSkyline:
                     expired=tuple(expired),
                 )
             )
+        self.stats.record_arrivals(
+            len(chunk), expired_count, dominated_count, rn_sum, rn_peak
+        )
         if pending:
             raise StructureCorruptionError(
                 f"{len(pending)} doomed batch members survived their chunk"
@@ -490,11 +473,11 @@ class NofNSkyline:
         if deferred_deletes:
             rtree.delete_many(deferred_deletes)
         if deferred_inserts:
-            survivors = list(deferred_inserts.values())
+            rows = [i for i in pre.survivors if chunk[i].kappa in deferred_inserts]
             rtree.insert_many(
-                [r.element.values for r in survivors],
-                [r.element.kappa for r in survivors],
-                survivors,
+                block[rows],
+                [chunk[i].kappa for i in rows],
+                [deferred_inserts[chunk[i].kappa] for i in rows],
             )
         return pre.dropped
 

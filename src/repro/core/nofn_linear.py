@@ -33,6 +33,13 @@ from repro.exceptions import corruption
 from repro.sanitize.sanitizer import SanitizeArg
 
 
+def _rows(points: Sequence[Sequence[float]]) -> List[Sequence[float]]:
+    """A probe chunk as a list of float rows (the pipeline hands the
+    batch methods slices of its ``(B, d)`` matrix)."""
+    tolist = getattr(points, "tolist", None)
+    return tolist() if tolist is not None else list(points)
+
+
 class _ScanIndex:
     """A drop-in replacement for the engine's R-tree: a flat dict.
 
@@ -95,16 +102,24 @@ class _ScanIndex:
         return best
 
     def report_dominated_batch(
-        self, points: Sequence[Sequence[float]]
+        self,
+        points: Sequence[Sequence[float]],
+        survivors: Optional[Sequence[int]] = None,
     ) -> List[List["_ScanIndex._Entry"]]:
         """Non-destructive chunk-wide dominance report: each dominated
         entry lands in the bucket of the *earliest* probe dominating it
         (the arrival whose ``remove_dominated`` would have claimed it);
-        buckets are kappa-sorted."""
-        buckets: List[List[_ScanIndex._Entry]] = [[] for _ in points]
+        buckets are kappa-sorted.  With ``survivors`` (the probes that
+        dominate the rest, as for the dense index) an entry is looked
+        up only once one of them dominates it."""
+        probes = _rows(points)
+        search = probes if survivors is None else [probes[s] for s in survivors]
+        buckets: List[List[_ScanIndex._Entry]] = [[] for _ in probes]
         for kappa in sorted(self._entries):
             entry = self._entries[kappa]
-            for bucket, q in zip(buckets, points):
+            if not any(weakly_dominates(q, entry.point) for q in search):
+                continue
+            for bucket, q in zip(buckets, probes):
                 if weakly_dominates(q, entry.point):
                     bucket.append(entry)
                     break
@@ -113,7 +128,7 @@ class _ScanIndex:
     def max_kappa_dominator_batch(
         self, points: Sequence[Sequence[float]]
     ) -> List[Optional["_ScanIndex._Entry"]]:
-        return [self.max_kappa_dominator(q) for q in points]
+        return [self.max_kappa_dominator(q) for q in _rows(points)]
 
     def delete_many(self, kappas: Sequence[int]) -> List["_ScanIndex._Entry"]:
         return [self._entries.pop(kappa) for kappa in kappas]
@@ -126,7 +141,7 @@ class _ScanIndex:
     ) -> List["_ScanIndex._Entry"]:
         return [
             self.insert(point, kappa, None if datas is None else datas[i])
-            for i, (point, kappa) in enumerate(zip(points, kappas))
+            for i, (point, kappa) in enumerate(zip(_rows(points), kappas))
         ]
 
     def check_invariants(self) -> None:

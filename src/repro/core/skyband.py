@@ -53,13 +53,9 @@ from repro.accel.batch_prefilter import (
     resolve_batch_chunk,
 )
 from repro.accel.stab_cache import StabCache
-from repro.core.element import StreamElement
+from repro.core.element import StreamElement, batch_elements, checked_element
 from repro.core.stats import EngineStats
-from repro.exceptions import (
-    DimensionMismatchError,
-    InvalidWindowError,
-    StructureCorruptionError,
-)
+from repro.exceptions import InvalidWindowError, StructureCorruptionError
 from repro.sanitize.sanitizer import InvariantSanitizer, SanitizeArg
 from repro.structures.dense_index import DenseIndex
 from repro.structures.interval_tree import IntervalHandle, IntervalTree
@@ -152,7 +148,7 @@ class KSkybandEngine:
         """Ingest one stream element; return it.
 
         A point the engine rejects raises before any state changes."""
-        element = self._batch_elements([values], [payload])[0]
+        element = checked_element(values, self._m + 1, self.dim, payload)
         self._m += 1
         self._arrive(element)
         return element
@@ -240,10 +236,11 @@ class KSkybandEngine:
         older-dominator lists while "alive".
 
         Validation is all-or-nothing: dimension mismatches and invalid
-        values raise before any engine state changes.
+        values raise before any engine state changes.  ``points`` may
+        also be a ``(B, dim)`` NumPy array.
         """
-        elements = self._batch_elements(points, payloads)
-        self._ingest_elements(elements)
+        elements, matrix = batch_elements(points, self._m + 1, self.dim, payloads)
+        self._ingest_elements(elements, matrix)
         return elements
 
     def _batch_chunk_size(self) -> int:
@@ -253,47 +250,24 @@ class KSkybandEngine:
         strided kappa sequence)."""
         return min(self._batch_chunk, self.capacity)
 
-    def _ingest_elements(self, elements: List[StreamElement]) -> None:
+    def _ingest_elements(self, elements: List[StreamElement], matrix: Any) -> None:
         """Run the chunked batch-arrival loop over validated elements
-        (kappas already assigned and strictly increasing)."""
+        (kappas already assigned and strictly increasing) and their
+        ``(B, dim)`` coordinate matrix."""
         started = perf_counter()
         dropped = 0
         for lo, hi in iter_chunks(len(elements), self._batch_chunk_size()):
-            dropped += self._arrive_chunk(elements, lo, hi)
+            dropped += self._arrive_chunk(elements[lo:hi], matrix[lo:hi])
             if self._sanitizer is not None:
                 self._sanitizer.maybe_verify(self)
         self.stats.record_batch(
             size=len(elements), dropped=dropped, seconds=perf_counter() - started
         )
 
-    def _batch_elements(
-        self,
-        points: Sequence[Sequence[float]],
-        payloads: Optional[Sequence[Any]],
-    ) -> List[StreamElement]:
-        """Construct and validate the batch's elements without mutating
-        engine state (all-or-nothing ingestion)."""
-        pts = list(points)
-        if payloads is None:
-            payloads = [None] * len(pts)
-        elif len(payloads) != len(pts):
-            raise ValueError(
-                f"got {len(pts)} points but {len(payloads)} payloads"
-            )
-        elements = []
-        for offset, (values, payload) in enumerate(zip(pts, payloads)):
-            element = StreamElement(values, self._m + offset + 1, payload)
-            if len(element.values) != self.dim:
-                raise DimensionMismatchError(self.dim, len(element.values))
-            elements.append(element)
-        return elements
-
-    def _arrive_chunk(
-        self, elements: List[StreamElement], lo: int, hi: int
-    ) -> int:
-        """Ingest ``elements[lo:hi]`` (at most ``capacity`` of them, so
-        no chunk member can expire before its in-chunk ``k``-th
-        dominator arrives).
+    def _arrive_chunk(self, chunk: List[StreamElement], block: Any) -> int:
+        """Ingest one chunk, ``block`` holding its coordinate rows (at
+        most ``capacity`` members, so no chunk member can expire before
+        its in-chunk ``k``-th dominator arrives).
 
         The index is frozen for the chunk: one chunk-wide dominance
         report (all-attribution — every arrival sees its own victims,
@@ -312,7 +286,8 @@ class KSkybandEngine:
           retained (aliveness against ``self._records``);
         * increments *from* chunk survivors *to* chunk survivors come
           from the prefilter's dominance matrix
-          (:meth:`BatchPrefilter.older_weak_victims`) — the prefilter
+          (:meth:`BatchPrefilter.older_weak_victims`, listed for every
+          member in one pass over the matrix) — the prefilter
           bound guarantees they stay below ``k``, so mid-chunk
           survivors reseat but never demote;
         * older-dominator lists merge the intra-chunk stream (alive
@@ -322,16 +297,14 @@ class KSkybandEngine:
           the search: the list only ever feeds their interval encoding,
           which they never get.
         """
-        chunk = elements[lo:hi]
-        points = [e.values for e in chunk]
-        pre = BatchPrefilter(points, k=self.k)
+        pre = BatchPrefilter(block, k=self.k)
         # Expiry gate: if the oldest retained position survives even the
         # chunk's final threshold, no arrival in the chunk can expire
         # anything (chunk members themselves cannot, chunk <= capacity).
         threshold_end = chunk[-1].kappa - self.capacity + 1
         may_expire = bool(self._labels) and self._labels.oldest()[0] < threshold_end
         rtree = self._rtree
-        victims0 = rtree.report_dominated_batch(points, first_only=False)
+        victims0 = rtree.report_dominated_batch(block, first_only=False)
         deferred_deletes: List[int] = []
         deferred_inserts: Dict[int, _BandRecord] = {}
         pending: Dict[int, StreamElement] = {}
@@ -442,11 +415,11 @@ class KSkybandEngine:
         if deferred_deletes:
             rtree.delete_many(deferred_deletes)
         if deferred_inserts:
-            survivors = list(deferred_inserts.values())
+            rows = [i for i in pre.survivors if chunk[i].kappa in deferred_inserts]
             rtree.insert_many(
-                [r.element.values for r in survivors],
-                [r.element.kappa for r in survivors],
-                survivors,
+                block[rows],
+                [chunk[i].kappa for i in rows],
+                [deferred_inserts[chunk[i].kappa] for i in rows],
             )
         return pre.dropped
 

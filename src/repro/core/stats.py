@@ -40,12 +40,31 @@ class EngineStats:
             self.rn_size_peak = rn_size
         self.rn_size_sum += rn_size
 
+    def record_arrivals(
+        self,
+        count: int,
+        expired: int,
+        dominated: int,
+        rn_size_sum: int,
+        rn_size_peak: int,
+    ) -> None:
+        """Account ``count`` maintenance steps at once: the totals of
+        their :meth:`record_arrival` arguments, and the largest
+        ``rn_size`` among them."""
+        self.arrivals += count
+        self.expiries += expired
+        self.dominated_removed += dominated
+        if rn_size_peak > self.rn_size_peak:
+            self.rn_size_peak = rn_size_peak
+        self.rn_size_sum += rn_size_sum
+
     def record_batch(self, size: int, dropped: int, seconds: float) -> None:
         """Account one ``append_many`` call.
 
-        The batch's arrivals are *also* accounted individually through
-        :meth:`record_arrival` (outcome parity with per-element
-        ingestion); these counters describe only the batching itself.
+        The batch's arrivals are *also* accounted through
+        :meth:`record_arrival` or :meth:`record_arrivals` (counter
+        parity with per-element ingestion); these counters describe only
+        the batching itself.
         """
         self.batches += 1
         self.batch_elements += size

@@ -15,9 +15,7 @@ instead of local positions.  Setting ``self._m`` to the arriving
 element's global kappa before running the inherited maintenance makes
 the inherited window-start arithmetic (``self._m - capacity + 1``)
 compute the *global* window start, so expiry is exact at every shard
-arrival; only the batched path's once-per-chunk threshold needs an
-override, because the base class assumes the next ``count`` labels are
-consecutive while a shard's labels advance in strides of ``S``.
+arrival, batched or not.
 
 Between two arrivals a shard lags the global clock, so it may retain
 elements that have already left the global window ("stale" elements).
@@ -31,7 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.core.element import StreamElement
+from repro.core.element import StreamElement, values_matrix
 from repro.core.events import ArrivalOutcome, BatchOutcome
 from repro.core.nofn import NofNSkyline, _record_kappa
 from repro.core.skyband import KSkybandEngine, _band_record_kappa
@@ -92,7 +90,11 @@ class ShardNofNEngine(NofNSkyline):
         elems = self._validate_sub_batch(elements)
         if not elems:
             return BatchOutcome(())
-        return self._ingest_batch(elems, [self._assign_label(e) for e in elems])
+        return self._ingest_batch(
+            elems,
+            [self._assign_label(e) for e in elems],
+            values_matrix(elems, self.dim),
+        )
 
     def _validate_sub_batch(
         self, elements: Sequence[StreamElement]
@@ -109,14 +111,6 @@ class ShardNofNEngine(NofNSkyline):
                 raise DimensionMismatchError(self.dim, len(element.values))
             previous = element.kappa
         return elems
-
-    # -- label hooks ----------------------------------------------------
-
-    def _final_threshold(self, last_label: float, count: int) -> float:
-        """Window start at the chunk's last arrival.  The base class
-        adds ``count`` to ``self._m`` (consecutive labels); a shard's
-        labels stride by ``S``, but the last label is known exactly."""
-        return last_label - self.capacity + 1
 
     # -- misuse guards --------------------------------------------------
 
@@ -228,7 +222,7 @@ class ShardKSkybandEngine(KSkybandEngine):
                 raise DimensionMismatchError(self.dim, len(element.values))
             previous = element.kappa
         if elems:
-            self._ingest_elements(elems)
+            self._ingest_elements(elems, values_matrix(elems, self.dim))
 
     def _batch_chunk_size(self) -> int:
         """Largest chunk spanning at most ``capacity - 1`` kappas under

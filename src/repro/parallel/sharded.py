@@ -34,9 +34,9 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.accel.batch_prefilter import resolve_batch_chunk
-from repro.core.element import StreamElement
+from repro.core.element import StreamElement, batch_elements, checked_element
 from repro.core.stats import EngineStats
-from repro.exceptions import DimensionMismatchError, InvalidWindowError
+from repro.exceptions import InvalidWindowError
 from repro.parallel.executors import ProcessExecutor, SerialExecutor
 from repro.parallel.merge import merge_skyband, merge_skyline
 from repro.parallel.replicas import ReplicaSnapshot, pending_elements
@@ -144,9 +144,7 @@ class _ShardedRouter:
         self, values: Sequence[float], payload: Any = None
     ) -> StreamElement:
         """Ingest one stream element; return it (globally labelled)."""
-        element = StreamElement(values, self._m + 1, payload)
-        if len(element.values) != self.dim:
-            raise DimensionMismatchError(self.dim, len(element.values))
+        element = checked_element(values, self._m + 1, self.dim, payload)
         self._executor.ingest(self._route(element.kappa), element)
         self._m += 1
         self.stats.arrivals += 1
@@ -164,19 +162,7 @@ class _ShardedRouter:
         Validation is all-or-nothing, as everywhere else: a bad point
         anywhere in the batch raises before any shard sees anything.
         """
-        pts = list(points)
-        if payloads is None:
-            payloads = [None] * len(pts)
-        elif len(payloads) != len(pts):
-            raise ValueError(
-                f"got {len(pts)} points but {len(payloads)} payloads"
-            )
-        elements: List[StreamElement] = []
-        for offset, (values, payload) in enumerate(zip(pts, payloads)):
-            element = StreamElement(values, self._m + offset + 1, payload)
-            if len(element.values) != self.dim:
-                raise DimensionMismatchError(self.dim, len(element.values))
-            elements.append(element)
+        elements, _ = batch_elements(points, self._m + 1, self.dim, payloads)
         per_shard: List[List[StreamElement]] = [
             [] for _ in range(self.shards)
         ]

@@ -17,7 +17,8 @@ answers them with NumPy passes over one dense matrix instead:
   a coordinate;
 * dominance reporting is one probes x rows mask (per block of probes),
   built one axis at a time, and the hits come out in kappa order for
-  free;
+  free; a chunk searches with the probes that dominate the rest, then
+  attributes the hit rows with one more mask over them alone;
 * the critical-dominator search sweeps the columns newest-first in
   doubling segments and stops at the first hit, which in kappa order
   *is* the youngest dominator: the paper's best-first stop.  A
@@ -165,10 +166,15 @@ class DenseIndex:
             newest = kappa
 
     def _probes(self, points: Sequence[Sequence[float]]) -> Any:
-        """A probe chunk as an ``(m, dim)`` float64 matrix."""
-        for p in points:
-            if len(p) != self.dim:
-                raise DimensionMismatchError(self.dim, len(p))
+        """A probe chunk (a point sequence or an ``(m, dim)`` matrix) as
+        an ``(m, dim)`` float64 matrix."""
+        if isinstance(points, _np.ndarray):
+            if points.ndim != 2 or points.shape[1] != self.dim:
+                raise DimensionMismatchError(self.dim, points.shape[-1])
+        else:
+            for p in points:
+                if len(p) != self.dim:
+                    raise DimensionMismatchError(self.dim, len(p))
         return _np.asarray(points, dtype=_np.float64).reshape(
             len(points), self.dim
         )
@@ -232,36 +238,37 @@ class DenseIndex:
     ) -> List[DenseEntry]:
         """Append a chunk's survivors in one validated write.
 
+        ``points`` is a point sequence or an ``(m, dim)`` matrix; the
+        dimension and NaN checks run once over the whole chunk.
         ``kappas`` must ascend and start above the newest row's.
         All-or-nothing: every check runs before the first write.
         """
-        if len(points) != len(kappas):
+        count = len(points)
+        if count != len(kappas):
             raise ValueError(
-                f"insert_many got {len(points)} points but "
-                f"{len(kappas)} kappas"
+                f"insert_many got {count} points but {len(kappas)} kappas"
             )
-        if datas is not None and len(datas) != len(points):
+        if datas is not None and len(datas) != count:
             raise ValueError(
-                f"insert_many got {len(points)} points but "
-                f"{len(datas)} payloads"
+                f"insert_many got {count} points but {len(datas)} payloads"
             )
-        coords = [self._coords(p) for p in points]
+        block = self._probes(points)
+        bad = _np.flatnonzero(_np.isnan(block).any(axis=1))
+        if bad.size:
+            self._coords(points[int(bad[0])])  # raises that point's error
         self._check_kappas(kappas)
-        if not coords:
+        if not count:
             return []
-        count = len(coords)
         self._reserve(count)
         start = len(self._rows)
-        self._points[:, start:start + count] = _np.asarray(
-            coords, dtype=_np.float64
-        ).T
+        self._points[:, start:start + count] = block.T
         self._kappas[start:start + count] = kappas
         entries = [
             DenseEntry(
-                c, int(kappas[i]), None if datas is None else datas[i],
+                tuple(c), int(kappas[i]), None if datas is None else datas[i],
                 start + i,
             )
-            for i, c in enumerate(coords)
+            for i, c in enumerate(block.tolist())
         ]
         self._rows.extend(entries)
         for entry in entries:
@@ -356,6 +363,7 @@ class DenseIndex:
         self,
         points: Sequence[Sequence[float]],
         first_only: bool = True,
+        survivors: Optional[Sequence[int]] = None,
     ) -> List[List[DenseEntry]]:
         """Dominated entries for a whole chunk of probes, one probes x
         rows mask per block of :data:`_PROBE_BLOCK` probes.
@@ -368,48 +376,77 @@ class DenseIndex:
         an entry appears in the bucket of *every* probe dominating it.
         Non-destructive: the chunk pipeline applies the removals later
         via :meth:`delete_many`.
+
+        ``survivors`` (first-only attribution) lists the probes that the
+        search over all rows needs: every probe must be weakly
+        dominated by one of them, as the prefilter's survivors dominate
+        each doomed member.  Weak dominance is transitive, so they hit
+        the same rows as the whole chunk; one more mask, over the hit
+        rows alone, then attributes each row to its earliest dominating
+        probe.
         """
         buckets: List[List[DenseEntry]] = [[] for _ in range(len(points))]
         probes = self._probes(points)
         used = len(self._rows)
-        if used == 0:
+        if used == 0 or not len(probes):
             return buckets
         pts = self._points[:, :used]
         rows = self._rows
-        claimed = _np.zeros(used, dtype=bool)
-        for lo in range(0, len(points), _PROBE_BLOCK):
-            block = probes[lo:lo + _PROBE_BLOCK]
-            # Only a column above the block's lower envelope on every
-            # axis can be dominated by one of its probes, and a column
-            # an earlier block claimed is taken.
-            with _mask_buffers():
-                reach = (pts >= block.min(axis=0)[:, None]).all(axis=0)
-                reach &= ~claimed
-                cols = _np.flatnonzero(reach)
-                if not cols.size:
-                    continue
-                # ``np.take`` keeps the gathered matrix C-ordered, so
-                # each axis row stays contiguous for the mask.
-                sub = _np.take(pts, cols, axis=1)
-                dom = block[:, 0, None] <= sub[None, 0]
-                for k in range(1, self.dim):
-                    dom &= block[:, k, None] <= sub[None, k]
-            if first_only:
-                # Probes ascend in arrival order, so the axis-0 argmax
-                # is the earliest probe of the block dominating that
-                # column.
-                hit = _np.flatnonzero(dom.any(axis=0))
-                pos = _np.take(dom, hit, axis=1).argmax(axis=0)
-                cols = cols[hit]
-                claimed[cols] = True
-            else:
+        if not first_only:
+            for lo in range(0, len(probes), _PROBE_BLOCK):
+                cols, dom = self._block_mask(pts, probes[lo:lo + _PROBE_BLOCK])
                 pos, hit = _np.nonzero(dom)
-                cols = cols[hit]
-            for at, col in zip((pos + lo).tolist(), cols.tolist()):
-                entry = rows[col]
-                if entry is not None:
-                    buckets[at].append(entry)
+                for at, col in zip((pos + lo).tolist(), cols[hit].tolist()):
+                    buckets[at].append(rows[col])
+            return buckets
+        search = probes if survivors is None else probes[survivors]
+        if len(search) > _PROBE_BLOCK:
+            # Which probe hits a column does not matter here, so the
+            # probes are blocked in the order of the axis they spread
+            # most along: neighbours make tighter lower envelopes.
+            axis = int(search.var(axis=0).argmax())
+            search = search[_np.argsort(search[:, axis], kind="stable")]
+        claimed = _np.zeros(used, dtype=bool)
+        for lo in range(0, len(search), _PROBE_BLOCK):
+            cols, dom = self._block_mask(
+                pts, search[lo:lo + _PROBE_BLOCK], claimed
+            )
+            claimed[cols[dom.any(axis=0)]] = True
+        cols = _np.flatnonzero(claimed)
+        # Hit columns x probes, so that each row's argmax (the earliest
+        # probe dominating that column) reads a contiguous row.
+        by_axis = _np.ascontiguousarray(probes.T)
+        with _mask_buffers():
+            sub = _np.take(pts, cols, axis=1)
+            dom = sub[0, :, None] >= by_axis[None, 0]
+            for k in range(1, self.dim):
+                dom &= sub[k, :, None] >= by_axis[None, k]
+        for at, col in zip(dom.argmax(axis=1).tolist(), cols.tolist()):
+            buckets[at].append(rows[col])
         return buckets
+
+    def _block_mask(
+        self, pts: Any, block: Any, claimed: Optional[Any] = None
+    ) -> Tuple[Any, Any]:
+        """The columns of ``pts`` a probe of ``block`` may dominate, and
+        the block x columns weak-dominance mask over them.
+
+        Only a column above the block's lower envelope on every axis
+        can be dominated by one of its probes, and a column already
+        ``claimed`` (by an earlier block) is left out.
+        """
+        with _mask_buffers():
+            reach = (pts >= block.min(axis=0)[:, None]).all(axis=0)
+            if claimed is not None:
+                reach &= ~claimed
+            cols = _np.flatnonzero(reach)
+            # ``np.take`` keeps the gathered matrix C-ordered, so each
+            # axis row stays contiguous for the mask.
+            sub = _np.take(pts, cols, axis=1)
+            dom = block[:, 0, None] <= sub[None, 0]
+            for k in range(1, self.dim):
+                dom &= block[:, k, None] <= sub[None, k]
+        return cols, dom
 
     # ------------------------------------------------------------------
     # Critical-dominator search (Algorithm 1 line 14)
@@ -451,7 +488,7 @@ class DenseIndex:
         dominator at all pay for the full depth.
         """
         best: List[Optional[DenseEntry]] = [None] * len(points)
-        if not points:
+        if not len(points):
             return best
         probes = self._probes(points)
         pts = self._points

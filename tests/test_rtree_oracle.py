@@ -20,7 +20,8 @@ block R-tree it replaced.
 * ``report_dominated_batch`` equals per-probe pointer
   ``report_dominated``, each victim under the earliest probe that
   dominates it (``first_only=True``) or under every such probe
-  (``first_only=False``);
+  (``first_only=False``); searching with the chunk's prefilter
+  survivors alone gives the first-only buckets of the whole chunk;
 * ``max_kappa_dominator_batch`` equals per-probe pointer
   ``max_kappa_dominator``;
 * after ``delete_many`` and ``insert_many`` both indexes still agree,
@@ -37,10 +38,12 @@ import contextlib
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.accel.batch_prefilter import intra_batch_survivors
 from repro.core.nofn_linear import _ScanIndex
 from repro.structures import dense_index
 from repro.structures.dense_index import DenseIndex
@@ -310,6 +313,24 @@ class TestSoABatchOracle:
         dense.check_invariants()
 
     @settings(max_examples=60, deadline=None)
+    @given(frozen_cases(max_chunk=40), blocking)
+    def test_report_over_survivors_matches_full_pass(self, case, size):
+        dim, contents, probes, _, _ = case
+        dense = dense_of(dim, contents)
+        pointer = pointer_of(dim, contents)
+        survivors = intra_batch_survivors(probes)
+        with blocked(size):
+            full = kappas_of(dense.report_dominated_batch(probes))
+            got = kappas_of(
+                dense.report_dominated_batch(probes, survivors=survivors)
+            )
+            matrix = kappas_of(dense.report_dominated_batch(
+                np.asarray(probes, dtype=float), survivors=survivors
+            ))
+        assert got == full == matrix
+        assert got == expected_report(pointer, probes, first_only=True)
+
+    @settings(max_examples=60, deadline=None)
     @given(frozen_cases(), blocking)
     def test_max_kappa_dominator_batch_matches_pointer(self, case, size):
         dim, contents, probes, _, _ = case
@@ -407,6 +428,17 @@ class TestScanIndexOracle:
         got = kappas_of(scan.report_dominated_batch(probes))
         assert got == expected_report(pointer, probes, first_only=True)
         assert len(scan) == len(contents)
+
+    @settings(max_examples=40, deadline=None)
+    @given(frozen_cases(max_chunk=40))
+    def test_report_over_survivors_matches_full_pass(self, case):
+        dim, contents, probes, _, _ = case
+        scan = self.scan_of(dim, contents)
+        pointer = pointer_of(dim, contents)
+        survivors = intra_batch_survivors(probes)
+        got = kappas_of(scan.report_dominated_batch(probes, survivors=survivors))
+        assert got == kappas_of(scan.report_dominated_batch(probes))
+        assert got == expected_report(pointer, probes, first_only=True)
 
     @settings(max_examples=40, deadline=None)
     @given(frozen_cases())

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import TimeWindowSkyline
 from repro.baselines.naive import naive_skyline_youngest
+from repro.core.persistence import dumps
 from repro.exceptions import InvalidWindowError
 
 
@@ -17,6 +20,8 @@ class TestConstruction:
             TimeWindowSkyline(dim=2, horizon=0)
         with pytest.raises(InvalidWindowError):
             TimeWindowSkyline(dim=2, horizon=-1.0)
+        with pytest.raises(InvalidWindowError):
+            TimeWindowSkyline(dim=2, horizon=math.nan)
 
     def test_fresh_engine(self):
         engine = TimeWindowSkyline(dim=2, horizon=10.0)
@@ -52,6 +57,39 @@ class TestAppend:
         # All three earlier samples left the 2-unit horizon together.
         assert len(outcome.expired) == 3
         assert engine.rn_size == 1
+
+
+class TestNaNTimestamps:
+    """NaN compares false with everything, so ``t <= 0`` and
+    ``t <= previous`` both let it through; every check is written so
+    that NaN fails it, before any state changes."""
+
+    @staticmethod
+    def fed():
+        engine = TimeWindowSkyline(dim=2, horizon=5.0)
+        engine.append((0.5, 0.2), 1.0)
+        engine.append((0.2, 0.5), 2.0)
+        return engine
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda e: e.append((0.1, 0.1), math.nan),
+            lambda e: e.append_many([(0.1, 0.1)], [math.nan]),
+            lambda e: e.append_many([(0.1, 0.1), (0.2, 0.2)], [3.0, math.nan]),
+            lambda e: e.append_many([(0.1, 0.1), (0.2, 0.2)], [math.nan, 4.0]),
+        ],
+    )
+    def test_rejected_before_any_state_changes(self, call):
+        engine = self.fed()
+        before = dumps(engine)
+        with pytest.raises(ValueError):
+            call(engine)
+        assert dumps(engine) == before
+        assert engine.rn_size == 2 and engine.now == 2.0
+        engine.check_invariants()
+        engine.append((0.1, 0.1), 3.0)
+        engine.check_invariants()
 
 
 class TestQueries:
