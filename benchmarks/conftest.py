@@ -34,23 +34,18 @@ RESULTS_DIR = Path(__file__).parent / "results"
 def archive_machine_fingerprint():
     """Archive the run's fingerprint in ``results/machine.txt``.
 
-    Records cpu_count plus the sharding knobs (``REPRO_BENCH_SHARDS``,
-    ``REPRO_BENCH_SHARD_BACKEND``, ``REPRO_BENCH_SHARD_REPLICAS``) so
-    archived numbers always say how many cores — and what parallel
-    configuration — produced them.
+    Records cpu_count plus ``REPRO_BENCH_SCALE`` so archived numbers
+    always say how many cores, at what scale, produced them.
 
     The file keeps one blank-line-separated block per *distinct*
-    configuration ever benchmarked on this checkout (numbers from a
-    replicas-on run and a replicas-off run are different measurements,
-    and both fingerprints should survive).  Re-running an
-    already-archived configuration rewrites the file byte-identically
-    instead of appending a duplicate block.
+    configuration ever benchmarked on this checkout (numbers from two
+    scales or two machines are different measurements, and both
+    fingerprints should survive).  Re-running an already-archived
+    configuration rewrites the file byte-identically instead of
+    appending a duplicate block.
     """
     info = machine_fingerprint(
         bench_scale=os.environ.get("REPRO_BENCH_SCALE", "1.0"),
-        shards=os.environ.get("REPRO_BENCH_SHARDS", "1"),
-        shard_backend=os.environ.get("REPRO_BENCH_SHARD_BACKEND", "serial"),
-        shard_replicas=os.environ.get("REPRO_BENCH_SHARD_REPLICAS", "auto"),
     )
     block = "".join(f"{key}: {value}\n" for key, value in sorted(info.items()))
     RESULTS_DIR.mkdir(exist_ok=True)

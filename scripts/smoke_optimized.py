@@ -18,7 +18,9 @@ optimisation level it is launched with, and verifies that:
 * every engine rejects a wrong-dimension, NaN or empty point before
   any state changes;
 * restoring an (n1,n2) snapshot rejects a window with a hole, a record
-  beyond ``seen_so_far`` and out-of-range ancestors;
+  beyond ``seen_so_far`` and out-of-range ancestors, and restoring a
+  legacy sharded snapshot rejects unsorted kappas and a ``seen_so_far``
+  below the newest record;
 * a continuous query's trigger list and the query index's expiry map
   are still checked (``trigger-heap``, ``continuous-index``), and
   restoring a continuous snapshot rejects a ``next_id`` that collides
@@ -46,15 +48,12 @@ from repro import (
     NofNSkyline,
     TimeWindowSkyline,
 )
-from repro.core.element import StreamElement
 from repro.core.persistence import SnapshotError, dumps, restore, snapshot
 from repro.exceptions import (
     KeyNotFoundError,
     ReproError,
-    ShardFailureError,
     StructureCorruptionError,
 )
-from repro.parallel import ShardedKSkyband, ShardedNofNSkyline
 
 
 def check(condition: bool, message: str) -> None:
@@ -210,79 +209,6 @@ def smoke_continuous_index(sanitize: str) -> None:
         )
     indexed.check_invariants()
     legacy.check_invariants()
-
-
-def smoke_sharded(
-    sanitize: str, shards: int, backends: tuple, batch_chunk=None
-) -> None:
-    points = points_stream(400, 2, seed=6)
-    reference = NofNSkyline(dim=2, capacity=100)
-    for p in points:
-        reference.append(p)
-    band_reference = KSkybandEngine(dim=2, capacity=100, k=2)
-    for p in points:
-        band_reference.append(p)
-    for backend in backends:
-        with ShardedNofNSkyline(
-            dim=2, capacity=100, shards=shards, backend=backend,
-            sanitize=sanitize, batch_chunk=batch_chunk,
-        ) as router:
-            router.append_many(points[:250])
-            for p in points[250:]:
-                router.append(p)
-            for n in (1, 50, 100):
-                check(
-                    [e.kappa for e in router.query(n)]
-                    == [e.kappa for e in reference.query(n)],
-                    f"sharded/{backend} skyline mismatch at n={n}",
-                )
-            if backend == "process":
-                # Three back-to-back queries with no ingest in between:
-                # at least the later ones must have been answered from
-                # the shared-memory replicas, not the command queues.
-                stats = router.replica_stats()
-                check(
-                    stats is not None and stats["serves"] >= 1,
-                    "process backend answered no query from the "
-                    "shared-memory replicas",
-                )
-            router.check_invariants()
-        with ShardedKSkyband(
-            dim=2, capacity=100, k=2, shards=shards, backend=backend,
-            sanitize=sanitize, batch_chunk=batch_chunk,
-        ) as band:
-            band.append_many(points)
-            check(
-                [e.kappa for e in band.skyband()]
-                == [e.kappa for e in band_reference.skyband()],
-                f"sharded/{backend} skyband mismatch",
-            )
-            band.check_invariants()
-
-
-def smoke_shard_failure_surfaces(shards: int) -> None:
-    """A crashed worker must raise ShardFailureError, never hang.
-
-    With replicas on, a query may legally keep answering from the dead
-    worker's last published snapshot, so the failure is forced to the
-    surface with an explicit IPC barrier (``drain``) instead of a read.
-    """
-    router = ShardedNofNSkyline(
-        dim=2, capacity=20, shards=shards, backend="process", timeout=30.0
-    )
-    try:
-        router.append((0.5, 0.5))
-        # Inject a wrong-dimension element straight into shard 0: the
-        # worker's ingest raises, ships the traceback back, and exits.
-        router._executor.ingest(0, StreamElement((0.1, 0.2, 0.3), 999))
-        try:
-            router.drain()
-            router.query(10)
-        except ShardFailureError:
-            return
-        check(False, "dead shard did not surface as ShardFailureError")
-    finally:
-        router.close()
 
 
 def smoke_corruption_check_survives_dash_o(sanitize: str) -> None:
@@ -459,6 +385,46 @@ def smoke_n1n2_restore_checks_survive_dash_o(sanitize: str) -> None:
                      f"{defect.__name__} (check erased by -O?)")
 
 
+def smoke_sharded_restore_checks_survive_dash_o(sanitize: str) -> None:
+    """A legacy sharded snapshot replays into one engine; its two input
+    checks must still raise under ``-O``."""
+    points = points_stream(30, 2, seed=10)
+    reference = NofNSkyline(dim=2, capacity=8)
+    for point in points:
+        reference.append(point)
+    records = [
+        {"kappa": e.kappa, "values": list(e.values), "payload": None}
+        for e in reference.non_redundant()
+    ]
+    snap = {
+        "format": 1, "kind": "sharded-nofn", "dim": 2, "capacity": 8,
+        "seen_so_far": 30, "records": records,
+    }
+    restored = restore(snap, sanitize=sanitize)
+    restored.check_invariants()
+    check(
+        [e.kappa for e in restored.skyline()]
+        == [e.kappa for e in reference.skyline()],
+        "sharded snapshot replay disagrees with the engine it came from",
+    )
+
+    def unsorted(snap):
+        snap["records"] = snap["records"][::-1]
+
+    def seen_below_newest(snap):
+        snap["seen_so_far"] = snap["records"][-1]["kappa"] - 1
+
+    for defect in (unsorted, seen_below_newest):
+        broken = dict(snap, records=list(records))
+        defect(broken)
+        try:
+            restore(broken)
+        except SnapshotError:
+            continue
+        check(False, f"sharded restore accepted a snapshot with the "
+                     f"defect {defect.__name__} (check erased by -O?)")
+
+
 def fed_continuous_manager(sanitize: str) -> ContinuousQueryManager:
     """Two registered windows (5 and 12) over ``N = 20``, fed 40 points."""
     manager = ContinuousQueryManager(
@@ -537,18 +503,6 @@ def main() -> int:
              "invariant checks under whatever -O / sanitize mode is "
              "active",
     )
-    parser.add_argument(
-        "--shards", type=int, default=0, metavar="S",
-        help="additionally smoke the sharded routers with S shards "
-             "(0 = skip, the default)",
-    )
-    parser.add_argument(
-        "--shard-backend", default="both",
-        choices=("both", "serial", "process"),
-        help="which sharded backend(s) to smoke when --shards > 0; the "
-             "process backend also proves the shared-memory replica "
-             "read path answered queries (default both)",
-    )
     args = parser.parse_args()
     chunk_grid = (None, 1, 7) if args.batch else (None,)
     for chunk in chunk_grid:
@@ -562,28 +516,16 @@ def main() -> int:
     smoke_dense_index_guards_survive_dash_o(args.sanitize)
     smoke_rejected_append_changes_nothing(args.sanitize)
     smoke_n1n2_restore_checks_survive_dash_o(args.sanitize)
+    smoke_sharded_restore_checks_survive_dash_o(args.sanitize)
     smoke_trigger_checks_survive_dash_o(args.sanitize)
     smoke_continuous_restore_checks_survive_dash_o(args.sanitize)
     if args.continuous:
         smoke_continuous_index(args.sanitize)
-    if args.shards:
-        backends = (
-            ("serial", "process") if args.shard_backend == "both"
-            else (args.shard_backend,)
-        )
-        for chunk in chunk_grid:
-            smoke_sharded(args.sanitize, args.shards, backends, chunk)
-        if "process" in backends:
-            smoke_shard_failure_surfaces(args.shards)
     mode = "optimized (-O)" if not __debug__ else "debug"
-    sharded = (
-        f", shards={args.shards} ({args.shard_backend})"
-        if args.shards else ""
-    )
     batch = ", batch-chunks={1, 7}" if args.batch else ""
     continuous = ", continuous-index" if args.continuous else ""
     print(f"smoke_optimized: all engines OK "
-          f"[{mode}, sanitize={args.sanitize}{sharded}{batch}"
+          f"[{mode}, sanitize={args.sanitize}{batch}"
           f"{continuous}]")
     return 0
 

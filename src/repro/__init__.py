@@ -49,11 +49,9 @@ from repro.exceptions import (
     QueryNotRegisteredError,
     ReproError,
     SanitizerReport,
-    ShardFailureError,
     StreamExhaustedError,
     StructureCorruptionError,
 )
-from repro.parallel import ShardedKSkyband, ShardedNofNSkyline
 from repro.sanitize import InvariantSanitizer
 
 __version__ = "1.0.0"
@@ -81,9 +79,6 @@ __all__ = [
     "QueryNotRegisteredError",
     "ReproError",
     "SanitizerReport",
-    "ShardFailureError",
-    "ShardedKSkyband",
-    "ShardedNofNSkyline",
     "StreamElement",
     "StreamExhaustedError",
     "StructureCorruptionError",

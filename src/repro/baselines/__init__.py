@@ -14,7 +14,6 @@ they are interchangeable and cross-checkable.
 
 from repro.baselines.bbs import bbs_progressive, bbs_skyline
 from repro.baselines.bnl import BNLStats, bnl_skyline
-from repro.baselines.dynamic2d import Dynamic2DSkyline
 from repro.baselines.klp import klp_skyline
 from repro.baselines.naive import naive_skyline, naive_skyline_youngest
 from repro.baselines.sfs import SFSStats, sfs_skyline
@@ -22,7 +21,6 @@ from repro.baselines.skyband import k_skyband, k_skyband_sorted
 
 __all__ = [
     "BNLStats",
-    "Dynamic2DSkyline",
     "SFSStats",
     "bbs_progressive",
     "bbs_skyline",

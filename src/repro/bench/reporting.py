@@ -17,10 +17,10 @@ import numpy
 def machine_fingerprint(**extra: object) -> Dict[str, str]:
     """Identity of the measuring machine, for benchmark snapshots.
 
-    Includes ``cpu_count`` so parallel (sharded) numbers are never read
-    without knowing how many cores produced them.  Keyword arguments
-    (e.g. ``shards=...``, ``backends=...``) are stringified into the
-    fingerprint so configuration rides along with machine identity.
+    Includes ``cpu_count`` so no number is read without knowing how many
+    cores produced it.  Keyword arguments (e.g. ``queries=...``) are
+    stringified into the fingerprint so configuration rides along with
+    machine identity.
     """
     info = {
         "platform": platform.platform(),

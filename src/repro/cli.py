@@ -42,12 +42,6 @@ from repro.core.continuous import ContinuousQueryManager
 from repro.core.nofn import NofNSkyline
 from repro.core.query_index import INDEX_MODES, mixed_query_plan
 from repro.core.skyband import KSkybandEngine
-from repro.parallel.sharded import (
-    BACKENDS,
-    REPLICA_MODES,
-    ShardedKSkyband,
-    ShardedNofNSkyline,
-)
 from repro.sanitize.sanitizer import MODES
 from repro.streams.generators import distributions, make_stream
 
@@ -59,9 +53,7 @@ ALGORITHMS = {
     "naive": naive_skyline,
 }
 
-WindowEngine = Union[
-    KSkybandEngine, NofNSkyline, ShardedKSkyband, ShardedNofNSkyline
-]
+WindowEngine = Union[KSkybandEngine, NofNSkyline]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "deterministic mixed distinct/duplicate window "
                           "plan) and maintain them incrementally while "
                           "feeding; prints a summary line at the end; "
-                          "requires --shards 1 and --band 1 (default 0)")
+                          "requires --band 1 (default 0)")
     win.add_argument("--query-index", default="auto",
                      choices=list(INDEX_MODES),
                      help="continuous-query dispatch: auto/on dedupe "
@@ -132,28 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "affected contiguous range by binary search; "
                           "off keeps the per-handle loop (default auto; "
                           "meaningful only with --continuous-queries)")
-    win.add_argument("--shards", type=int, default=1, metavar="S",
-                     help="shard the stream round-robin across S engines "
-                          "and answer queries by fan-out/merge (default 1 "
-                          "= the plain single engine)")
-    win.add_argument("--shard-backend", default="serial",
-                     choices=list(BACKENDS),
-                     help="where shard engines run when --shards > 1: "
-                          "in-process (serial) or one worker process per "
-                          "shard (process); default serial")
-    win.add_argument("--shard-replicas", default="auto",
-                     choices=list(REPLICA_MODES),
-                     help="shared-memory stab-snapshot replicas for the "
-                          "process backend (queries read shard state with "
-                          "zero IPC): auto enables them whenever "
-                          "--shard-backend process, on requires them, off "
-                          "disables them (default auto)")
-    win.add_argument("--shard-replica-lag", type=int, default=0, metavar="L",
-                     help="serve a query from replicas only when every "
-                          "shard trails the stream by at most L unabsorbed "
-                          "elements; a negative value means unbounded "
-                          "(always serve the latest published snapshot); "
-                          "default 0 = replicas must be fully caught up")
 
     sub.add_parser("info", help="version and capability summary")
     return parser
@@ -209,14 +179,10 @@ def _cmd_window(args: argparse.Namespace, out: TextIO) -> int:
     if args.batch_chunk is not None and args.batch_chunk < 1:
         raise ValueError("--batch-chunk must be >= 1")
 
-    if args.shards < 1:
-        raise ValueError("--shards must be >= 1")
     if args.continuous_queries < 0:
         raise ValueError("--continuous-queries must be >= 0")
-    if args.continuous_queries and (args.shards > 1 or args.band > 1):
-        raise ValueError(
-            "--continuous-queries requires --shards 1 and --band 1"
-        )
+    if args.continuous_queries and args.band > 1:
+        raise ValueError("--continuous-queries requires --band 1")
 
     points = _read_points(args.input)
     if not points:
@@ -236,67 +202,34 @@ def _cmd_window(args: argparse.Namespace, out: TextIO) -> int:
     feeder: Union[WindowEngine, ContinuousQueryManager] = (
         manager if manager is not None else engine
     )
-    try:
-        if args.batch:
-            # Batches are clipped at --every boundaries so the reports
-            # land after exactly the same arrivals as per-element replay.
-            fed = 0
-            while fed < len(points):
-                upper = min(fed + args.batch, len(points))
-                if args.every:
-                    next_report = (fed // args.every + 1) * args.every
-                    upper = min(upper, next_report)
-                feeder.append_many(points[fed:upper])
-                fed = upper
-                if args.every and fed % args.every == 0:
-                    _print_result(out, engine, n, label=f"after {fed}")
-        else:
-            for i, point in enumerate(points):
-                feeder.append(point)
-                if args.every and (i + 1) % args.every == 0:
-                    _print_result(out, engine, n, label=f"after {i + 1}")
-        _print_result(out, engine, n, label="final")
-        if manager is not None:
-            _print_continuous(out, manager)
-        if args.batch:
-            _print_batch_stats(out, engine)
-    finally:
-        if isinstance(engine, (ShardedKSkyband, ShardedNofNSkyline)):
-            engine.close()
+    if args.batch:
+        # Batches are clipped at --every boundaries so the reports land
+        # after exactly the same arrivals as per-element replay.
+        fed = 0
+        while fed < len(points):
+            upper = min(fed + args.batch, len(points))
+            if args.every:
+                next_report = (fed // args.every + 1) * args.every
+                upper = min(upper, next_report)
+            feeder.append_many(points[fed:upper])
+            fed = upper
+            if args.every and fed % args.every == 0:
+                _print_result(out, engine, n, label=f"after {fed}")
+    else:
+        for i, point in enumerate(points):
+            feeder.append(point)
+            if args.every and (i + 1) % args.every == 0:
+                _print_result(out, engine, n, label=f"after {i + 1}")
+    _print_result(out, engine, n, label="final")
+    if manager is not None:
+        _print_continuous(out, manager)
+    if args.batch:
+        _print_batch_stats(out, engine)
     return 0
 
 
 def _build_window_engine(args: argparse.Namespace, dim: int) -> WindowEngine:
     query_cache = args.query_cache == "on"
-    if args.shards > 1:
-        # Negative --shard-replica-lag means "unbounded" (None).
-        lag = getattr(args, "shard_replica_lag", 0)
-        replica_lag = None if lag < 0 else lag
-        replicas = getattr(args, "shard_replicas", "auto")
-        if args.band > 1:
-            return ShardedKSkyband(
-                dim=dim,
-                capacity=args.capacity,
-                k=args.band,
-                shards=args.shards,
-                backend=args.shard_backend,
-                sanitize=args.sanitize,
-                query_cache=query_cache,
-                batch_chunk=args.batch_chunk,
-                replicas=replicas,
-                replica_lag=replica_lag,
-            )
-        return ShardedNofNSkyline(
-            dim=dim,
-            capacity=args.capacity,
-            shards=args.shards,
-            backend=args.shard_backend,
-            sanitize=args.sanitize,
-            query_cache=query_cache,
-            batch_chunk=args.batch_chunk,
-            replicas=replicas,
-            replica_lag=replica_lag,
-        )
     if args.band > 1:
         return KSkybandEngine(
             dim=dim,
@@ -357,8 +290,6 @@ def _cmd_info(out: TextIO) -> int:
     print(f"distributions: {', '.join(distributions())}", file=out)
     print(f"static algorithms: {', '.join(sorted(ALGORITHMS))}", file=out)
     print("engines: NofNSkyline, N1N2Skyline, TimeWindowSkyline", file=out)
-    print(f"sharded backends: {', '.join(BACKENDS)}", file=out)
-    print(f"shard replicas: {', '.join(REPLICA_MODES)}", file=out)
     return 0
 
 

@@ -240,29 +240,19 @@ class KSkybandEngine:
         also be a ``(B, dim)`` NumPy array.
         """
         elements, matrix = batch_elements(points, self._m + 1, self.dim, payloads)
-        self._ingest_elements(elements, matrix)
-        return elements
-
-    def _batch_chunk_size(self) -> int:
-        """Largest batch chunk whose members cannot expire before their
-        in-chunk ``k``-th dominator arrives (kappas are consecutive
-        here; the sharded sub-stream variant tightens this for its
-        strided kappa sequence)."""
-        return min(self._batch_chunk, self.capacity)
-
-    def _ingest_elements(self, elements: List[StreamElement], matrix: Any) -> None:
-        """Run the chunked batch-arrival loop over validated elements
-        (kappas already assigned and strictly increasing) and their
-        ``(B, dim)`` coordinate matrix."""
         started = perf_counter()
         dropped = 0
-        for lo, hi in iter_chunks(len(elements), self._batch_chunk_size()):
+        # Chunks span at most ``capacity`` kappas, so no chunk member can
+        # expire before its in-chunk ``k``-th dominator arrives.
+        chunk = min(self._batch_chunk, self.capacity)
+        for lo, hi in iter_chunks(len(elements), chunk):
             dropped += self._arrive_chunk(elements[lo:hi], matrix[lo:hi])
             if self._sanitizer is not None:
                 self._sanitizer.maybe_verify(self)
         self.stats.record_batch(
             size=len(elements), dropped=dropped, seconds=perf_counter() - started
         )
+        return elements
 
     def _arrive_chunk(self, chunk: List[StreamElement], block: Any) -> int:
         """Ingest one chunk, ``block`` holding its coordinate rows (at

@@ -62,21 +62,6 @@ class StreamExhaustedError(ReproError):
     """A finite stream was asked for more elements than it contains."""
 
 
-class ShardFailureError(ReproError):
-    """A shard of a parallel engine failed or stopped responding.
-
-    Raised by the sharded routers (:mod:`repro.parallel`) when a worker
-    process dies, raises, or misses the reply deadline.  ``detail``
-    carries the worker-side traceback when one was captured, so the
-    original failure is never lost to a silent hang on a queue join.
-    """
-
-    def __init__(self, shard: int, detail: str) -> None:
-        super().__init__(f"shard {shard} failed: {detail}")
-        self.shard = shard
-        self.detail = detail
-
-
 @dataclass(frozen=True)
 class SanitizerReport:
     """Structured description of one broken invariant.
@@ -90,7 +75,7 @@ class SanitizerReport:
     ----------
     structure:
         The structure at fault (``"rtree"``, ``"interval_tree"``,
-        ``"labelset"``, ``"rbtree"``, ``"dominance_graph"``, ``"R_N"``,
+        ``"labelset"``, ``"dominance_graph"``, ``"R_N"``,
         ``"engine"`` …).
     invariant:
         Machine-readable invariant name from the catalogue in

@@ -46,22 +46,12 @@ The invariant catalogue (the ``invariant`` field of the report):
 ``stab-cache``      the versioned query cache's answer at each tested
                     stab point equals a fresh stab of the live interval
                     tree (checked whenever a cache is attached)
-``shard-merge``     a sharded router's fan-out/merge answer equals a
-                    brute-force oracle over the union of the shards'
-                    retained in-window elements (which provably equals
-                    the single-engine answer; see
-                    :mod:`repro.parallel.merge`)
-``shard-replica``   a shard's shared-memory replica
-                    (:mod:`repro.parallel.replicas`) answers stabs and
-                    retained suffixes identically to its authoritative
-                    worker engine at the same published version
 ================== ====================================================
 
 plus the structure-level invariants raised by the structures themselves
-(``rbtree-*``, ``slot-mirror``, ``labelset-*``, ``rtree-*`` from the
-pointer R-tree, and ``dense-*`` from the engines'
-dense dominance index — e.g. ``dense-mirror``, its matrix no longer
-mirroring its entry objects).
+(``slot-mirror``, ``labelset-*``, ``rtree-*`` from the pointer R-tree,
+and ``dense-*`` from the engines' dense dominance index — e.g.
+``dense-mirror``, its matrix no longer mirroring its entry objects).
 
 Import discipline
 -----------------
@@ -87,14 +77,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.nofn import NofNSkyline
     from repro.core.skyband import KSkybandEngine
     from repro.core.timewindow import TimeWindowSkyline
-    from repro.parallel.sharded import _ShardedRouter
 
 __all__ = [
     "verify_continuous",
     "verify_n1n2",
     "verify_nofn",
-    "verify_shard_replicas",
-    "verify_sharded",
     "verify_skyband",
     "verify_timewindow",
 ]
@@ -867,150 +854,5 @@ def _verify_query_index(manager: "ContinuousQueryManager", name: str) -> None:
                 "continuous-index",
                 f"group n={group.n} holds kappas {group.result_kappas()}, "
                 f"the mirror replay gives {expected}",
-                engine=name,
-            )
-
-
-# ----------------------------------------------------------------------
-# Sharded routers
-# ----------------------------------------------------------------------
-
-
-def verify_sharded(router: "_ShardedRouter") -> None:
-    """Verify a sharded router's fan-out/merge against a brute oracle.
-
-    The oracle population is the union of the shards' retained
-    in-window elements: it contains every global answer element
-    (Theorem 1 containment per sub-stream) and, for every non-answer it
-    contains, at least ``min(k, true count)`` of its in-window beaters
-    (a shard never prunes the ``k`` youngest in-window dominators of
-    any point) — so the brute-force tie-rule scan over the union equals
-    the single-engine answer.  The merge path under test is entirely
-    different code (vectorised dedupe + Pareto mask, or the capped
-    witness count), which is what makes this a real cross-check.
-
-    Raises
-    ------
-    StructureCorruptionError
-        On the first violated invariant.
-    """
-    name = type(router).__name__
-    m = router.seen_so_far
-    if m == 0:
-        return
-    # Replicas first: a corrupt replica would otherwise surface as a
-    # mysterious shard-merge mismatch when the merge serves from it.
-    verify_shard_replicas(router)
-    k = int(getattr(router, "k", 1))
-    for n in sorted({1, max(1, router.capacity // 2), router.capacity}):
-        stab = max(1, m - n + 1)
-        got = [e.kappa for e in router._merged([stab])[0]]
-        union = router.retained_union(stab)
-        expected = sorted(
-            e.kappa
-            for e in union
-            if sum(1 for f in union if f is not e and _beats(f, e)) < k
-        )
-        if got != expected:
-            raise corruption(
-                "engine",
-                "shard-merge",
-                f"merged answer at stab {stab} (n={n}, k={k}) reported "
-                f"kappas {got}, the retained-union oracle gives "
-                f"{expected}",
-                engine=name,
-            )
-
-
-def verify_shard_replicas(router: "_ShardedRouter") -> None:
-    """Verify a router's shared-memory replicas against its workers.
-
-    Each worker republishes its replica immediately before answering a
-    ``replica_check`` command, and the router is single-threaded, so the
-    replica read here is guaranteed to be at the *same* version as the
-    worker's authoritative reply — the comparison is exact, not
-    best-effort.  Checks the stab answers at the same query sizes
-    :func:`verify_sharded` exercises, the retained witness suffix, and
-    the version/seen labelling itself.  A no-op when replicas are
-    disabled (serial backend or ``replicas="off"``).
-
-    Raises
-    ------
-    StructureCorruptionError
-        With invariant ``shard-replica`` on the first divergence.
-    """
-    from repro.parallel.executors import ProcessExecutor
-
-    if not getattr(router, "_replicas_enabled", False):
-        return
-    executor = router._executor
-    if not isinstance(executor, ProcessExecutor):  # pragma: no cover
-        return
-    readers = executor.replica_readers
-    if readers is None:  # pragma: no cover - enabled implies readers
-        return
-    name = type(router).__name__
-    m = router.seen_so_far
-    if m == 0:
-        return
-    stabs = sorted(
-        {
-            max(1, m - n + 1)
-            for n in (1, max(1, router.capacity // 2), router.capacity)
-        }
-    )
-    witness = min(stabs)
-    replies = executor.replica_check_all(stabs, witness)
-    for shard, reply in enumerate(replies):
-        snapshot = readers[shard].read()
-        if snapshot is None:
-            raise corruption(
-                "engine",
-                "shard-replica",
-                f"shard {shard} has no readable replica immediately "
-                f"after its worker republished (version "
-                f"{reply['version']})",
-                engine=name,
-            )
-        if snapshot.version != reply["version"] or (
-            snapshot.seen != reply["seen"]
-        ):
-            raise corruption(
-                "engine",
-                "shard-replica",
-                f"shard {shard} replica claims version "
-                f"{snapshot.version} (seen {snapshot.seen}) but the "
-                f"worker just published version {reply['version']} "
-                f"(seen {reply['seen']})",
-                engine=name,
-            )
-        for stab, authoritative in zip(stabs, reply["answers"]):
-            got = [(e.kappa, tuple(e.values)) for e in snapshot.stab(stab)]
-            want = [(e.kappa, tuple(e.values)) for e in authoritative]
-            if got != want:
-                raise corruption(
-                    "engine",
-                    "shard-replica",
-                    f"shard {shard} replica stab {stab} answered kappas "
-                    f"{[kappa for kappa, _ in got]}, the authoritative "
-                    f"worker answers {[kappa for kappa, _ in want]} at "
-                    f"the same version {reply['version']}",
-                    engine=name,
-                )
-        got_suffix = [
-            (e.kappa, tuple(e.values))
-            for e in snapshot.retained_suffix(witness)
-        ]
-        want_suffix = [
-            (e.kappa, tuple(e.values)) for e in reply["retained"]
-        ]
-        if got_suffix != want_suffix:
-            raise corruption(
-                "engine",
-                "shard-replica",
-                f"shard {shard} replica retained suffix at stab "
-                f"{witness} holds kappas "
-                f"{[kappa for kappa, _ in got_suffix]}, the worker "
-                f"reports {[kappa for kappa, _ in want_suffix]}",
                 engine=name,
             )

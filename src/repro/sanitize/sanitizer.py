@@ -29,7 +29,6 @@ from repro.sanitize.checks import (
     verify_continuous,
     verify_n1n2,
     verify_nofn,
-    verify_sharded,
     verify_skyband,
     verify_timewindow,
 )
@@ -126,13 +125,8 @@ class InvariantSanitizer:
         from repro.core.nofn import NofNSkyline
         from repro.core.skyband import KSkybandEngine
         from repro.core.timewindow import TimeWindowSkyline
-        from repro.parallel.sharded import _ShardedRouter
 
-        if isinstance(target, _ShardedRouter):
-            # Shard engines re-verify themselves on their own arrivals;
-            # the router-level event checks the fan-out/merge.
-            verify_sharded(target)
-        elif isinstance(target, TimeWindowSkyline):
+        if isinstance(target, TimeWindowSkyline):
             verify_timewindow(target)
         elif isinstance(target, NofNSkyline):
             verify_nofn(target)

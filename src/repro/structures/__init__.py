@@ -2,8 +2,6 @@
 
 Everything here is self-contained and paper-faithful:
 
-* :mod:`repro.structures.rbtree` — augmentable red-black tree (the
-  substrate of the dynamic 2-d skyline baseline);
 * :mod:`repro.structures.interval_tree` — dynamic interval set answering
   stabbing queries over flat slot arrays;
 * :mod:`repro.structures.rtree` — in-memory R-tree with the paper's
@@ -21,7 +19,6 @@ from repro.structures.dense_index import DenseEntry, DenseIndex
 from repro.structures.interval_tree import Interval, IntervalHandle, IntervalTree
 from repro.structures.labelset import LabelSet
 from repro.structures.mbr import MBR
-from repro.structures.rbtree import RedBlackTree
 from repro.structures.rtree import RTree, RTreeEntry
 
 __all__ = [
@@ -32,7 +29,6 @@ __all__ = [
     "IntervalTree",
     "LabelSet",
     "MBR",
-    "RedBlackTree",
     "RTree",
     "RTreeEntry",
 ]

@@ -19,8 +19,7 @@ liveness filter: ``O(m)`` comparisons in NumPy where a balanced
 interval tree would walk ``O(log m + k)`` nodes in the interpreter
 (DESIGN.md §4 gives the trade).  The engines read through
 :class:`repro.accel.stab_cache.StabCache`, which memoizes those passes
-per elementary span, and the shard replicas publish
-:meth:`~IntervalTree.sorted_by_low`.
+per elementary span.
 
 Intervals are half-open ``(low, high]`` — exactly the shape produced by
 the paper's encoding: ``low < t <= high`` means "stabbed".
@@ -226,15 +225,6 @@ class IntervalTree(Generic[D]):
         """
         top = len(self._payloads)
         return self._lows[:top], self._highs[:top], self._payloads
-
-    def sorted_by_low(self) -> Tuple[Any, Any, List[D]]:
-        """Fresh ``(lows, highs, payloads)`` of the live intervals, sorted
-        by ``(low, high)`` — the export the shard replicas publish."""
-        lows, highs, payloads = self.slots()
-        # Dead slots carry low = +inf, which no live low reaches (a
-        # live low is below its high), so they sort past the live ones.
-        order = np.lexsort((highs, lows))[: len(self)]
-        return lows[order], highs[order], [payloads[i] for i in order.tolist()]
 
     # ------------------------------------------------------------------
     # Validation (used by the test suite)

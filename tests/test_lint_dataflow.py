@@ -1,5 +1,5 @@
-"""Tests for the dataflow rule pack (REPRO101-105), the waiver
-accounting, the baseline machinery, and the CLI.
+"""Tests for the dataflow rule pack (REPRO101, REPRO104, REPRO105), the
+waiver accounting, the baseline machinery, and the CLI.
 
 Each rule has a golden fixture triple under ``tests/fixtures/lint/``:
 a seeded violation, the idiomatic fix, and the violation suppressed by
@@ -90,35 +90,6 @@ class TestRepro101ChangesCounter:
         )
         result = analyze_sources({"carrier.py": src})
         assert result.findings == []
-
-
-class TestRepro102Seqlock:
-    def test_violation(self):
-        assert hits("repro102_violation.py") == [
-            ("REPRO102", 23),
-            ("REPRO102", 37),
-        ]
-
-    def test_clean(self):
-        assert hits("repro102_clean.py") == []
-
-    def test_waived(self):
-        result = run_fixture("repro102_waived.py")
-        assert result.findings == []
-        assert result.unused_waivers == []
-
-
-class TestRepro103ShmLifecycle:
-    def test_violation(self):
-        assert hits("repro103_violation.py") == [("REPRO103", 8)]
-
-    def test_clean(self):
-        assert hits("repro103_clean.py") == []
-
-    def test_waived(self):
-        result = run_fixture("repro103_waived.py")
-        assert result.findings == []
-        assert result.unused_waivers == []
 
 
 class TestRepro104MirrorKernels:

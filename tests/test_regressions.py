@@ -202,19 +202,6 @@ class TestTimeWindowQueryScanSemantics:
         assert [e.kappa for e in engine.query_last(5.0)] == [1]
 
 
-class TestNilNodeSlots:
-    """``_NilNode`` once lacked ``__slots__``, so every red-black tree
-    paid for a sentinel ``__dict__`` and — worse — attribute typos on
-    NIL were silently absorbed instead of raising."""
-
-    def test_nil_has_no_dict(self):
-        from repro.structures.rbtree import NIL
-
-        assert not hasattr(NIL, "__dict__")
-        with pytest.raises(AttributeError):
-            NIL.aggregte = 1.0  # typo'd attribute must not be absorbed
-
-
 class TestContinuousHandleSlots:
     """:class:`ContinuousQueryHandle` is allocated per registered query
     and mutated on every trigger; it now declares ``__slots__`` so a

@@ -10,12 +10,11 @@ The engine layers, bottom up:
   (REPRO001-005) plus the shared :class:`Finding` type and the
   ``# lint: skip=`` waiver parser;
 * :mod:`tools.lint.cfg` — per-function control-flow graphs with
-  exception edges and the path queries;
-* :mod:`tools.lint.model` — the cross-module class/protocol model
-  (version counters, seqlock structs, shm wrappers, flat mirrors,
-  snapshot producers/consumers);
-* :mod:`tools.lint.dataflow` — the REPRO101-105 rule pack on top of
-  the two;
+  exception edges and the path query;
+* :mod:`tools.lint.model` — the cross-module class model (version
+  counters, flat mirrors, snapshot producers/consumers);
+* :mod:`tools.lint.dataflow` — the REPRO101, REPRO104 and REPRO105
+  rule pack on top of the two;
 * :mod:`tools.lint.baseline` — the grandfathered-findings file.
 
 Waivers that no longer suppress anything are reported as *unused* so

@@ -1,16 +1,12 @@
 """Per-function control-flow graphs for the dataflow lint rules.
 
-The REPRO101-104 rules are *path* properties ("every path through the
-mutation also bumps the version", "no path from the segment creation
-escapes without a close"), so a flat AST walk cannot express them.  This
-module builds a statement-level CFG for one function and answers the two
-path queries the rules need:
+The REPRO101 and REPRO104 rules are *path* properties ("every path
+through the mutation also bumps the version"), so a flat AST walk cannot
+express them.  This module builds a statement-level CFG for one function
+and answers the path query the rules need:
 
 * :meth:`CFG.must_pass_through` — does **every** entry→exit path that
-  executes a given node also execute a *satisfier* node?  (REPRO101,
-  REPRO102's bracket check, REPRO104.)
-* :meth:`CFG.can_escape` — is there **any** path from a node to an exit
-  that avoids every *resolver* node?  (REPRO103's leak check.)
+  executes a given node also execute a *satisfier* node?
 
 Design points, deliberately simple rather than exactly faithful:
 
@@ -162,41 +158,6 @@ class CFG:
         if count_exceptional and self.raise_exit in after:
             return False
         return True
-
-    def bracketed_by(
-        self,
-        target: int,
-        marker: Callable[[CFGNode], bool],
-    ) -> bool:
-        """Whether ``target`` is *bracketed* by marker nodes: every
-        entry→target path passes a marker before it, **and** every
-        target→exit path passes one after it (the seqlock shape: odd
-        seq word, data writes, even seq word)."""
-        blocked = self._matching(marker)
-        if target in blocked:
-            return True
-        before = self._reach([self.entry], blocked)
-        if target in before:
-            return False  # reachable with no opening marker
-        after = self._reach(self.nodes[target].succ, blocked)
-        return self.exit not in after
-
-    def can_escape(
-        self,
-        start: int,
-        resolver: Callable[[CFGNode], bool],
-        count_exceptional: bool = True,
-    ) -> bool:
-        """Whether some path from ``start``'s completion reaches an exit
-        without executing any resolver node (``start``'s own exception
-        edge excluded — if the operation raised, nothing was produced)."""
-        blocked = self._matching(resolver)
-        if start in blocked:
-            return False
-        after = self._reach(self.nodes[start].succ, blocked)
-        if self.exit in after:
-            return True
-        return count_exceptional and self.raise_exit in after
 
 
 class _LoopFrame:

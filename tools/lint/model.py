@@ -1,16 +1,11 @@
 """Cross-module class/protocol model for the dataflow lint rules.
 
-One pass over every linted file classifies the code the REPRO101-105
-rules care about:
+One pass over every linted file classifies the code the REPRO101,
+REPRO104 and REPRO105 rules care about:
 
 * which classes carry a version counter (``_version``, or the
   continuous-query ``changes`` convention) and which of their
   attributes are *tracked containers* (REPRO101);
-* which modules speak the seqlock protocol — the ``struct.Struct``
-  constants whose name contains ``SEQ``, the control-buffer roots they
-  flip, and the header-reader helpers (REPRO102);
-* which functions wrap ``SharedMemory`` creation and whether the module
-  has an unlink-capable janitor (REPRO103);
 * which classes keep an ``X_kernel`` flat mirror of a tracked
   container (REPRO104);
 * which functions produce snapshot/spec dictionaries and which consume
@@ -29,7 +24,7 @@ import re
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
 
 __all__ = [
-    "ClassModel", "FunctionInfo", "Model", "ModuleModel", "ProducerInfo",
+    "ClassModel", "Model", "ModuleModel", "ProducerInfo",
     "ConsumerInfo", "MUTATOR_NAMES", "VERSION_COUNTER_ATTRS", "build_model",
     "expr_path", "local_aliases", "iter_functions",
 ]
@@ -148,19 +143,6 @@ def iter_functions(tree: ast.AST) -> Iterator[Tuple[str, FunctionNode]]:
     return walk(tree, "")
 
 
-class FunctionInfo:
-    """Per-function facts needed across rule checks."""
-
-    __slots__ = ("qualname", "name", "node", "class_name")
-
-    def __init__(self, qualname: str, node: FunctionNode,
-                 class_name: Optional[str]) -> None:
-        self.qualname = qualname
-        self.name = node.name
-        self.node = node
-        self.class_name = class_name
-
-
 class ProducerInfo:
     """A snapshot/spec-producing function: const keys it writes."""
 
@@ -193,7 +175,7 @@ class ClassModel:
 
     __slots__ = (
         "name", "path", "lineno", "has_version", "version_attr",
-        "tracked_containers", "cache_attrs", "methods", "has_close",
+        "tracked_containers", "cache_attrs", "methods",
     )
 
     def __init__(self, name: str, path: str, lineno: int) -> None:
@@ -209,36 +191,16 @@ class ClassModel:
         #: flat-mirror attrs (``self._axis_kernel = None`` style)
         self.cache_attrs: Set[str] = set()
         self.methods: Dict[str, FunctionNode] = {}
-        self.has_close = False
 
 
 class ModuleModel:
     """Per-file slice of the model."""
 
-    __slots__ = (
-        "path", "tree", "classes", "functions", "struct_names",
-        "seq_struct_names", "control_roots", "header_readers",
-        "shm_wrappers", "has_unlinker", "producers", "consumers",
-    )
+    __slots__ = ("path", "classes", "producers", "consumers")
 
-    def __init__(self, path: str, tree: ast.Module) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.tree = tree
         self.classes: Dict[str, ClassModel] = {}
-        self.functions: List[FunctionInfo] = []
-        #: module-level ``NAME = struct.Struct(...)`` constants
-        self.struct_names: Set[str] = set()
-        #: the subset whose name contains ``SEQ`` — seqlock flip words
-        self.seq_struct_names: Set[str] = set()
-        #: resolved paths seq flips write to (e.g. ``self._control.buf``)
-        self.control_roots: Set[str] = set()
-        #: function/method names that unpack a header from a control root
-        self.header_readers: Set[str] = set()
-        #: functions forwarding a caller-supplied ``create`` flag to
-        #: ``SharedMemory`` (attach-vs-create pass-through wrappers)
-        self.shm_wrappers: Set[str] = set()
-        #: module contains an ``.unlink()``-calling janitor
-        self.has_unlinker = False
         self.producers: List[ProducerInfo] = []
         self.consumers: List[ConsumerInfo] = []
 
@@ -331,89 +293,7 @@ def _scan_class(module: ModuleModel, node: ast.ClassDef) -> None:
     init = model.methods.get("__init__")
     if init is not None:
         _scan_init(model, init)
-    model.has_close = "close" in model.methods
     module.classes[node.name] = model
-
-
-def _scan_structs(module: ModuleModel) -> None:
-    for stmt in module.tree.body:
-        if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
-            continue
-        target = stmt.targets[0]
-        value = stmt.value
-        if not isinstance(target, ast.Name):
-            continue
-        if (isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Attribute)
-                and value.func.attr == "Struct"):
-            module.struct_names.add(target.id)
-            if "SEQ" in target.id.upper():
-                module.seq_struct_names.add(target.id)
-
-
-def _forwards_create_flag(call: ast.Call) -> bool:
-    """True when a ``SharedMemory(...)`` call defers attach-vs-create.
-
-    Either the ``create`` keyword is a non-literal expression (typically
-    a parameter forwarded verbatim) or the call expands ``**kwargs`` so
-    the flag is invisible here.  A literal ``create=True`` / ``False``
-    makes the call a concrete creation/attach site instead.
-    """
-    starred = False
-    for kw in call.keywords:
-        if kw.arg is None:
-            starred = True
-        elif kw.arg == "create":
-            return not isinstance(kw.value, ast.Constant)
-    return starred
-
-
-def _scan_function_protocols(module: ModuleModel, info: FunctionInfo) -> None:
-    fn = info.node
-    aliases = local_aliases(fn)
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        # SharedMemory wrapper?  Only a *pass-through* counts: the call
-        # forwards a non-literal ``create`` flag (``create=create`` or
-        # ``**kwargs``), so the caller decides attach-vs-create and the
-        # wrapper itself has nothing to analyze.  A direct call with a
-        # literal ``create=True`` is a creation site REPRO103 must see.
-        if isinstance(func, ast.Name) and func.id == "SharedMemory":
-            if _forwards_create_flag(node):
-                module.shm_wrappers.add(info.name)
-        if isinstance(func, ast.Attribute) and func.attr == "unlink":
-            module.has_unlinker = True
-        if not isinstance(func, ast.Attribute):
-            continue
-        if not isinstance(func.value, ast.Name):
-            continue
-        struct_name = func.value.id
-        if struct_name not in module.struct_names or not node.args:
-            continue
-        root = resolve_path(node.args[0], aliases)
-        if func.attr == "pack_into" and struct_name in module.seq_struct_names:
-            if root is not None:
-                module.control_roots.add(root)
-
-
-def _scan_header_readers(module: ModuleModel) -> None:
-    """Second pass (needs the full control-root set): find functions
-    that unpack a header struct from a control root."""
-    for info in module.functions:
-        aliases = local_aliases(info.node)
-        for node in ast.walk(info.node):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "unpack_from"
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id in module.struct_names
-                    and node.args):
-                root = resolve_path(node.args[0], aliases)
-                if root is not None and root in module.control_roots:
-                    module.header_readers.add(info.name)
-                    break
 
 
 def _const_str(node: ast.expr) -> Optional[str]:
@@ -422,12 +302,12 @@ def _const_str(node: ast.expr) -> Optional[str]:
     return None
 
 
-def _scan_snapshot_roles(module: ModuleModel, info: FunctionInfo) -> None:
-    fn = info.node
+def _scan_snapshot_roles(module: ModuleModel, qualname: str,
+                         fn: FunctionNode) -> None:
     is_producer_name = bool(_PRODUCER_NAME.search(fn.name))
     producer: Optional[ProducerInfo] = None
     if is_producer_name:
-        producer = ProducerInfo(info.qualname, module.path)
+        producer = ProducerInfo(qualname, module.path)
         for node in ast.walk(fn):
             if isinstance(node, ast.Dict):
                 for key in node.keys:
@@ -447,7 +327,7 @@ def _scan_snapshot_roles(module: ModuleModel, info: FunctionInfo) -> None:
     params.update(arg.arg for arg in fn.args.kwonlyargs)
     if not (params & _CONSUMER_PARAMS):
         return
-    consumer = ConsumerInfo(info.qualname, module.path, fn.lineno)
+    consumer = ConsumerInfo(qualname, module.path, fn.lineno)
     for node in ast.walk(fn):
         if isinstance(node, ast.Subscript) and not isinstance(
             node.ctx, ast.Store
@@ -466,21 +346,12 @@ def _scan_snapshot_roles(module: ModuleModel, info: FunctionInfo) -> None:
 
 
 def build_module_model(path: str, tree: ast.Module) -> ModuleModel:
-    module = ModuleModel(path, tree)
-    _scan_structs(module)
-    class_of: Dict[int, str] = {}
+    module = ModuleModel(path)
     for class_node in ast.walk(tree):
         if isinstance(class_node, ast.ClassDef):
             _scan_class(module, class_node)
-            for stmt in class_node.body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    class_of[id(stmt)] = class_node.name
     for qualname, fn in iter_functions(tree):
-        info = FunctionInfo(qualname, fn, class_of.get(id(fn)))
-        module.functions.append(info)
-        _scan_function_protocols(module, info)
-        _scan_snapshot_roles(module, info)
-    _scan_header_readers(module)
+        _scan_snapshot_roles(module, qualname, fn)
     return module
 
 

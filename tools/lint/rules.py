@@ -78,10 +78,6 @@ RULES: Dict[str, str] = {
     "REPRO005": "hot-path node class without __slots__",
     "REPRO101": "container mutation on a CFG path without a _version "
                 "bump; versioned caches go stale",
-    "REPRO102": "seqlock protocol violation: unbracketed control-buffer "
-                "write or reader without a seq re-check",
-    "REPRO103": "SharedMemory(create=True) can leak: a path (incl. "
-                "exception edges) escapes before close/store/unlink",
     "REPRO104": "mirrored container mutation skips its flat-mirror drop",
     "REPRO105": "snapshot round-trip parity: key persisted but never "
                 "restored, or required but never produced",
@@ -261,7 +257,7 @@ def collect_flat_findings(path: str, tree: ast.Module) -> List[Finding]:
 
 def check_source(path: str, source: str) -> List[Finding]:
     """Lint one file's source with the full rule pack (flat rules plus
-    the REPRO101-105 dataflow pack, modelled over this file alone);
+    the REPRO1xx dataflow pack, modelled over this file alone);
     returns unsuppressed findings."""
     # Local import: the engine builds on rules, model and dataflow; this
     # keeps the historical ``from tools.lint.rules import check_source``
