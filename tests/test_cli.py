@@ -153,6 +153,16 @@ class TestWindow:
         )
         assert code == 2 and "--band" in err
 
+    @pytest.mark.parametrize("flag", [
+        "--shards", "--shard-backend", "--shard-replicas",
+        "--shard-replica-lag",
+    ])
+    def test_shard_flags_are_retired(self, capsys, stream_file, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["window", stream_file, "--capacity", "4", flag, "2"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestInfo:
     def test_info_summary(self, capsys):
@@ -161,6 +171,7 @@ class TestInfo:
         assert "repro" in out
         assert "NofNSkyline" in out
         assert "anticorrelated" in out
+        assert "shard" not in out
 
 
 class TestPipelines:

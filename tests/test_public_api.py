@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
 from repro import exceptions
+
+from tests.conftest import random_points
 
 
 class TestPackageSurface:
@@ -56,6 +63,77 @@ class TestPackageSurface:
                     continue
                 if inspect.isfunction(member):
                     assert member.__doc__, f"{cls.__name__}.{name}"
+
+
+class TestRetiredSurface:
+    """The sharded parallel tier and the red-black tree baseline are
+    gone; ``import repro`` no longer pulls in ``multiprocessing``."""
+
+    RETIRED = (
+        "ShardedNofNSkyline", "ShardedKSkyband", "ShardFailureError",
+        "Dynamic2DSkyline", "RedBlackTree",
+    )
+
+    @pytest.mark.parametrize("name", RETIRED)
+    def test_name_is_gone(self, name):
+        import repro.baselines as baselines
+        import repro.structures as structures
+
+        for module in (repro, exceptions, baselines, structures):
+            assert name not in getattr(module, "__all__", ())
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+    @pytest.mark.parametrize("module", [
+        "repro.parallel", "repro.baselines.dynamic2d", "repro.structures.rbtree",
+    ])
+    def test_module_is_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    def test_import_does_not_load_multiprocessing(self):
+        probe = (
+            "import sys, repro, repro.cli; "
+            "print('multiprocessing' in sys.modules)"
+        )
+        # A fresh interpreter importing the package under test.
+        src = Path(repro.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert result.stdout.strip() == "False"
+
+
+class TestIntrospectionUniformity:
+    """Every engine-like object answers the same introspection probes."""
+
+    PROBES = ("structure_version", "cache_stats", "stab_cache")
+
+    def build_all(self, rng):
+        points = random_points(rng, 2, 30, grid=6)
+        engines = [
+            repro.NofNSkyline(dim=2, capacity=10),
+            repro.KSkybandEngine(dim=2, capacity=10, k=2),
+            repro.ApproxNofNSkyline(dim=2, capacity=10, epsilon=0.25),
+            repro.ContinuousQueryManager(repro.NofNSkyline(dim=2, capacity=10)),
+        ]
+        for engine in engines:
+            for point in points:
+                engine.append(point)
+        window = repro.TimeWindowSkyline(dim=2, horizon=5.0)
+        for i, point in enumerate(points):
+            window.append(point, float(i + 1))
+        engines.append(window)
+        return engines
+
+    def test_uniform_surface(self, rng):
+        for engine in self.build_all(rng):
+            for probe in self.PROBES:
+                assert hasattr(engine, probe), (type(engine), probe)
+            assert engine.structure_version > 0
+            stats = engine.cache_stats()
+            assert stats is None or "misses" in stats
 
 
 class TestExceptionHierarchy:
