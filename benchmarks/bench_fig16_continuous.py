@@ -11,9 +11,12 @@ reasonable", especially at low dimensionality — but cnN wins.
 
 Reproduction: windows ``N_small = scaled(500)`` and
 ``N_large = scaled(2000)``, 5 continuous queries each (``n = i*N/5``),
-streams of ``N_large + scaled(2000)`` elements.  Expected shape: cnN's
-average delay at or below nN-rerun's in every stream, with the gap
-widening where skylines are larger (anti-correlated, d=5).
+streams of ``N_large + scaled(2000)`` elements.  Here cnN is
+:class:`ContinuousQueryManager`, which keeps the same results as
+Algorithm 2 but counts them from Proposition 1 in closed form instead
+of firing triggers.  Expected shape: cnN's average delay at or below
+nN-rerun's in every stream, with the gap widening where skylines are
+larger (anti-correlated, d=5).
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ def _query_plan(capacity: int):
 
 
 def _run_cnn(dist: str, dim: int, points, capacities) -> PerElementCost:
-    """Trigger-based continuous maintenance (Algorithm 2)."""
+    """Continuous maintenance (Proposition 1 in closed form)."""
     engine = NofNSkyline(dim, max(capacities))
     manager = ContinuousQueryManager(engine)
     for capacity in capacities:
@@ -153,18 +156,17 @@ QUERY_SWEEP = (4, 16, 64, 256)
 
 
 def test_fig16_query_count_sweep(report, benchmark):
-    """Per-arrival dispatch cost versus registered-query count Q.
+    """Per-arrival manager cost versus registered-query count Q.
 
-    Runs the same arrivals through an indexed manager
-    (``query_index="on"``) and the seed per-handle loop
-    (``query_index="off"``) at each Q in the sweep, both consuming
-    identical engine outcomes.  The indexed cost must grow sublinearly:
-    its dispatch is ``O(log Q + affected)``, so the top-of-sweep ratio
-    indexed(Qmax)/indexed(Qmin) has to stay well under the query-count
-    ratio (64x here).  The legacy/indexed comparison at the top of the
-    sweep is reported but not asserted — absolute speedups live in
-    ``scripts/bench_snapshot.py`` where they are floor-checked against
-    a committed snapshot.
+    Feeds the same arrivals to one manager per Q, engine outcomes
+    produced untimed, and times the manager's ``process`` alone.  Its
+    cost must grow sublinearly: every window's changes come from one
+    difference array over the sorted window axis, so the top-of-sweep
+    ratio manager(Qmax)/manager(Qmin) has to stay well under the
+    query-count ratio (64x here).  Figure 16's nN-rerun over the same
+    engine state (one ``engine.query(n)`` per distinct window after
+    each arrival) is reported beside it but not asserted — the
+    committed ratios live in ``scripts/bench_snapshot.py``.
     """
     from repro.core.query_index import mixed_query_plan
 
@@ -180,37 +182,37 @@ def test_fig16_query_count_sweep(report, benchmark):
             engine = NofNSkyline(dim, capacity)
             for point in prefill:
                 engine.append(point)
-            indexed = ContinuousQueryManager(engine, query_index="on")
-            legacy = ContinuousQueryManager(engine, query_index="off")
-            for n in mixed_query_plan(count, capacity):
-                indexed.register(n)
-                legacy.register(n)
-            timings = {"indexed": 0.0, "legacy": 0.0}
-            for i, point in enumerate(points):
+            manager = ContinuousQueryManager(engine)
+            plan = mixed_query_plan(count, capacity)
+            for n in plan:
+                manager.register(n)
+            windows = sorted(set(plan))
+            timings = {"manager": 0.0, "rerun": 0.0}
+            for point in points:
                 outcome = engine.append(point)
-                order = (
-                    ("indexed", indexed), ("legacy", legacy)
-                ) if i % 2 else (("legacy", legacy), ("indexed", indexed))
-                for label, manager in order:
-                    start = time.perf_counter()
-                    manager.process(outcome)
-                    timings[label] += time.perf_counter() - start
+                start = time.perf_counter()
+                manager.process(outcome)
+                timings["manager"] += time.perf_counter() - start
+                start = time.perf_counter()
+                for n in windows:
+                    engine.query(n)
+                timings["rerun"] += time.perf_counter() - start
             per_arrival[count] = {
                 label: total / arrivals for label, total in timings.items()
             }
 
     benchmark.pedantic(run_sweep, rounds=1, iterations=1)
 
-    headers = ["Q", "indexed avg", "legacy avg", "legacy/indexed"]
+    headers = ["Q", "manager avg", "nN-rerun avg", "rerun/manager"]
     rows = []
     for count in QUERY_SWEEP:
         entry = per_arrival[count]
-        ratio = entry["legacy"] / max(entry["indexed"], 1e-12)
+        ratio = entry["rerun"] / max(entry["manager"], 1e-12)
         rows.append(
             [
                 str(count),
-                format_seconds(entry["indexed"]),
-                format_seconds(entry["legacy"]),
+                format_seconds(entry["manager"]),
+                format_seconds(entry["rerun"]),
                 f"x{ratio:.2f}",
             ]
         )
@@ -225,10 +227,10 @@ def test_fig16_query_count_sweep(report, benchmark):
     )
 
     lo, hi = QUERY_SWEEP[0], QUERY_SWEEP[-1]
-    growth = per_arrival[hi]["indexed"] / max(per_arrival[lo]["indexed"], 1e-12)
+    growth = per_arrival[hi]["manager"] / max(per_arrival[lo]["manager"], 1e-12)
     if growth > (hi / lo) / 2.0:
         raise AssertionError(
-            f"indexed per-arrival cost grew x{growth:.1f} from Q={lo} to "
+            f"manager per-arrival cost grew x{growth:.1f} from Q={lo} to "
             f"Q={hi} — dispatch should be sublinear in Q "
             f"(query-count ratio is x{hi // lo})"
         )

@@ -11,7 +11,7 @@ recency horizon at once.
 This example simulates a ticker, registers three user profiles
 (day-trader / swing / long view) as **continuous queries** so their
 top-deal lists stay current per tick, and prints the per-profile
-results plus the trigger-list statistics.
+results plus each profile's count of result changes.
 
 Run: ``python examples/stock_ticker.py``
 """

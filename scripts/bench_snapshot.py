@@ -20,20 +20,20 @@ Produces three JSON files (default: the repository root):
 ``BENCH_continuous.json``
     Per-arrival continuous-query maintenance cost versus registered
     query count Q in {10, 100, 1000, 10000} (a deterministic mixed
-    distinct/duplicate window plan), comparing the seed per-handle
-    O(Q) dispatch loop (``legacy``), the sorted query-index routing
-    path (``indexed``) and the vectorised batch routing path
-    (``indexed_batch``) — same engine outcomes drive every variant, so
-    the speedups are machine-portable.  The batched path runs on its
-    own engine, chunk by chunk, interleaved with the per-arrival chunks
-    (which side goes first alternates), so both sides of
-    ``batch_speedup`` meet the same machine drift.
-    ``indexed_growth_q100_to_q10000``
-    is the measured indexed-cost growth across a 100x query-count
-    growth; sublinear dispatch keeps it far below 100.  This kind uses
-    the ``independent`` distribution: the routing *dispatch* is what is
-    measured, and the anticorrelated skylines' huge per-arrival change
-    sets are shared work that would only mask the dispatch term.
+    distinct/duplicate window plan).  Only the manager is timed: the
+    engine produces each outcome untimed, then ``process`` (``manager``)
+    or, chunk by chunk on a second engine, ``process_batch``
+    (``manager_batch``, per arrival) consumes it.  The denominator of
+    ``speedup`` and ``batch_speedup`` is Figure 16's nN-rerun
+    (``rerun``): one ``engine.query(n)`` per distinct registered ``n``
+    on the same engine state after an arrival, in the same run, so the
+    ratios are machine-portable.  Chunks of the two paths interleave
+    (which goes first alternates).  ``growth_q100_to_q10000`` is the
+    manager's cost growth across a 100x query-count growth; it must
+    stay far below 100.  This kind uses the ``independent``
+    distribution, where result churn stays small and the dispatch term
+    is what is measured.  Every profile is the field-wise lower median
+    of ``CONTINUOUS_RUNS`` runs, and ``--check`` takes the same median.
 
 Each file holds up to two profiles: ``full`` (the committed reference,
 N = 100k) and ``quick`` (small, seconds-scale; what CI runs).  A run
@@ -44,12 +44,12 @@ quick numbers without touching the committed full ones.
 committed snapshot at the repository root and exits non-zero when a
 speedup ratio regressed by more than ``REGRESSION_TOLERANCE``.  Ratios
 are machine-portable; absolute latencies are compared only when the
-machine fingerprint matches the committed one.  The ``query`` kind runs
-``perfbench/speed.py``'s probe between its timed points and records
-each variant's ``speed`` (probe time over ``REFERENCE_S``); when the
-committed variant carries one, both cached medians are divided by
-their own run's speed before the band applies, so the machine's drift
-between the two runs cancels.
+machine fingerprint matches the committed one.  The ``query`` and
+``continuous`` kinds run ``perfbench/speed.py``'s probe between their
+timed points and record each variant's ``speed`` (probe time over
+``REFERENCE_S``); when the committed entry carries one, both medians
+are divided by their own run's speed before the band applies, so the
+machine's drift between the two runs cancels.
 
 Usage::
 
@@ -112,39 +112,29 @@ PROFILES = {
 #: distinct/duplicate windows via ``mixed_query_plan``).
 CONTINUOUS_QUERY_COUNTS = (10, 100, 1000, 10000)
 #: The continuous kind measures *dispatch*: how fast one arrival's
-#: change records reach Q registered queries.  Anticorrelated streams
-#: bury that term under enormous shared result churn, so this kind
-#: feeds independent points instead.
+#: outcome reaches Q registered queries.  Anticorrelated streams bury
+#: that term under enormous shared result churn, so this kind feeds
+#: independent points at d=2 instead.
 CONTINUOUS_DISTRIBUTION = "independent"
-#: Dim sweep for the continuous kind, again narrower than ``DIMS`` for
-#: the same reason as the distribution: at d>=3 an independent-stream
-#: skyline holds hundreds of members, so nearly every group's oldest
-#: member sits at its window edge and fires a *genuine* trigger on
-#: nearly every arrival.  That cascade work is identical on both sides
-#: of the ratio, capping it near the dedupe factor regardless of how
-#: fast dispatch is.  d=2 keeps result churn small (tens of members),
-#: so the sweep isolates the O(Q) -> O(log Q + affected) term.
 CONTINUOUS_DIMS = (2,)
-#: At Q=1000 the indexed path must beat the seed per-handle loop by at
-#: least this factor (both sides process identical outcomes in the same
-#: run, so the ratio is machine-portable).  The measured quick ratio is
-#: far higher; 5x is the committed acceptance floor.
-CONTINUOUS_SPEEDUP_FLOOR = 5.0
-#: Indexed per-arrival cost growth over the Q=100 -> Q=10000 sweep
-#: (a 100x query-count growth).  Routing is O(log Q + affected), so the
-#: measured growth must stay well below linear; 50 = half of linear is
-#: a generous ceiling that still catches an accidental O(Q) path.
+#: Manager per-arrival cost growth over the Q=100 -> Q=10000 sweep
+#: (a 100x query-count growth).  50 = half of linear is a generous
+#: ceiling that still catches an accidental O(Q) path.
 CONTINUOUS_GROWTH_MAX = 50.0
-#: The window must be large relative to the distinct-group pool
-#: (``CONTINUOUS_QUERY_COUNTS[-1] / 2`` groups at the top sweep point):
-#: a group with window ``n`` fires its expiry trigger at a rate that
-#: shrinks with ``n``, so packing thousands of groups into a few
-#: hundred positions makes every arrival churn nearly every group —
-#: shared work both sides pay equally that buries the dispatch term
-#: this kind exists to measure.
+#: Runs behind every continuous profile, written and checked alike:
+#: each stored number is the field-wise lower median of this many.
+CONTINUOUS_RUNS = 3
+#: Arrivals per chunk: one ``process_batch`` call on the batched path,
+#: and one nN-rerun sample (after the chunk's last arrival) on the
+#: per-arrival path.
+CONTINUOUS_CHUNK = 25
+#: The window must be large relative to the distinct-window pool
+#: (``CONTINUOUS_QUERY_COUNTS[-1] / 2`` at the top sweep point), or
+#: nearly every arrival churns nearly every window — shared work that
+#: buries the dispatch term this kind exists to measure.
 CONTINUOUS_PROFILES = {
-    "full": {"window": 20000, "arrivals": 400},
-    "quick": {"window": 5000, "arrivals": 120},
+    "full": {"window": 20000, "chunks": 40},
+    "quick": {"window": 5000, "chunks": 20},
 }
 
 
@@ -320,93 +310,101 @@ def _prefilled_engine(dim: int, window: int, points: List[Any]) -> NofNSkyline:
     return engine
 
 
-def bench_continuous_dim(dim: int, profile: Dict[str, int]) -> Dict[str, Any]:
-    window = profile["window"]
-    prefill = list(
-        make_stream(CONTINUOUS_DISTRIBUTION, dim, window, SEED)
-    )
-    arrivals = list(
-        make_stream(CONTINUOUS_DISTRIBUTION, dim, profile["arrivals"], SEED + 3)
-    )
+def _continuous_run(
+    dim: int, window: int, prefill: List[Any], arrivals: List[Any]
+) -> Dict[str, Any]:
+    """One timed pass over the Q sweep (see the module docstring)."""
     results: Dict[str, Any] = {}
     for count in CONTINUOUS_QUERY_COUNTS:
         plan = mixed_query_plan(count, window)
-        # One engine drives both per-arrival managers with identical
-        # outcomes: every timed sample pair saw exactly the same change
-        # records.  The batched routing path replays the same arrivals
-        # through append_many on its own engine (outcomes must reach a
-        # manager exactly once, in order).
+        windows = sorted(set(plan))
         engine = _prefilled_engine(dim, window, prefill)
-        indexed = ContinuousQueryManager(engine, query_index="on")
-        legacy = ContinuousQueryManager(engine, query_index="off")
+        manager = ContinuousQueryManager(engine)
         batch_engine = _prefilled_engine(dim, window, prefill)
-        batched = ContinuousQueryManager(batch_engine, query_index="on")
+        batched = ContinuousQueryManager(batch_engine)
         for n in plan:
-            indexed.register(n)
-            legacy.register(n)
+            manager.register(n)
             batched.register(n)
-        indexed_ns: List[int] = []
-        legacy_ns: List[int] = []
+        manager_ns: List[int] = []
         batch_ns: List[int] = []
+        rerun_ns: List[int] = []
+        probes: List[float] = []
 
-        def per_arrival_chunk(piece: List[Any], first: int) -> None:
-            for i, point in enumerate(piece, start=first):
+        def per_arrival_chunk(piece: List[Any]) -> None:
+            for point in piece:
                 outcome = engine.append(point)
-                # Alternate which manager processes first so cache-cold
-                # penalties land on both sides equally.
-                pair = [(indexed, indexed_ns), (legacy, legacy_ns)]
-                if i % 2:
-                    pair.reverse()
-                for manager, sink in pair:
-                    tick = time.perf_counter_ns()
-                    manager.process(outcome)
-                    sink.append(time.perf_counter_ns() - tick)
+                tick = time.perf_counter_ns()
+                manager.process(outcome)
+                manager_ns.append(time.perf_counter_ns() - tick)
+            tick = time.perf_counter_ns()
+            for n in windows:
+                engine.query(n)
+            rerun_ns.append(time.perf_counter_ns() - tick)
 
         def batch_chunk(piece: List[Any]) -> None:
             outcome_batch = batch_engine.append_many(piece)
             tick = time.perf_counter_ns()
             batched.process_batch(outcome_batch)
-            per_arrival = (time.perf_counter_ns() - tick) // len(piece)
-            batch_ns.extend([per_arrival] * len(piece))
+            batch_ns.append((time.perf_counter_ns() - tick) // len(piece))
 
-        # Both sides run chunk by chunk, interleaved, and which side
-        # goes first alternates, so machine drift over the run lands
-        # on the per-arrival loops and the batched path alike.
-        chunk = 50
-        for index, lower in enumerate(range(0, len(arrivals), chunk)):
-            piece = arrivals[lower:lower + chunk]
+        for index, lower in enumerate(
+            range(0, len(arrivals), CONTINUOUS_CHUNK)
+        ):
+            piece = arrivals[lower:lower + CONTINUOUS_CHUNK]
+            probes.append(probe())
             if index % 2:
                 batch_chunk(piece)
-                per_arrival_chunk(piece, lower)
+                per_arrival_chunk(piece)
             else:
-                per_arrival_chunk(piece, lower)
+                per_arrival_chunk(piece)
                 batch_chunk(piece)
-        stats = indexed.query_index_stats() or {}
         entry: Dict[str, Any] = {
-            "groups": stats.get("groups", 0),
-            "legacy": summarize(legacy_ns),
-            "indexed": summarize(indexed_ns),
-            "indexed_batch": summarize(batch_ns),
+            "groups": len(windows),
+            "manager": summarize(manager_ns),
+            "manager_batch": summarize(batch_ns),
+            "rerun": summarize(rerun_ns),
+            "speed": round(speed(probes), 3),
         }
-        entry["speedup"] = round(
-            entry["legacy"]["median_us"]
-            / max(entry["indexed"]["median_us"], 1e-9),
-            2,
-        )
-        entry["batch_speedup"] = round(
-            entry["legacy"]["median_us"]
-            / max(entry["indexed_batch"]["median_us"], 1e-9),
-            2,
-        )
+        for ratio_key, variant in (("speedup", "manager"),
+                                   ("batch_speedup", "manager_batch")):
+            entry[ratio_key] = round(
+                entry["rerun"]["median_us"]
+                / max(entry[variant]["median_us"], 1e-9),
+                2,
+            )
         results[f"q{count}"] = entry
     top = CONTINUOUS_QUERY_COUNTS[-1]
-    results["indexed_growth_q100_to_q10000"] = round(
-        results[f"q{top}"]["indexed"]["median_us"]
-        / max(results["q100"]["indexed"]["median_us"], 1e-9),
+    results["growth_q100_to_q10000"] = round(
+        results[f"q{top}"]["manager"]["median_us"]
+        / max(results["q100"]["manager"]["median_us"], 1e-9),
         2,
     )
     results["query_count_growth"] = round(top / 100, 1)
     return results
+
+
+def _lower_median(runs: List[Any]) -> Any:
+    """The field-wise lower median of equally shaped result trees, so
+    every stored number is one measured value."""
+    if isinstance(runs[0], dict):
+        return {key: _lower_median([run[key] for run in runs])
+                for key in runs[0]}
+    return statistics.median_low(runs)
+
+
+def bench_continuous_dim(dim: int, profile: Dict[str, int]) -> Dict[str, Any]:
+    window = profile["window"]
+    prefill = list(
+        make_stream(CONTINUOUS_DISTRIBUTION, dim, window, SEED)
+    )
+    arrivals = list(make_stream(
+        CONTINUOUS_DISTRIBUTION, dim,
+        profile["chunks"] * CONTINUOUS_CHUNK, SEED + 3,
+    ))
+    return _lower_median([
+        _continuous_run(dim, window, prefill, arrivals)
+        for _ in range(CONTINUOUS_RUNS)
+    ])
 
 
 def run_profile(name: str, kind: str) -> Dict[str, Any]:
@@ -429,11 +427,10 @@ def run_profile(name: str, kind: str) -> Dict[str, Any]:
         print(f"[{kind}/{name}] d={dim} N={profile['window']} ...",
               file=sys.stderr)
         results[f"d{dim}"] = bench(dim, profile)
-    return {
-        "config": dict(profile, distribution=distribution, seed=SEED),
-        "machine": machine,
-        "results": results,
-    }
+    config = dict(profile, distribution=distribution, seed=SEED)
+    if kind == "continuous":
+        config.update(chunk=CONTINUOUS_CHUNK, runs=CONTINUOUS_RUNS)
+    return {"config": config, "machine": machine, "results": results}
 
 
 def merge_snapshot(path: Path, kind: str,
@@ -467,37 +464,9 @@ def check_regression(fresh: Dict[str, Any], committed_path: Path,
         if base_dim is None:
             continue
         if kind == "continuous":
-            where = f"continuous/{dim_key}"
-            # Absolute floors first: both sides of every ratio process
-            # identical outcomes in one run, so they are machine-portable.
-            q1000 = fresh_dim["q1000"]["speedup"]
-            if q1000 < CONTINUOUS_SPEEDUP_FLOOR:
-                failures.append(
-                    f"{where}: indexed dispatch at Q=1000 is only "
-                    f"{q1000}x the per-handle loop "
-                    f"(floor {CONTINUOUS_SPEEDUP_FLOOR})"
-                )
-            growth = fresh_dim["indexed_growth_q100_to_q10000"]
-            if growth > CONTINUOUS_GROWTH_MAX:
-                failures.append(
-                    f"{where}: indexed cost grew {growth}x from Q=100 "
-                    f"to Q=10000 (max {CONTINUOUS_GROWTH_MAX}: dispatch "
-                    f"must stay sublinear in Q)"
-                )
-            # Then the committed-ratio band.
-            for count in CONTINUOUS_QUERY_COUNTS:
-                q_key = f"q{count}"
-                for ratio_key in ("speedup", "batch_speedup"):
-                    base_ratio = base_dim.get(q_key, {}).get(ratio_key)
-                    if base_ratio is None:
-                        continue
-                    floor = base_ratio * (1 - REGRESSION_TOLERANCE)
-                    if fresh_dim[q_key][ratio_key] < floor:
-                        failures.append(
-                            f"{where}/{q_key}: {ratio_key} "
-                            f"{fresh_dim[q_key][ratio_key]} fell below "
-                            f"{floor:.2f} (committed {base_ratio})"
-                        )
+            failures += _check_continuous(
+                f"continuous/{dim_key}", fresh_dim, base_dim, same_machine
+            )
             continue
         if kind == "ingest":
             where = f"ingest/{dim_key}"
@@ -553,6 +522,51 @@ def check_regression(fresh: Dict[str, Any], committed_path: Path,
                         f"{ceiling:.2f}us (same machine as "
                         f"committed{scaled})"
                     )
+    return failures
+
+
+def _check_continuous(where: str, fresh_dim: Dict[str, Any],
+                      base_dim: Dict[str, Any],
+                      same_machine: bool) -> List[str]:
+    """The growth ceiling, the portable ratio band and, on the same
+    machine, the speed-scaled band on the manager's medians."""
+    failures = []
+    growth = fresh_dim["growth_q100_to_q10000"]
+    if growth > CONTINUOUS_GROWTH_MAX:
+        failures.append(
+            f"{where}: manager cost grew {growth}x from Q=100 to "
+            f"Q=10000 (max {CONTINUOUS_GROWTH_MAX}: dispatch must stay "
+            f"sublinear in Q)"
+        )
+    for count in CONTINUOUS_QUERY_COUNTS:
+        q_key = f"q{count}"
+        fresh_entry = fresh_dim[q_key]
+        base_entry = base_dim.get(q_key, {})
+        for ratio_key in ("speedup", "batch_speedup"):
+            base_ratio = base_entry.get(ratio_key)
+            if base_ratio is None:
+                continue
+            floor = base_ratio * (1 - REGRESSION_TOLERANCE)
+            if fresh_entry[ratio_key] < floor:
+                failures.append(
+                    f"{where}/{q_key}: {ratio_key} "
+                    f"{fresh_entry[ratio_key]} fell below {floor:.2f} "
+                    f"(committed {base_ratio})"
+                )
+        if not same_machine or "speed" not in base_entry:
+            continue
+        for variant in ("manager", "manager_batch"):
+            # Both medians at the probe's reference speed, so the
+            # machine's drift between the runs cancels.
+            median = fresh_entry[variant]["median_us"] / fresh_entry["speed"]
+            base = base_entry[variant]["median_us"] / base_entry["speed"]
+            ceiling = base * (1 + REGRESSION_TOLERANCE)
+            if median > ceiling:
+                failures.append(
+                    f"{where}/{q_key}: {variant} median {median:.2f}us "
+                    f"exceeds {ceiling:.2f}us (same machine as committed, "
+                    f"speed-scaled)"
+                )
     return failures
 
 
@@ -632,11 +646,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 sweep = " ".join(
                     f"q{count} x{entry[f'q{count}']['speedup']}"
                     for count in CONTINUOUS_QUERY_COUNTS
-                    if f"q{count}" in entry
                 )
                 print(
-                    f"continuous/{name}/{dim_key}: {sweep} | indexed cost "
-                    f"x{entry['indexed_growth_q100_to_q10000']} across "
+                    f"continuous/{name}/{dim_key}: {sweep} | manager cost "
+                    f"x{entry['growth_q100_to_q10000']} across "
                     f"Q x{entry['query_count_growth']}"
                 )
     return 0

@@ -21,10 +21,9 @@ optimisation level it is launched with, and verifies that:
   beyond ``seen_so_far`` and out-of-range ancestors, and restoring a
   legacy sharded snapshot rejects unsorted kappas and a ``seen_so_far``
   below the newest record;
-* a continuous query's trigger list and the query index's expiry map
-  are still checked (``trigger-heap``, ``continuous-index``), and
-  restoring a continuous snapshot rejects a ``next_id`` that collides
-  with a live query id.
+* a continuous-query manager's rows are still checked
+  (``continuous-rows``), and restoring a continuous snapshot rejects a
+  ``next_id`` that collides with a live query id.
 
 Exits non-zero on the first discrepancy.  Run as:
 
@@ -158,15 +157,14 @@ def smoke_continuous(sanitize: str, batch_chunk=None) -> None:
     )
 
 
-def smoke_continuous_index(sanitize: str) -> None:
-    """Indexed dispatch vs the seed per-handle loop under ``-O``.
+def smoke_continuous_handles(sanitize: str) -> None:
+    """Every continuous handle against a fresh stab under ``-O``.
 
-    Two managers — ``query_index="on"`` (sanitized) and ``"off"`` —
-    consume identical outcomes from one engine, fed part batched and
-    part per-element, with a mixed distinct/duplicate window plan.
-    Every handle pair must agree on results and ``changes``, every
-    result must match a fresh reference query, and the group count
-    must equal the number of distinct windows registered.
+    One manager (sanitized as asked) over a prefilled engine, with a
+    mixed distinct/duplicate window plan, fed part batched through
+    ``process_batch`` and part per-element through ``process``.  After
+    each call every handle must equal a fresh ``engine.query(n)``, and
+    a handle that leaves mid-stream must keep its last result.
     """
     from repro.core.query_index import mixed_query_plan
 
@@ -175,40 +173,33 @@ def smoke_continuous_index(sanitize: str) -> None:
     engine = NofNSkyline(dim=2, capacity=capacity)
     for p in points[:80]:
         engine.append(p)
-    indexed = ContinuousQueryManager(
-        engine, sanitize=sanitize, query_index="on"
-    )
-    legacy = ContinuousQueryManager(engine, query_index="off")
-    plan = mixed_query_plan(14, capacity)
-    pairs = [(indexed.register(n), legacy.register(n)) for n in plan]
-    stats = indexed.query_index_stats()
-    check(
-        stats is not None and stats["groups"] == len(set(plan)),
-        "query index group count != distinct registered windows",
-    )
+    manager = ContinuousQueryManager(engine, sanitize=sanitize)
+    handles = [manager.register(n) for n in mixed_query_plan(14, capacity)]
+    leaver = handles.pop()
+
+    def check_handles(where: str) -> None:
+        for handle in handles:
+            check(
+                handle.result_kappas()
+                == [e.kappa for e in engine.query(handle.n)],
+                f"continuous result != fresh query at n={handle.n} "
+                f"after {where}",
+            )
+
     for start in range(80, 170, 9):  # batched, uneven chunks
-        batch = engine.append_many(points[start:start + 9])
-        indexed.process_batch(batch)
-        legacy.process_batch(batch)
+        manager.process_batch(engine.append_many(points[start:start + 9]))
+        check_handles(f"batch at {start}")
+        if start == 116:
+            frozen = (leaver.result_kappas(), leaver.changes)
+            manager.unregister(leaver)
     for p in points[170:]:  # then per-element
-        outcome = engine.append(p)
-        indexed.process(outcome)
-        legacy.process(outcome)
-    for ih, lh in pairs:
-        check(
-            ih.result_kappas() == lh.result_kappas(),
-            f"indexed/legacy result mismatch at n={ih.n}",
-        )
-        check(
-            ih.changes == lh.changes,
-            f"indexed/legacy changes mismatch at n={ih.n}",
-        )
-        check(
-            ih.result_kappas() == [e.kappa for e in engine.query(ih.n)],
-            f"indexed result != fresh query at n={ih.n}",
-        )
-    indexed.check_invariants()
-    legacy.check_invariants()
+        manager.process(engine.append(p))
+        check_handles(f"arrival {engine.seen_so_far}")
+    check(
+        (leaver.result_kappas(), leaver.changes) == frozen,
+        "an unregistered handle kept changing",
+    )
+    manager.check_invariants()
 
 
 def smoke_corruption_check_survives_dash_o(sanitize: str) -> None:
@@ -438,20 +429,18 @@ def fed_continuous_manager(sanitize: str) -> ContinuousQueryManager:
     return manager
 
 
-def smoke_trigger_checks_survive_dash_o(sanitize: str) -> None:
-    def swap_trigger_list(manager: ContinuousQueryManager) -> None:
-        kappas = next(iter(manager))._group._kappas
-        kappas[0], kappas[-1] = kappas[-1], kappas[0]
+def smoke_row_checks_survive_dash_o(sanitize: str) -> None:
+    def drop_oldest_row(manager: ContinuousQueryManager) -> None:
+        manager._kappa = manager._kappa[1:]
+        manager._parent = manager._parent[1:]
+        manager._elements = manager._elements[1:]
 
-    def due_later(manager: ContinuousQueryManager) -> None:
-        index = manager._index
-        if index is None:
-            check(False, 'query_index="auto" built no query index')
-            return
-        index._due[index._axis[0]] += 10 ** 6
+    def parent_inside_window(manager: ContinuousQueryManager) -> None:
+        kappas = manager._kappa.tolist()
+        parent = manager.engine._records[kappas[-1]].parent_kappa
+        manager._parent[-1] = next(k for k in kappas[:-1] if k != parent)
 
-    for defect, invariant in ((swap_trigger_list, "trigger-heap"),
-                              (due_later, "continuous-index")):
+    for defect in (drop_oldest_row, parent_inside_window):
         manager = fed_continuous_manager(sanitize)
         defect(manager)
         try:
@@ -459,10 +448,11 @@ def smoke_trigger_checks_survive_dash_o(sanitize: str) -> None:
         except StructureCorruptionError as exc:
             report = exc.report
             check(
-                report is not None and report.invariant == invariant,
+                report is not None
+                and report.invariant == "continuous-rows",
                 f"{defect.__name__} was reported as "
                 f"{None if report is None else report.invariant}, "
-                f"expected {invariant}",
+                f"expected continuous-rows",
             )
             continue
         check(False, f"{defect.__name__} passed check_invariants() "
@@ -496,11 +486,10 @@ def main() -> int:
     )
     parser.add_argument(
         "--continuous", action="store_true",
-        help="additionally smoke the continuous-query dispatch index: "
-             "a mixed distinct/duplicate window plan run through the "
-             "indexed and the per-handle dispatch paths on identical "
-             "outcomes, batched and per-element, with parity and "
-             "invariant checks under whatever -O / sanitize mode is "
+        help="additionally smoke the continuous queries: a mixed "
+             "distinct/duplicate window plan fed batched and "
+             "per-element, every handle checked against a fresh stab "
+             "after each call, under whatever -O / sanitize mode is "
              "active",
     )
     args = parser.parse_args()
@@ -517,13 +506,13 @@ def main() -> int:
     smoke_rejected_append_changes_nothing(args.sanitize)
     smoke_n1n2_restore_checks_survive_dash_o(args.sanitize)
     smoke_sharded_restore_checks_survive_dash_o(args.sanitize)
-    smoke_trigger_checks_survive_dash_o(args.sanitize)
+    smoke_row_checks_survive_dash_o(args.sanitize)
     smoke_continuous_restore_checks_survive_dash_o(args.sanitize)
     if args.continuous:
-        smoke_continuous_index(args.sanitize)
+        smoke_continuous_handles(args.sanitize)
     mode = "optimized (-O)" if not __debug__ else "debug"
     batch = ", batch-chunks={1, 7}" if args.batch else ""
-    continuous = ", continuous-index" if args.continuous else ""
+    continuous = ", continuous-handles" if args.continuous else ""
     print(f"smoke_optimized: all engines OK "
           f"[{mode}, sanitize={args.sanitize}{batch}"
           f"{continuous}]")

@@ -40,7 +40,7 @@ from repro.baselines import (
 from repro.bench.reporting import format_percent, format_rate
 from repro.core.continuous import ContinuousQueryManager
 from repro.core.nofn import NofNSkyline
-from repro.core.query_index import INDEX_MODES, mixed_query_plan
+from repro.core.query_index import mixed_query_plan
 from repro.core.skyband import KSkybandEngine
 from repro.sanitize.sanitizer import MODES
 from repro.streams.generators import distributions, make_stream
@@ -116,14 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "plan) and maintain them incrementally while "
                           "feeding; prints a summary line at the end; "
                           "requires --band 1 (default 0)")
-    win.add_argument("--query-index", default="auto",
-                     choices=list(INDEX_MODES),
-                     help="continuous-query dispatch: auto/on dedupe "
-                          "handles into per-window groups on a sorted "
-                          "stab-point axis and route each change to the "
-                          "affected contiguous range by binary search; "
-                          "off keeps the per-handle loop (default auto; "
-                          "meaningful only with --continuous-queries)")
 
     sub.add_parser("info", help="version and capability summary")
     return parser
@@ -194,9 +186,7 @@ def _cmd_window(args: argparse.Namespace, out: TextIO) -> int:
             raise ValueError(
                 "--continuous-queries requires the plain nofn engine"
             )
-        manager = ContinuousQueryManager(
-            engine, sanitize=args.sanitize, query_index=args.query_index
-        )
+        manager = ContinuousQueryManager(engine, sanitize=args.sanitize)
         for window in mixed_query_plan(args.continuous_queries, args.capacity):
             manager.register(window)
     feeder: Union[WindowEngine, ContinuousQueryManager] = (
@@ -259,16 +249,13 @@ def _print_result(
 def _print_continuous(out: TextIO, manager: ContinuousQueryManager) -> None:
     """One summary line for the maintained continuous-query set, with a
     live cross-check of the lowest-id handle against a fresh stab."""
-    stats = manager.query_index_stats()
-    groups = (
-        stats["groups"] if stats is not None else len({h.n for h in manager})
-    )
+    groups = len({h.n for h in manager})
     probe = min(manager, key=lambda h: h.query_id)
     live = [e.kappa for e in manager.engine.query(probe.n)]
     match = "yes" if probe.result_kappas() == live else "NO"
     print(
         f"continuous\tqueries={len(manager)}\tgroups={groups}"
-        f"\tindex={manager.query_index}\tprobe_n={probe.n}"
+        f"\tprobe_n={probe.n}"
         f"\tprobe_match={match}",
         file=out,
     )

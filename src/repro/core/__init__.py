@@ -2,8 +2,8 @@
 
 * :class:`~repro.core.nofn.NofNSkyline` — n-of-N queries over the most
   recent ``N`` elements (sections 3.1-3.3);
-* :class:`~repro.core.continuous.ContinuousQueryManager` — trigger-based
-  continuous n-of-N queries (section 3.4);
+* :class:`~repro.core.continuous.ContinuousQueryManager` — continuous
+  n-of-N queries (section 3.4, Proposition 1 in closed form);
 * :class:`~repro.core.n1n2.N1N2Skyline` — arbitrary-window
   (n1,n2)-of-N queries (section 4);
 * :class:`~repro.core.timewindow.TimeWindowSkyline` — time-period

@@ -1,41 +1,40 @@
-"""Continuous n-of-N queries (paper section 3.4, Algorithm 2).
+"""Continuous n-of-N queries (paper section 3.4, Proposition 1).
 
 A continuous query is registered once and its result set ``S_n`` is
-kept up to date as the stream advances.  Re-running the stabbing query
-per arrival costs ``O(log N + s)``; the trigger-based algorithm here
-instead applies Proposition 1 incrementally:
+kept up to date as the stream advances.  The paper maintains each
+result with triggers (Algorithm 2).  This module uses Proposition 1 in
+closed form instead: an element's membership in ``S_n`` is one interval
+of stream lengths, so a whole batch of arrivals changes every
+registered query by a count that one difference array computes.
 
-* **Deletion** — a result element leaves when the newcomer dominates it
-  or when it expires from the most recent ``n`` elements;
-* **Insertion** — the newcomer enters when its critical dominator (if
-  any) is already outside the window; and when a result element
-  expires, the elements it *critically dominated* take its place
-  (cascading until the trigger list's oldest kappa is inside the window
-  again).
+**The closed form.**  Take an element ``e`` with critical parent ``p``
+at its arrival (``kappa_p = 0`` for a root) that leaves ``R_N`` by
+dominance at arrival ``D_e`` (``D_e = inf`` while it stays).  Then
+``e`` is in ``S_n`` at stream length ``m`` exactly when
+``start_n <= m <= end_n``, with
 
-The paper keeps a min-heap on kappa over ``S_n`` as the trigger list;
-here each query keeps the kappas of ``S_n`` in one ascending list.
-Only its first entry must be examined per arrival, giving ``O(delta)``
-result maintenance plus an ``O(log s)`` search and an ``O(s)`` C-level
-memmove per result change, where ``delta`` is the number of result
-changes.
+* ``start_n = kappa_e`` for a root and ``max(kappa_e, kappa_p + n)``
+  otherwise;
+* ``end_n = min(kappa_e + n - 1, D_e - 1)``.
 
-The manager consumes the :class:`~repro.core.events.ArrivalOutcome`
-emitted by :meth:`NofNSkyline.append`; this realises the paper's
-"linking an element to the continuous queries which are using it".
+The birth parent is enough: a parent leaves ``R_N`` by dominance only
+at an arrival that also dominates ``e``, and by expiry only once
+``kappa_p + n <= m`` holds anyway (docs/THEORY.md has the proof).
 
-Registration seeds each query's result set through
-:meth:`NofNSkyline.query`, so it answers from the engine's versioned
-stab cache when that is enabled — registering many queries between
-arrivals costs one snapshot rebuild, not one tree walk per query.
+**Counting.**  Over a batch ``(M0, M1]`` query ``n`` gains one change
+at ``start_n`` and one at ``end_n + 1`` whenever they fall inside the
+batch and ``start_n <= end_n``.  For one element the ``n`` that see an
+insertion form one contiguous run of the sorted window axis, and so do
+the ``n`` that see a deletion; one ``searchsorted`` per bound and one
+``bincount``/``cumsum`` difference array count every window at once.
 
-**Dispatch** is sublinear in the number of registered queries: handles
-are deduped into per-``n`` :class:`~repro.core.query_index.QueryGroup`
-objects kept on a sorted axis, and each arrival's change records are
-routed to only the affected contiguous group range by binary search —
-``O(log Q + affected)`` per event instead of the seed's ``O(Q)`` loop
-(see :mod:`repro.core.query_index` for the derivation, and the
-``query_index`` knob below for the escape hatch).
+**State.**  One row per element of ``R_N`` at the last stream length
+the manager processed: kappa, birth parent and the element, in kappa
+order.  A batch appends its newcomers, marks the arrivals that dominate
+rows, counts, then drops the rows that left ``R_N``.  Results are read
+from the rows, not from the engine, so a caller who drives the engine
+directly reads the manager's own state until it hands the outcomes
+over.
 
 Usage::
 
@@ -49,18 +48,14 @@ Usage::
 
 from __future__ import annotations
 
-import bisect
 from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
-    FrozenSet,
     Iterator,
     List,
     Optional,
     Sequence,
-    Set,
-    Tuple,
 )
 
 import numpy as _np
@@ -68,12 +63,6 @@ import numpy as _np
 from repro.core.element import StreamElement
 from repro.core.events import ArrivalOutcome, BatchOutcome
 from repro.core.nofn import NofNSkyline
-from repro.core.query_index import (
-    INDEX_MODES,
-    QueryGroup,
-    QueryIndex,
-    resolve_index_mode,
-)
 from repro.exceptions import InvalidWindowError, QueryNotRegisteredError
 from repro.sanitize.sanitizer import InvariantSanitizer, SanitizeArg
 
@@ -81,62 +70,72 @@ if TYPE_CHECKING:
     from repro.accel.stab_cache import StabCache
 
 __all__ = [
-    "INDEX_MODES",
     "ContinuousQueryHandle",
     "ContinuousQueryManager",
 ]
 
-#: Minimum number of change records in a batch before the vectorised
-#: ``searchsorted`` routing pass beats per-record ``bisect`` calls.
-_BATCH_KERNEL_MIN = 8
+#: Death arrival of a row still in ``R_N``.
+_ALIVE = 1 << 62
+#: A root's parent as the counting sees it: far enough below every
+#: stream length that ``kappa_p + n`` never binds.
+_ROOT = -(1 << 40)
 
 
 class ContinuousQueryHandle:
     """A registered continuous n-of-N query.
 
-    The handle is a *view* onto the :class:`QueryGroup` shared by every
-    registered query with the same ``n``; it is updated by its
-    :class:`ContinuousQueryManager` and read by the application.
-    ``changes`` counts this handle's insertions+deletions since its own
-    registration (the group's counter minus a per-handle base), so two
-    handles at the same ``n`` registered at different times report
-    different counts — exactly as the per-handle implementation did.
+    Handles at the same ``n`` share the manager's change counter for
+    that window; ``changes`` counts this handle's insertions+deletions
+    since its own registration (the counter minus a per-handle base).
+    An unregistered handle keeps its last result and count.
     """
 
-    __slots__ = ("query_id", "n", "_group", "_changes_base")
+    __slots__ = ("query_id", "n", "_manager", "_changes_base", "_frozen")
 
     def __init__(
-        self, query_id: int, n: int, group: QueryGroup, changes_base: int
+        self,
+        query_id: int,
+        n: int,
+        manager: "ContinuousQueryManager",
+        changes_base: int,
     ) -> None:
         self.query_id = query_id
         self.n = n
-        self._group = group
+        self._manager: Optional[ContinuousQueryManager] = manager
+        #: Live: the window's counter at registration.  Detached: the
+        #: final count.
         self._changes_base = changes_base
+        self._frozen: List[StreamElement] = []
 
     @property
     def changes(self) -> int:
         """Number of element insertions+deletions applied since
         registration (the paper's cumulative ``delta``)."""
-        return self._group.changes - self._changes_base
+        manager = self._manager
+        if manager is None:
+            return self._changes_base
+        return manager._window_changes(self.n) - self._changes_base
 
-    @property
-    def _members(self) -> Dict[int, StreamElement]:
-        return self._group._members
+    def _members(self) -> List[StreamElement]:
+        manager = self._manager
+        if manager is None:
+            return self._frozen
+        return manager._result(self.n)
 
     def result(self) -> List[StreamElement]:
         """The current skyline of the most recent ``n`` elements,
         sorted by arrival position."""
-        return self._group.result()
+        return list(self._members())
 
     def result_kappas(self) -> List[int]:
         """Arrival labels of the current result, ascending."""
-        return self._group.result_kappas()
+        return [element.kappa for element in self._members()]
 
     def __contains__(self, kappa: int) -> bool:
-        return kappa in self._group
+        return kappa in self.result_kappas()
 
     def __len__(self) -> int:
-        return len(self._group)
+        return len(self._members())
 
 
 class ContinuousQueryManager:
@@ -149,59 +148,46 @@ class ContinuousQueryManager:
     directly — every outcome since the manager's construction must reach
     it, in order).
 
-    The manager keeps its own mirror of the critical dominance forest,
-    advanced purely from the outcomes it consumes.  That makes trigger
-    processing independent of the engine's *current* state — essential
-    for batched ingestion, where the engine has already advanced to the
-    end of the batch while the manager replays the batch's outcomes one
-    arrival at a time.
-
     Parameters
     ----------
     engine:
-        The n-of-N engine to wrap.
+        The n-of-N engine to wrap.  Its current ``R_N`` and critical
+        parents seed the manager's rows.
     sanitize:
-        Runtime invariant checking of the manager's own state (trigger
-        lists, graph mirror, result sync, query-index structure):
-        ``"off"`` (default), ``"sampled"``, ``"full"``, or a shared
+        Runtime invariant checking of the manager's own state (its rows,
+        window axis and results): ``"off"`` (default), ``"sampled"``,
+        ``"full"``, or a shared
         :class:`~repro.sanitize.InvariantSanitizer`.  Independent of
         the engine's own ``sanitize`` setting.
-    query_index:
-        Dispatch strategy for registered queries.  ``"auto"`` (default)
-        and ``"on"`` dedupe handles into per-``n`` groups on a sorted
-        stab-point axis and route each change record to its contiguous
-        group range by binary search; ``"off"`` keeps the seed
-        per-handle ``O(Q)`` loop (the measured baseline).  Results,
-        ``changes`` counters and trigger order are identical either way.
     """
 
-    def __init__(
-        self,
-        engine: NofNSkyline,
-        sanitize: SanitizeArg = "off",
-        query_index: str = "auto",
-    ) -> None:
+    def __init__(self, engine: NofNSkyline, sanitize: SanitizeArg = "off") -> None:
         self.engine = engine
-        #: The resolved ``query_index`` knob: ``"on"`` or ``"off"``.
-        self.query_index = resolve_index_mode(query_index)
         self._sanitizer = InvariantSanitizer.coerce(sanitize)
         self._queries: Dict[int, ContinuousQueryHandle] = {}
         self._next_id = 1
-        self._index: Optional[QueryIndex] = (
-            QueryIndex() if self.query_index == "on" else None
+        # The distinct registered windows, ascending, with the number of
+        # handles on each and each window's cumulative change counter.
+        self._axis = _np.zeros(0, dtype=_np.int64)
+        self._refs = _np.zeros(0, dtype=_np.int64)
+        self._counts = _np.zeros(0, dtype=_np.int64)
+        self._seed()
+
+    def _seed(self) -> None:
+        """Take the rows from the engine: its ``R_N`` with the current
+        critical parents, at its current stream length."""
+        engine = self.engine
+        #: The stream length the rows describe.
+        self._m = engine.seen_so_far
+        elements = engine.non_redundant()  # oldest first: kappa order
+        parents = {child: parent for parent, child in engine.dominance_graph_edges()}
+        self._elements: List[StreamElement] = elements
+        self._kappa = _np.array([e.kappa for e in elements], dtype=_np.int64)
+        self._parent = _np.array(
+            [parents.get(e.kappa, 0) for e in elements], dtype=_np.int64
         )
-        # Dominance-forest mirror over R_N: element, parent kappa (0 for
-        # roots) and children kappas per retained element.
-        self._graph_elements: Dict[int, StreamElement] = {}
-        self._graph_parent: Dict[int, int] = {}
-        self._graph_children: Dict[int, Set[int]] = {}
-        for element in engine.non_redundant():
-            self._graph_elements[element.kappa] = element
-            self._graph_children[element.kappa] = set()
-        for parent_kappa, child_kappa in engine.dominance_graph_edges():
-            self._graph_parent[child_kappa] = parent_kappa
-            if parent_kappa:
-                self._graph_children[parent_kappa].add(child_kappa)
+        #: ``n -> result`` at ``_m``; cleared by every batch.
+        self._memo: Dict[int, List[StreamElement]] = {}
 
     # ------------------------------------------------------------------
     # Registration
@@ -210,28 +196,29 @@ class ContinuousQueryManager:
     def register(self, n: int) -> ContinuousQueryHandle:
         """Register a continuous n-of-N query.
 
-        The initial result is computed with one stabbing query; from
-        then on the result is maintained incrementally.  With the query
-        index on, a second registration at an already-registered ``n``
-        shares that group's state instead of seeding a new one.
+        Its result is answered from the manager's rows; registering
+        counts no change.  Handles at an already-registered ``n`` share
+        that window's counter.  While no handle is registered nothing
+        reads the rows, so a registration then re-reads them from the
+        engine, which the caller may have fed directly.
         """
         if not 1 <= n <= self.engine.capacity:
             raise InvalidWindowError(
                 f"n must be in [1, {self.engine.capacity}], got {n}"
             )
-        if self._index is None:
-            group = QueryGroup(n)
-            group.refs = 1
-            for element in self.engine.query(n):
-                group.add(element)
+        if not len(self._axis):
+            self._seed()
+        axis = self._axis
+        slot = int(axis.searchsorted(n))
+        if slot < len(axis) and axis[slot] == n:
+            self._refs[slot] += 1
         else:
-            group, created = self._index.acquire(n)
-            if created:
-                for element in self.engine.query(n):
-                    group.add(element)
-                self._index.schedule(group)
+            self._axis = _np.concatenate((axis[:slot], (n,), axis[slot:]))
+            refs, counts = self._refs, self._counts
+            self._refs = _np.concatenate((refs[:slot], (1,), refs[slot:]))
+            self._counts = _np.concatenate((counts[:slot], (0,), counts[slot:]))
         handle = ContinuousQueryHandle(
-            self._next_id, n, group, changes_base=group.changes
+            self._next_id, n, self, changes_base=int(self._counts[slot])
         )
         self._next_id += 1
         self._queries[handle.query_id] = handle
@@ -240,27 +227,23 @@ class ContinuousQueryManager:
     def unregister(self, handle: ContinuousQueryHandle) -> None:
         """Stop maintaining ``handle``.
 
-        The handle's result freezes at its current value (even when
-        other handles at the same ``n`` stay registered — the departing
-        handle is detached onto a private copy of the group state).
+        The handle's result and ``changes`` freeze at their current
+        values, while other handles at the same ``n`` keep tracking.
         """
-        if self._queries.pop(handle.query_id, None) is None:
+        if self._queries.get(handle.query_id) is not handle:
             raise QueryNotRegisteredError(
                 f"query {handle.query_id} is not registered here"
             )
-        if self._index is None:
-            handle._group.refs = 0
-            return
-        group = self._index.release(handle.n)
-        if group.refs > 0 and group is handle._group:
-            # Other handles still share this group; freeze the departing
-            # handle on a private snapshot so its result stops moving.
-            delta = handle.changes
-            frozen = QueryGroup(handle.n)
-            for element in group.result():
-                frozen.add(element)
-            handle._group = frozen
-            handle._changes_base = frozen.changes - delta
+        del self._queries[handle.query_id]
+        handle._frozen = self._result(handle.n)
+        handle._changes_base = handle.changes
+        handle._manager = None
+        slot = int(self._axis.searchsorted(handle.n))
+        self._refs[slot] -= 1
+        if self._refs[slot] == 0:
+            self._axis = _np.delete(self._axis, slot)
+            self._refs = _np.delete(self._refs, slot)
+            self._counts = _np.delete(self._counts, slot)
 
     def __len__(self) -> int:
         return len(self._queries)
@@ -285,330 +268,118 @@ class ContinuousQueryManager:
     ) -> BatchOutcome:
         """Feed a batch to the engine and update every query.
 
-        Every query fires exactly the triggers — in the same order —
-        that element-by-element :meth:`append` calls would have fired.
+        Results and ``changes`` end up exactly where element-by-element
+        :meth:`append` calls would have left them.
         """
         batch = self.engine.append_many(points, payloads)
         self.process_batch(batch)
         return batch
 
     def process(self, outcome: ArrivalOutcome) -> None:
-        """Apply one arrival's changes (Algorithm 2) to every query."""
-        removed_kappas = outcome.removed_kappas
-        # Children of an element that expired from R_N this arrival are
-        # dropped from the mirror below; resolve them from the outcome's
-        # captured snapshot instead.
-        expired_children = {
-            rec.element.kappa: rec.children for rec in outcome.expired
-        }
-        index = self._index
-        if index is None:
-            self._advance_graph(outcome)
-            for handle in self._queries.values():
-                self._process_query(
-                    handle, outcome, removed_kappas, expired_children
-                )
-        else:
-            # Removal bounds read each ejected element's parent from the
-            # mirror *before* this arrival is applied to it.
-            removals = self._removal_bounds(outcome)
-            self._advance_graph(outcome)
-            self._route_arrival(
-                index, outcome, removals, removed_kappas, expired_children
-            )
+        """Apply one arrival to every query: :meth:`process_batch` over
+        a batch of one."""
+        self.process_batch(BatchOutcome((outcome,)))
+
+    def process_batch(self, batch: BatchOutcome) -> None:
+        """Apply a batch of arrivals to every query.
+
+        Appends the newcomers as rows, marks the arrival that dominated
+        each ejected row, counts every window's changes over the batch
+        in one pass, and drops the rows that left ``R_N``.
+        """
+        outcomes = batch.outcomes
+        if not outcomes:
+            return
+        m0 = self._m
+        m1 = outcomes[-1].seen_so_far
+        born: List[StreamElement] = []
+        born_parent: List[int] = []
+        dead: List[int] = []
+        dead_at: List[int] = []
+        for outcome in outcomes:
+            born.append(outcome.element)
+            born_parent.append(outcome.parent_kappa)
+            for victim in outcome.dominated_removed:
+                dead.append(victim.kappa)
+                dead_at.append(outcome.seen_so_far)
+        elements = self._elements + born
+        kappa = _np.concatenate(
+            (self._kappa, _np.array([e.kappa for e in born], dtype=_np.int64))
+        )
+        parent = _np.concatenate(
+            (self._parent, _np.array(born_parent, dtype=_np.int64))
+        )
+        death = _np.full(len(kappa), _ALIVE, dtype=_np.int64)
+        if dead:
+            death[_np.searchsorted(kappa, dead)] = dead_at
+        if len(self._axis):
+            self._count(m0, m1, kappa, parent, death)
+        keep = ((death > m1) & (kappa > m1 - self.engine.capacity)).nonzero()[0]
+        self._elements = [elements[i] for i in keep.tolist()]
+        self._kappa = kappa[keep]
+        self._parent = parent[keep]
+        self._m = m1
+        self._memo = {}
         if self._sanitizer is not None:
             self._sanitizer.maybe_verify(self)
 
-    def process_batch(self, batch: BatchOutcome) -> None:
-        """Apply a batch's changes arrival by arrival to every query.
+    def _count(
+        self, m0: int, m1: int, kappa: Any, parent: Any, death: Any
+    ) -> None:
+        """Add every window's changes over the batch ``(m0, m1]``.
 
-        With the query index on, the whole batch's change records are
-        bounds-resolved up front and routed to group ranges in one
-        vectorised ``searchsorted`` pass over the sorted stab-point
-        axis; the per-arrival replay then applies precomputed slices.
-        Trigger order and results are identical to per-arrival
-        :meth:`process` calls.
+        Each row contributes one run ``lo < n <= hi`` of windows that
+        see it inserted and one run that see it deleted; the runs become
+        +1/-1 marks on the sorted axis, and a prefix sum turns the marks
+        into per-window counts.
         """
-        index = self._index
-        outcomes: Tuple[ArrivalOutcome, ...] = batch.outcomes
-        if index is None or not outcomes or not index._order:
-            for outcome in outcomes:
-                self.process(outcome)
-            return
-
-        # Phase 1: collect (arrival, element, lo, hi) removal records
-        # and per-arrival insertion bounds.  Parents are resolved
-        # against the pre-batch mirror plus a batch-local hint table of
-        # newcomers' birth parents — the mirror itself is only advanced
-        # in phase 3.  A parent that expires mid-batch re-roots its
-        # children to 0, which widens the true range; the stale bound is
-        # then still a superset (it reaches past every registered n),
-        # and application below stays exact via the membership check.
-        sentinel = self.engine.capacity + 1
-        rem_arrival: List[int] = []
-        rem_elements: List[StreamElement] = []
-        rem_lo: List[int] = []
-        rem_hi: List[int] = []
-        ins_hi: List[int] = []
-        hints: Dict[int, int] = {}
-        for i, outcome in enumerate(outcomes):
-            m = outcome.seen_so_far
-            for element in outcome.dominated_removed:
-                kappa = element.kappa
-                parent = hints.get(kappa)
-                if parent is None:
-                    parent = self._graph_parent.get(kappa, 0)
-                rem_arrival.append(i)
-                rem_elements.append(element)
-                rem_lo.append(m - kappa)
-                rem_hi.append(m - parent - 1 if parent else sentinel)
-            parent = outcome.parent_kappa
-            ins_hi.append(m - parent if parent else sentinel)
-            hints[outcome.element.kappa] = parent
-
-        # Phase 2: route every bound to an axis slice in one pass.
-        rem_left, rem_right = self._route_bounds(index, rem_lo, rem_hi)
-        _, ins_right = self._route_bounds(index, None, ins_hi)
-
-        # Phase 3: per-arrival replay — apply the precomputed slices,
-        # then fire this arrival's expiry cascades.  Order per group is
-        # removals, insertion, cascade: the seed per-handle order.
-        order = index._order
-        rem_ptr = 0
-        rem_count = len(rem_arrival)
-        touched = 0
-        for i, outcome in enumerate(outcomes):
-            removed_kappas = outcome.removed_kappas
-            expired_children = {
-                rec.element.kappa: rec.children for rec in outcome.expired
-            }
-            self._advance_graph(outcome)
-            while rem_ptr < rem_count and rem_arrival[rem_ptr] == i:
-                kappa = rem_elements[rem_ptr].kappa
-                for group in order[rem_left[rem_ptr]:rem_right[rem_ptr]]:
-                    touched += 1
-                    if kappa in group._members:
-                        group.remove(kappa)
-                rem_ptr += 1
-            newcomer = outcome.element
-            for group in order[: ins_right[i]]:
-                touched += 1
-                group.add(newcomer)
-                if len(group._members) == 1:
-                    index.schedule(group)
-            self._fire_triggers(
-                index, outcome.seen_so_far, removed_kappas, expired_children
-            )
-            if self._sanitizer is not None:
-                self._sanitizer.maybe_verify(self)
-        index._routed_events += rem_count + len(outcomes)
-        index._touched_groups += touched
-        index._batch_passes += 1
-
-    @staticmethod
-    def _route_bounds(
-        index: QueryIndex,
-        lows: Optional[List[int]],
-        highs: List[int],
-    ) -> Tuple[Sequence[int], Sequence[int]]:
-        """Map inclusive (lo, hi) window bounds to axis slice indices.
-
-        Vectorised through the index's NumPy axis mirror when the batch
-        carries enough records to amortise the call; identical
-        ``bisect`` routing otherwise.
-        """
-        axis = index._axis
-        if len(highs) >= _BATCH_KERNEL_MIN:
-            kernel = index.axis_kernel()
-            left = (
-                _np.searchsorted(kernel, _np.asarray(lows, dtype=_np.int64))
-                if lows is not None
-                else _np.zeros(len(highs), dtype=_np.int64)
-            )
-            right = _np.searchsorted(
-                kernel, _np.asarray(highs, dtype=_np.int64), side="right"
-            )
-            return left.tolist(), right.tolist()
-        left_list = (
-            [bisect.bisect_left(axis, lo) for lo in lows]
-            if lows is not None
-            else [0] * len(highs)
+        p = _np.where(parent == 0, _ROOT, parent)
+        # The last stream length inside the batch at which e is in R_N.
+        last = _np.minimum(death - 1, m1)
+        # Insertion at start_n: a newcomer's start is in the batch for
+        # every n with kappa_p + n <= last; an older row's start is
+        # only when kappa_p + n passes m0.  n <= last - kappa_p is also
+        # what keeps start_n <= end_n.
+        ins_lo = _np.where(kappa > m0, 0, m0 - p)
+        ins_hi = last - p
+        # Deletion at end_n + 1 = min(kappa + n, D): window expiry for
+        # m0 - kappa < n < D - kappa, then the death itself for every
+        # n up to D - kappa_p - 1 (where start_n <= end_n still holds).
+        del_lo = m0 - kappa
+        del_hi = _np.where(death <= m1, death - 1 - p, m1 - kappa)
+        axis = self._axis
+        left = axis.searchsorted(_np.concatenate((ins_lo, del_lo)), "right")
+        right = axis.searchsorted(_np.concatenate((ins_hi, del_hi)), "right")
+        right = _np.maximum(left, right)
+        size = len(axis) + 1
+        marks = _np.bincount(left, minlength=size) - _np.bincount(
+            right, minlength=size
         )
-        right_list = [bisect.bisect_right(axis, hi) for hi in highs]
-        return left_list, right_list
+        self._counts += marks[:-1].cumsum()
 
     # ------------------------------------------------------------------
-    # Indexed dispatch (query_index="on")
+    # Reads
     # ------------------------------------------------------------------
 
-    def _removal_bounds(
-        self, outcome: ArrivalOutcome
-    ) -> List[Tuple[StreamElement, int, Optional[int]]]:
-        """Inclusive window-size ranges hit by this arrival's dominated
-        removals, read against the pre-arrival mirror.
+    def _window_changes(self, n: int) -> int:
+        """The cumulative change counter of registered window ``n``."""
+        return int(self._counts[self._axis.searchsorted(n)])
 
-        An ejected element with label ``kappa`` and critical parent
-        ``p`` was a result member of exactly the windows
-        ``M - kappa <= n <= M - p - 1`` (unbounded above when it was a
-        root) at stream length ``M - 1`` — Proposition 1 with the
-        window endpoints moved to the query side.
+    def _result(self, n: int) -> List[StreamElement]:
+        """``S_n`` at the manager's stream length, in kappa order (the
+        memoised list itself: callers copy it).
+
+        A row is a member iff it is among the last ``n`` arrivals and
+        its birth parent is not (roots have parent 0).
         """
-        m = outcome.seen_so_far
-        bounds: List[Tuple[StreamElement, int, Optional[int]]] = []
-        for element in outcome.dominated_removed:
-            parent = self._graph_parent.get(element.kappa, 0)
-            hi = m - parent - 1 if parent else None
-            bounds.append((element, m - element.kappa, hi))
-        return bounds
-
-    def _route_arrival(
-        self,
-        index: QueryIndex,
-        outcome: ArrivalOutcome,
-        removals: List[Tuple[StreamElement, int, Optional[int]]],
-        removed_kappas: FrozenSet[int],
-        expired_children: Dict[int, Tuple[StreamElement, ...]],
-    ) -> None:
-        """Apply one arrival to only the affected group ranges."""
-        m = outcome.seen_so_far
-        touched = 0
-        # Lines 3-5 per affected group: drop ejected result elements.
-        for element, lo, hi in removals:
-            kappa = element.kappa
-            for group in index.range_between(lo, hi):
-                touched += 1
-                if kappa in group._members:
-                    group.remove(kappa)
-        # Lines 6-8: the newcomer joins every window its critical
-        # dominator has already left — an ascending-axis prefix.
-        parent = outcome.parent_kappa
-        newcomer = outcome.element
-        for group in index.prefix_upto(m - parent if parent else None):
-            touched += 1
-            group.add(newcomer)
-            if len(group._members) == 1:
-                # The group went non-empty: give it a trigger entry.
-                index.schedule(group)
-        # Lines 9-14: only groups whose trigger is actually due.
-        self._fire_triggers(index, m, removed_kappas, expired_children)
-        index._routed_events += len(removals) + 1
-        index._touched_groups += touched
-
-    def _fire_triggers(
-        self,
-        index: QueryIndex,
-        m: int,
-        removed_kappas: FrozenSet[int],
-        expired_children: Dict[int, Tuple[StreamElement, ...]],
-    ) -> None:
-        """Fire every group whose due is at most stream length ``m``,
-        cascading child promotions exactly as the seed per-handle loop
-        did.
-
-        Dues may be stale-early (a removal can leave a due pointing at
-        an already-gone trigger); an early firing expires nothing and
-        :meth:`QueryIndex.schedule` re-anchors the due, which is then at
-        ``kappas[0] + n >= m + 1``.
-        """
-        for group in index.pop_due(m):
-            self._expire(
-                group, m - group.n + 1, removed_kappas, expired_children
-            )
-            index.schedule(group)
-
-    # ------------------------------------------------------------------
-    # Shared maintenance
-    # ------------------------------------------------------------------
-
-    def _advance_graph(self, outcome: ArrivalOutcome) -> None:
-        """Replay one arrival's maintenance on the dominance-forest
-        mirror (same order as Algorithm 1: expire, eject, install)."""
-        for rec in outcome.expired:
-            kappa = rec.element.kappa
-            for child in rec.children:
-                self._graph_parent[child.kappa] = 0
-            self._graph_elements.pop(kappa, None)
-            self._graph_parent.pop(kappa, None)
-            self._graph_children.pop(kappa, None)
-        for element in outcome.dominated_removed:
-            kappa = element.kappa
-            parent_kappa = self._graph_parent.pop(kappa, 0)
-            children = self._graph_children.get(parent_kappa)
-            if children is not None:
-                children.discard(kappa)
-            self._graph_elements.pop(kappa, None)
-            self._graph_children.pop(kappa, None)
-        newcomer = outcome.element
-        self._graph_elements[newcomer.kappa] = newcomer
-        self._graph_parent[newcomer.kappa] = outcome.parent_kappa
-        self._graph_children[newcomer.kappa] = set()
-        if outcome.parent_kappa:
-            self._graph_children[outcome.parent_kappa].add(newcomer.kappa)
-
-    def _process_query(
-        self,
-        handle: ContinuousQueryHandle,
-        outcome: ArrivalOutcome,
-        removed_kappas: FrozenSet[int],
-        expired_children: Dict[int, Tuple[StreamElement, ...]],
-    ) -> None:
-        """The seed per-handle maintenance loop (``query_index="off"``)."""
-        group = handle._group
-        window_start = outcome.seen_so_far - handle.n + 1
-
-        # Lines 3-5: drop result elements the newcomer dominates.
-        for element in outcome.dominated_removed:
-            if element.kappa in group._members:
-                group.remove(element.kappa)
-
-        # Lines 6-8: the newcomer joins unless its critical dominator is
-        # still inside the n-window.  (A root always joins — including
-        # early in the stream, when the window is not yet full and
-        # ``window_start`` is non-positive.)
-        if outcome.parent_kappa == 0 or outcome.parent_kappa < window_start:
-            group.add(outcome.element)
-
-        self._expire(group, window_start, removed_kappas, expired_children)
-
-    def _expire(
-        self,
-        group: QueryGroup,
-        window_start: int,
-        removed_kappas: FrozenSet[int],
-        expired_children: Dict[int, Tuple[StreamElement, ...]],
-    ) -> None:
-        """Lines 9-14: fire the trigger while the oldest result element
-        has left the window; each firing promotes the children of the
-        expired element (cascading if a child is itself already outside
-        the window)."""
-        kappas = group._kappas
-        members = group._members
-        while kappas and kappas[0] < window_start:
-            top_kappa = kappas[0]
-            group.remove(top_kappa)
-            for child in self._children_of(top_kappa, expired_children):
-                if child.kappa in removed_kappas or child.kappa in members:
-                    # Dominated by the newcomer this very arrival (and
-                    # hence not skyline), or already present.
-                    continue
-                group.add(child)
-
-    def _children_of(
-        self, kappa: int, expired_children: Dict[int, Tuple[StreamElement, ...]]
-    ) -> List[StreamElement]:
-        """Critical children of ``kappa`` as of the arrival being
-        processed.
-
-        Resolved from the manager's dominance-forest mirror when the
-        element is still in ``R_N``, otherwise from the expiry snapshot
-        captured in the arrival outcome.  (The live engine is never
-        consulted: during batch processing it is already at the end of
-        the batch, ahead of the arrival being replayed.)
-        """
-        if kappa in expired_children:
-            return list(expired_children[kappa])
-        children = self._graph_children.get(kappa, ())
-        return [self._graph_elements[c] for c in sorted(children)]
+        result = self._memo.get(n)
+        if result is None:
+            start = max(1, self._m - n + 1)
+            rows = ((self._kappa >= start) & (self._parent < start)).nonzero()[0]
+            elements = self._elements
+            result = [elements[i] for i in rows.tolist()]
+            self._memo[n] = result
+        return result
 
     # ------------------------------------------------------------------
     # Validation (used by the test suite)
@@ -639,14 +410,8 @@ class ContinuousQueryManager:
         cache (``None`` when caching is disabled)."""
         return self.engine.cache_stats()
 
-    def query_index_stats(self) -> Optional[Dict[str, int]]:
-        """Group and routing counters of the query index, or ``None``
-        when ``query_index="off"``."""
-        return None if self._index is None else self._index.stats()
-
     def check_invariants(self) -> None:
-        """Verify trigger lists, the graph mirror, result sync and the
-        query-index structure.
+        """Verify the manager's rows, window axis and results.
 
         Raises
         ------

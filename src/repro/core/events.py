@@ -2,7 +2,7 @@
 
 Every call to :meth:`repro.core.nofn.NofNSkyline.append` performs the
 maintenance of Algorithm 1 and reports *what changed* as an
-:class:`ArrivalOutcome`.  The continuous-query manager (Algorithm 2)
+:class:`ArrivalOutcome`.  The continuous-query manager (section 3.4)
 consumes these outcomes instead of re-deriving the changes — that is
 exactly the "linking an element to the continuous queries which are
 using it" coupling the paper describes in section 3.4.
@@ -79,7 +79,8 @@ class BatchOutcome:
     returned — feed them, in order, to
     :meth:`~repro.core.continuous.ContinuousQueryManager.process` (or
     hand the whole object to ``process_batch``) and every continuous
-    query fires the same triggers it would have fired per element.
+    query reaches the result and ``changes`` it would have reached per
+    element.
 
     Attributes
     ----------

@@ -22,9 +22,9 @@ Supported engines:
   :class:`~repro.core.nofn.NofNSkyline` snapshot plus the handle
   registry (query id, window size and ``changes`` counter per handle).
   Only the registry travels: restore re-registers every handle against
-  the restored engine, so the per-``n`` query-index groups, trigger
-  lists and dominance-forest mirror are all re-derived — groups restore
-  from the handle registry, not from serialised member sets.
+  the restored engine, whose ``R_N`` and parents seed the manager's
+  rows.  Snapshots written while the manager had a ``query_index``
+  knob carry that key; it selects nothing and restore ignores it.
 
 Round-trip guarantee: ``restore(snapshot(engine))`` answers every query
 identically to the original (tested property-based).  Payloads are
@@ -192,10 +192,9 @@ def _snapshot_continuous(manager: ContinuousQueryManager) -> Dict[str, Any]:
     """Dump a continuous-query manager: the wrapped engine plus the
     handle registry.
 
-    Member sets, trigger lists and the query index are deliberately not
-    serialised — they are functions of the engine state and the
-    registry, and restore re-derives them by re-registering each handle
-    (one stabbing query per distinct ``n``).
+    The manager's rows and results are deliberately not serialised —
+    they are functions of the engine state and the registry, and
+    restore re-derives them by re-registering each handle.
     """
     engine = manager.engine
     if type(engine) is not NofNSkyline:
@@ -207,7 +206,6 @@ def _snapshot_continuous(manager: ContinuousQueryManager) -> Dict[str, Any]:
         "format": FORMAT_VERSION,
         "kind": "continuous",
         "engine": _snapshot_nofn(engine),
-        "query_index": manager.query_index,
         "sanitize": manager.sanitize_mode,
         "next_id": manager._next_id,
         "queries": [
@@ -270,9 +268,8 @@ def _restore_continuous(
     snap: Dict[str, Any], sanitize: SanitizeArg
 ) -> ContinuousQueryManager:
     """Rebuild a manager by restoring its engine and re-registering the
-    handle registry (groups restore from the registry, not from dumped
-    member sets).  ``sanitize`` applies to the manager; the engine keeps
-    its own recorded mode.
+    handle registry.  ``sanitize`` applies to the manager; the engine
+    keeps its own recorded mode.
 
     The registry is validated before any handle is registered: ids are
     unique integers >= 1 below ``next_id`` (a colliding ``next_id``
@@ -305,11 +302,7 @@ def _restore_continuous(
             _is_int(changes) and changes >= 0,
             f"query {raw['id']} has changes={changes!r}, not a count",
         )
-    manager = ContinuousQueryManager(
-        engine,
-        sanitize=sanitize,
-        query_index=str(snap.get("query_index", "auto")),
-    )
+    manager = ContinuousQueryManager(engine, sanitize=sanitize)
     handles: Dict[int, ContinuousQueryHandle] = {}
     for raw in queries:
         handle = manager.register(raw["n"])

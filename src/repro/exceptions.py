@@ -81,7 +81,7 @@ class SanitizerReport:
         Machine-readable invariant name from the catalogue in
         ``docs/DEVELOPING.md`` (``"non-redundancy"``, ``"forest"``,
         ``"interval-encoding"``, ``"stabbing-bruteforce"``,
-        ``"rtree-augmentation"``, ``"trigger-heap"`` …).
+        ``"rtree-augmentation"``, ``"continuous-rows"`` …).
     message:
         Human-readable details.
     kappas:

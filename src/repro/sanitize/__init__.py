@@ -4,7 +4,7 @@ Attachable runtime verification for every engine in the library: the
 :class:`InvariantSanitizer` re-derives the properties the paper proves
 (Theorem 1 non-redundancy, the Theorem 3 interval encoding and its
 stabbing answers, Theorem 4's CBC ancestors, the dominance index's
-kappa order, trigger-list consistency, ...) directly from engine
+kappa order, continuous-query rows, ...) directly from engine
 state, and raises :class:`~repro.exceptions.StructureCorruptionError`
 with a structured :class:`~repro.exceptions.SanitizerReport` instead of
 erasable ``assert`` statements — every check survives ``python -O``.

@@ -30,19 +30,13 @@ The invariant catalogue (the ``invariant`` field of the report):
                     brute-force recomputation over ``P_N``
 ``band-count``      k-skyband younger-dominator counters are in range
                     and consistent with the retained set
-``trigger-heap``    a continuous query's trigger list is the ascending
-                    kappa list of its result (the paper's min-heap)
-``graph-mirror``    the manager's dominance-forest mirror matches the
-                    engine's graph (checked only when in sync)
+``continuous-rows`` a continuous-query manager's rows are in
+                    ascending kappa order with an older birth parent,
+                    its window axis is strictly ascending with refcounts
+                    matching the handle registry, and (when in sync)
+                    its rows are ``R_N`` with each birth parent the
+                    engine's parent or below the window start
 ``result-sync``     a continuous result equals the stabbing answer
-``continuous-index`` the query-index axis is sorted and aligned, group
-                    refcounts match the handle registry, the expiry
-                    schedule is a ``heapq`` holding every mapped due,
-                    every non-empty group has a due and none is later
-                    than its group's real due time, and every group's
-                    member set equals a brute-force per-window replay
-                    over the manager's dominance-forest mirror (valid
-                    mid-batch)
 ``stab-cache``      the versioned query cache's answer at each tested
                     stab point equals a fresh stab of the live interval
                     tree (checked whenever a cache is attached)
@@ -69,7 +63,7 @@ from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from repro.core.dominance import dominates, weakly_dominates
 from repro.core.element import StreamElement
-from repro.exceptions import corruption
+from repro.exceptions import StructureCorruptionError, corruption
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.continuous import ContinuousQueryManager
@@ -640,13 +634,13 @@ def _check_skyband_stabbing(engine: "KSkybandEngine", name: str) -> None:
 
 
 def verify_continuous(manager: "ContinuousQueryManager") -> None:
-    """Verify every registered continuous query and the manager's
-    dominance-forest mirror.
+    """Verify a continuous-query manager's rows, window axis and results.
 
-    The mirror and result sets are compared against the live engine only
-    when the manager has processed every arrival the engine has ingested
-    (during batch replay the engine runs ahead; the trigger lists are
-    always checked).
+    The row columns and the window axis are always checked.  The rows
+    are compared with ``R_N``, and every result with a fresh stab, only
+    when the manager has processed every arrival the engine has
+    ingested (a caller driving the engine directly may not have handed
+    the outcomes over yet).
 
     Raises
     ------
@@ -655,52 +649,66 @@ def verify_continuous(manager: "ContinuousQueryManager") -> None:
     """
     name = type(manager).__name__
     engine = manager.engine
-    for handle in manager:
-        kappas = handle._group._kappas
-        if kappas != sorted(handle._members):
-            raise corruption(
-                "engine",
-                "trigger-heap",
-                f"query {handle.query_id} (n={handle.n}): trigger list "
-                f"{kappas} is not the ascending kappas of the result set",
-                engine=name,
-            )
+    kappas = manager._kappa.tolist()
+    parents = manager._parent.tolist()
+    axis = manager._axis.tolist()
+    refs = manager._refs.tolist()
 
-    if manager._index is not None:
-        _verify_query_index(manager, name)
+    def rows_corrupt(
+        message: str, *kappas_hit: int
+    ) -> StructureCorruptionError:
+        return corruption(
+            "engine", "continuous-rows", message,
+            kappas=kappas_hit, engine=name,
+        )
+
+    if len(parents) != len(kappas) or [
+        e.kappa for e in manager._elements
+    ] != kappas:
+        raise rows_corrupt("row columns (kappa, parent, element) disagree")
+    for i in range(len(kappas) - 1):
+        if kappas[i] >= kappas[i + 1]:
+            raise rows_corrupt(
+                f"rows are not in ascending kappa order at row {i}",
+                kappas[i], kappas[i + 1],
+            )
+    for kappa, parent in zip(kappas, parents):
+        if not 0 <= parent < kappa:
+            raise rows_corrupt(
+                f"row {kappa} has birth parent {parent}, not an older "
+                f"arrival",
+                kappa,
+            )
+    if any(axis[i] >= axis[i + 1] for i in range(len(axis) - 1)):
+        raise rows_corrupt(f"window axis is not strictly ascending: {axis}")
+    handles: Dict[int, int] = {}
+    for handle in manager:
+        handles[handle.n] = handles.get(handle.n, 0) + 1
+    if len(refs) != len(axis) or len(manager._counts) != len(axis) or (
+        handles != dict(zip(axis, refs))
+    ):
+        raise rows_corrupt(
+            f"window refcounts {dict(zip(axis, refs))} disagree with the "
+            f"handle registry {handles}"
+        )
 
     m = engine.seen_so_far
-    mirror = manager._graph_elements
-    in_sync = m == 0 or (bool(mirror) and max(mirror) == m)
-    if not in_sync:
+    if manager._m != m:
         return
-
-    if sorted(mirror) != sorted(engine._records):
-        raise corruption(
-            "engine",
-            "graph-mirror",
-            f"mirror holds kappas {sorted(mirror)}, engine holds "
-            f"{sorted(engine._records)}",
-            engine=name,
+    records = engine._records
+    if sorted(records) != kappas:
+        raise rows_corrupt(
+            f"rows hold kappas {kappas}, R_N holds {sorted(records)}"
         )
-    for kappa, record in engine._records.items():
-        if manager._graph_parent.get(kappa) != record.parent_kappa:
-            raise corruption(
-                "engine",
-                "graph-mirror",
-                f"mirror parent of {kappa} is "
-                f"{manager._graph_parent.get(kappa)}, engine records "
-                f"{record.parent_kappa}",
-                kappas=(kappa,),
-                engine=name,
-            )
-        if manager._graph_children.get(kappa, set()) != record.children:
-            raise corruption(
-                "engine",
-                "graph-mirror",
-                f"mirror children of {kappa} disagree with the engine",
-                kappas=(kappa,),
-                engine=name,
+    window_start = m - engine.capacity + 1
+    for kappa, parent in zip(kappas, parents):
+        engine_parent = records[kappa].parent_kappa
+        if parent != engine_parent and parent >= window_start:
+            raise rows_corrupt(
+                f"row {kappa} has birth parent {parent}; the engine "
+                f"records {engine_parent} and {parent} is still in the "
+                f"window",
+                kappa,
             )
 
     for handle in manager:
@@ -711,148 +719,12 @@ def verify_continuous(manager: "ContinuousQueryManager") -> None:
             expected = sorted(
                 r.element.kappa for r in engine._intervals.stab(stab)
             )
-        if sorted(handle._members) != expected:
+        got = handle.result_kappas()
+        if got != expected:
             raise corruption(
                 "engine",
                 "result-sync",
                 f"query {handle.query_id} (n={handle.n}) holds kappas "
-                f"{sorted(handle._members)}, the stabbing query gives "
-                f"{expected}",
-                engine=name,
-            )
-
-
-def _verify_query_index(manager: "ContinuousQueryManager", name: str) -> None:
-    """The ``continuous-index`` invariant (``query_index="on"`` only).
-
-    Structural checks first (sorted axis, aligned group registry,
-    refcounts, a well-formed expiry schedule whose dues never run
-    late), then a brute-force
-    replay: each group's member set must equal Proposition 1 evaluated
-    directly over the manager's dominance-forest mirror.  The mirror —
-    not the live engine — is the oracle, so the check is valid
-    mid-batch, when the engine has already run ahead of the arrival
-    being replayed.
-    """
-    index = manager._index
-    if index is None:  # caller gates on this; kept for ``python -O``
-        return
-    axis = index._axis
-    order = index._order
-    groups = index._groups
-
-    if any(axis[i] >= axis[i + 1] for i in range(len(axis) - 1)):
-        raise corruption(
-            "engine",
-            "continuous-index",
-            f"query-index axis is not strictly ascending: {axis}",
-            engine=name,
-        )
-    if len(axis) != len(order) or [g.n for g in order] != axis:
-        raise corruption(
-            "engine",
-            "continuous-index",
-            "query-index axis and group order are misaligned",
-            engine=name,
-        )
-    if sorted(groups) != axis:
-        raise corruption(
-            "engine",
-            "continuous-index",
-            "query-index group registry disagrees with the axis",
-            engine=name,
-        )
-
-    counts: Dict[int, int] = {}
-    for handle in manager:
-        counts[handle.n] = counts.get(handle.n, 0) + 1
-        if groups.get(handle.n) is not handle._group:
-            raise corruption(
-                "engine",
-                "continuous-index",
-                f"query {handle.query_id} (n={handle.n}) is not viewing "
-                f"its registered group",
-                engine=name,
-            )
-    if counts != {g.n: g.refs for g in order}:
-        raise corruption(
-            "engine",
-            "continuous-index",
-            f"group refcounts {dict((g.n, g.refs) for g in order)} "
-            f"disagree with the handle registry {counts}",
-            engine=name,
-        )
-
-    expiry = index._expiry
-    dues = index._due
-    for slot in range(1, len(expiry)):
-        if expiry[(slot - 1) // 2] > expiry[slot]:
-            raise corruption(
-                "engine",
-                "continuous-index",
-                f"expiry schedule breaks heap order at slot {slot}",
-                engine=name,
-            )
-    unqueued = set(dues.items()) - {(n, due) for due, n in expiry}
-    if unqueued:
-        raise corruption(
-            "engine",
-            "continuous-index",
-            f"mapped dues {sorted(unqueued)} (n, due) have no schedule "
-            f"entry — they would never fire",
-            engine=name,
-        )
-    for n in dues:
-        if n not in groups:
-            raise corruption(
-                "engine",
-                "continuous-index",
-                f"expiry due for unregistered window n={n}",
-                engine=name,
-            )
-    for group in order:
-        if not group._kappas:
-            continue
-        top_kappa = group._kappas[0]
-        real_due = top_kappa + group.n
-        scheduled = dues.get(group.n)
-        if scheduled is None:
-            raise corruption(
-                "engine",
-                "continuous-index",
-                f"group n={group.n} has a trigger ({top_kappa}) but no "
-                f"due — its window expiries would never fire",
-                engine=name,
-            )
-        if scheduled > real_due:
-            raise corruption(
-                "engine",
-                "continuous-index",
-                f"group n={group.n} is due at {scheduled}, later than its "
-                f"real due time {real_due} — a stale-late due would miss "
-                f"expiries",
-                engine=name,
-            )
-
-    # Brute-force replay of Proposition 1 over the mirror: element e
-    # (parent p) is in window n at stream length M iff it is among the
-    # last n arrivals and its critical dominator is not.
-    mirror = manager._graph_elements
-    parents = manager._graph_parent
-    m = max(mirror) if mirror else 0
-    for group in order:
-        window_start = m - group.n + 1
-        expected = sorted(
-            kappa
-            for kappa in mirror
-            if kappa >= window_start
-            and (not parents.get(kappa, 0) or parents[kappa] < window_start)
-        )
-        if group.result_kappas() != expected:
-            raise corruption(
-                "engine",
-                "continuous-index",
-                f"group n={group.n} holds kappas {group.result_kappas()}, "
-                f"the mirror replay gives {expected}",
+                f"{got}, the stabbing query gives {expected}",
                 engine=name,
             )

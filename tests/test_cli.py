@@ -8,6 +8,7 @@ import io
 import pytest
 
 from repro.cli import main
+from repro.core.query_index import mixed_query_plan
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +163,80 @@ class TestWindow:
             main(["window", stream_file, "--capacity", "4", flag, "2"])
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+class TestWindowContinuous:
+    QUERIES = 9
+    CAPACITY = 40
+
+    @pytest.fixture
+    def stream_file(self, tmp_path):
+        path = tmp_path / "stream.csv"
+        rows = [f"{(i * 37) % 11},{(i * 53) % 13}" for i in range(150)]
+        path.write_text("\n".join(rows) + "\n")
+        return str(path)
+
+    def continuous_line(self, out):
+        line = out.splitlines()[
+            [l.split("\t")[0] for l in out.splitlines()].index("continuous")
+        ]
+        return dict(field.split("=") for field in line.split("\t")[1:])
+
+    def run_window(self, capsys, stream_file, *extra):
+        return run_cli(
+            capsys, "window", stream_file,
+            "--capacity", str(self.CAPACITY), "--n", "25",
+            "--continuous-queries", str(self.QUERIES), *extra,
+        )
+
+    def test_per_element(self, capsys, stream_file):
+        code, out, _ = self.run_window(capsys, stream_file)
+        assert code == 0
+        fields = self.continuous_line(out)
+        plan = mixed_query_plan(self.QUERIES, self.CAPACITY)
+        assert fields["queries"] == str(self.QUERIES)
+        assert fields["groups"] == str(len(set(plan)))
+        assert fields["probe_n"] == str(plan[0])
+        assert fields["probe_match"] == "yes"
+        assert "index" not in fields
+
+    def test_batched_under_full_sanitize(self, capsys, stream_file):
+        _, per_element, _ = self.run_window(capsys, stream_file)
+        code, out, _ = self.run_window(
+            capsys, stream_file, "--batch", "7", "--sanitize", "full"
+        )
+        assert code == 0
+        assert self.continuous_line(out) == self.continuous_line(
+            per_element
+        )
+        assert self.continuous_line(out)["probe_match"] == "yes"
+        assert out.splitlines()[-1].startswith("batch\t")
+        assert out.splitlines()[0] == per_element.splitlines()[0]
+
+    def test_negative_query_count_is_rejected(self, capsys, stream_file):
+        code, _, err = run_cli(
+            capsys, "window", stream_file, "--capacity", "4",
+            "--continuous-queries", "-1",
+        )
+        assert code == 2
+        assert "--continuous-queries must be >= 0" in err
+
+    def test_band_above_one_is_rejected(self, capsys, stream_file):
+        code, _, err = run_cli(
+            capsys, "window", stream_file, "--capacity", "4",
+            "--continuous-queries", "3", "--band", "2",
+        )
+        assert code == 2
+        assert "requires --band 1" in err
+
+    def test_query_index_flag_is_retired(self, capsys, stream_file):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["window", stream_file, "--capacity", "4",
+                  "--continuous-queries", "3", "--query-index", "on"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --query-index" in (
+            capsys.readouterr().err
+        )
 
 
 class TestInfo:

@@ -1,6 +1,6 @@
 """Unit tests for the per-function CFG behind the dataflow lint rules.
 
-These pin down the path-sensitivity that REPRO101 and REPRO104 rely on:
+These pin down the path-sensitivity that REPRO101 relies on:
 exception edges from may-raise fragments, the ``count_exceptional``
 switch, branch/loop zero-iteration edges, and the try/except/finally
 modelling.

@@ -1,4 +1,4 @@
-"""Tests for the dataflow rule pack (REPRO101, REPRO104, REPRO105), the
+"""Tests for the dataflow rule pack (REPRO101, REPRO105), the
 waiver accounting, the baseline machinery, and the CLI.
 
 Each rule has a golden fixture triple under ``tests/fixtures/lint/``:
@@ -57,72 +57,19 @@ class TestRepro101VersionBumps:
         assert result.findings == []
         assert result.unused_waivers == []
 
-
-class TestRepro101ChangesCounter:
-    """The query-group convention: ``changes`` is a version counter
-    too, and ``del``-statement mutations are visible to the rule."""
-
-    def test_violation(self):
-        assert hits("repro101_changes_violation.py") == [
-            ("REPRO101", 13),
-            ("REPRO101", 22),
-        ]
-
-    def test_clean(self):
-        assert hits("repro101_changes_clean.py") == []
-
-    def test_waived(self):
-        result = run_fixture("repro101_changes_waived.py")
-        assert result.findings == []
-        assert result.unused_waivers == []
-
-    def test_plain_changes_attribute_is_not_a_counter(self):
-        # `changes` only counts when __init__ binds it to an integer
-        # literal; a data attribute of the same name stays untracked.
+    def test_changes_counter_convention_is_retired(self):
+        # ``changes`` is a plain attribute: an integer ``changes`` set in
+        # __init__ no longer arms the rule.
         src = (
-            "class Carrier:\n"
-            "    def __init__(self, changes):\n"
-            "        self._items = []\n"
-            "        self.changes = list(changes)\n"
-            "\n"
-            "    def push(self, item):\n"
-            "        self._items.append(item)\n"
-        )
-        result = analyze_sources({"carrier.py": src})
-        assert result.findings == []
-
-
-class TestRepro104MirrorKernels:
-    """The ``X`` / ``X_kernel`` convention: a tracked container with a
-    lazily rebuilt flat mirror must drop the mirror on every mutation
-    path (the query index's sorted axis is the production instance)."""
-
-    def test_violation(self):
-        assert hits("repro104_mirror_violation.py") == [
-            ("REPRO104", 14),
-        ]
-
-    def test_clean(self):
-        assert hits("repro104_mirror_clean.py") == []
-
-    def test_waived(self):
-        result = run_fixture("repro104_mirror_waived.py")
-        assert result.findings == []
-        assert result.unused_waivers == []
-
-    def test_kernel_without_matching_container_is_ignored(self):
-        # A cache attr whose stem names no tracked container never
-        # arms the mirror rule.
-        src = (
-            "class Free:\n"
+            "class Group:\n"
             "    def __init__(self):\n"
-            "        self._rows = []\n"
-            "        self._cols_kernel = None\n"
+            "        self._members = {}\n"
+            "        self.changes = 0\n"
             "\n"
-            "    def push(self, row):\n"
-            "        self._rows.append(row)\n"
+            "    def add(self, kappa, element):\n"
+            "        self._members[kappa] = element\n"
         )
-        result = analyze_sources({"free.py": src})
+        result = analyze_sources({"group.py": src})
         assert result.findings == []
 
 
@@ -158,14 +105,14 @@ class TestUnusedWaivers:
         assert result.unused_waivers == []
 
     def test_render_mentions_the_code(self):
-        waiver = UnusedWaiver("a.py", 7, "REPRO104")
+        waiver = UnusedWaiver("a.py", 7, "REPRO101")
         assert "a.py:7" in waiver.render()
-        assert "REPRO104" in waiver.render()
+        assert "REPRO101" in waiver.render()
 
 
 class TestBaseline:
     def _findings(self):
-        name = "repro104_mirror_violation.py"
+        name = "repro101_violation.py"
         return run_fixture(name).findings
 
     def test_round_trip_matches_everything(self, tmp_path):
@@ -261,7 +208,7 @@ class TestCli:
 
     def test_write_then_check_baseline(self, tmp_path):
         baseline = tmp_path / "baseline.txt"
-        target = "tests/fixtures/lint/repro104_mirror_violation.py"
+        target = "tests/fixtures/lint/repro101_violation.py"
         proc = run_cli(target, "--baseline", str(baseline),
                        "--write-baseline")
         assert proc.returncode == 0
@@ -271,9 +218,9 @@ class TestCli:
 
     def test_stale_baseline_entry_fails(self, tmp_path):
         baseline = tmp_path / "baseline.txt"
-        target = "tests/fixtures/lint/repro104_mirror_violation.py"
+        target = "tests/fixtures/lint/repro101_violation.py"
         run_cli(target, "--baseline", str(baseline), "--write-baseline")
-        proc = run_cli("tests/fixtures/lint/repro104_mirror_clean.py",
+        proc = run_cli("tests/fixtures/lint/repro101_clean.py",
                        "--baseline", str(baseline))
         assert proc.returncode == 1
         assert "stale baseline entry" in proc.stderr

@@ -397,45 +397,37 @@ class TestSkybandCorruption:
 
 
 class TestContinuousCorruption:
-    def fed(self, **manager_kwargs):
-        manager = ContinuousQueryManager(NofNSkyline(2, 15), **manager_kwargs)
+    def fed(self):
+        manager = ContinuousQueryManager(NofNSkyline(2, 15))
         handle = manager.register(10)
         for point in points_stream(50, seed=15):
             manager.append(point)
         return manager, handle
 
-    def test_heap_member_divergence(self):
+    def test_rows_disagree_with_rn(self):
         manager, handle = self.fed()
-        del handle._group._kappas[0]
+        manager._kappa = manager._kappa[1:]
+        manager._parent = manager._parent[1:]
+        manager._elements = manager._elements[1:]
         with pytest.raises(StructureCorruptionError) as excinfo:
             manager.check_invariants()
-        assert invariant_of(excinfo) == "trigger-heap"
+        assert invariant_of(excinfo) == "continuous-rows"
 
-    def test_trigger_list_out_of_order(self):
+    def test_birth_parent_younger_than_its_row(self):
         manager, handle = self.fed()
-        kappas = handle._group._kappas
-        kappas[0], kappas[1] = kappas[1], kappas[0]
+        manager._parent[0] = manager._kappa[-1]
         with pytest.raises(StructureCorruptionError) as excinfo:
             manager.check_invariants()
-        assert invariant_of(excinfo) == "trigger-heap"
+        assert invariant_of(excinfo) == "continuous-rows"
 
     def test_result_out_of_sync(self):
-        # Without the query index: its Proposition 1 replay would name
-        # this consistent drop first (``continuous-index``).
-        manager, handle = self.fed(query_index="off")
-        kappa = handle._group._kappas.pop(0)
-        del handle._members[kappa]
+        # Consistent rows, a wrong memoised answer: only the comparison
+        # with a fresh stab can notice.
+        manager, handle = self.fed()
+        manager._memo[handle.n] = handle.result()[1:]
         with pytest.raises(StructureCorruptionError) as excinfo:
             manager.check_invariants()
         assert invariant_of(excinfo) == "result-sync"
-
-    def test_graph_mirror_tamper(self):
-        manager, handle = self.fed()
-        kappa = next(iter(manager._graph_children))
-        manager._graph_children[kappa].add(10_000)
-        with pytest.raises(StructureCorruptionError) as excinfo:
-            manager.check_invariants()
-        assert invariant_of(excinfo) == "graph-mirror"
 
 
 # ----------------------------------------------------------------------

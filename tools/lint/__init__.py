@@ -12,9 +12,9 @@ The engine layers, bottom up:
 * :mod:`tools.lint.cfg` — per-function control-flow graphs with
   exception edges and the path query;
 * :mod:`tools.lint.model` — the cross-module class model (version
-  counters, flat mirrors, snapshot producers/consumers);
-* :mod:`tools.lint.dataflow` — the REPRO101, REPRO104 and REPRO105
-  rule pack on top of the two;
+  counters, snapshot producers/consumers);
+* :mod:`tools.lint.dataflow` — the REPRO101 and REPRO105 rule pack on
+  top of the two;
 * :mod:`tools.lint.baseline` — the grandfathered-findings file.
 
 Waivers that no longer suppress anything are reported as *unused* so

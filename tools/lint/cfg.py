@@ -1,8 +1,8 @@
 """Per-function control-flow graphs for the dataflow lint rules.
 
-The REPRO101 and REPRO104 rules are *path* properties ("every path
-through the mutation also bumps the version"), so a flat AST walk cannot
-express them.  This module builds a statement-level CFG for one function
+The REPRO101 rule is a *path* property ("every path through the
+mutation also bumps the version"), so a flat AST walk cannot express
+it.  This module builds a statement-level CFG for one function
 and answers the path query the rules need:
 
 * :meth:`CFG.must_pass_through` — does **every** entry→exit path that

@@ -1,4 +1,4 @@
-"""The dataflow rule pack: REPRO101, REPRO104 and REPRO105.
+"""The dataflow rule pack: REPRO101 and REPRO105.
 
 Each rule pairs the cross-module facts from :mod:`tools.lint.model`
 with per-function path queries over :mod:`tools.lint.cfg`:
@@ -6,15 +6,11 @@ with per-function path queries over :mod:`tools.lint.cfg`:
 =========  =============================================================
 Code       Discipline enforced
 =========  =============================================================
-REPRO101   Every method of a version-bearing class (``_version`` or a
-           ``changes`` counter) that mutates a tracked container must
-           bump the counter on *every* CFG path through the mutation
-           (exception edges included) — otherwise versioned caches
-           (``StabCache``) serve stale answers and a ``QueryGroup``'s
-           handles under-report their ``changes``.
-REPRO104   A class keeping an ``X`` container beside an ``X_kernel``
-           flat mirror (the query index's sorted axis) must drop the
-           mirror on every normal path that mutates ``X``.
+REPRO101   Every method of a version-bearing class (``_version``) that
+           mutates a tracked container must bump the counter on *every*
+           CFG path through the mutation (exception edges included) —
+           otherwise versioned caches (``StabCache``) serve stale
+           answers.
 REPRO105   Snapshot round-trip parity: keys a producer writes that no
            consumer ever reads rot silently (persist-but-never-restore);
            keys a consumer subscripts that no producer writes crash
@@ -119,8 +115,7 @@ def _check_version_bumps(module: ModuleModel, cls: ClassModel,
                          findings: List[Finding]) -> None:
     if not cls.has_version or not cls.tracked_containers:
         return
-    version_attr = cls.version_attr or "_version"
-    version_path = f"self.{version_attr}"
+    version_path = "self._version"
     tracked_paths = {
         f"self.{attr}": attr for attr in cls.tracked_containers
     }
@@ -147,74 +142,10 @@ def _check_version_bumps(module: ModuleModel, cls: ClassModel,
                     module, frag, "REPRO101",
                     f"{cls.name}.{name} mutates tracked container "
                     f"self.{attr} on a path that never bumps "
-                    f"self.{version_attr} — versioned caches will serve "
+                    f"self._version — versioned caches will serve "
                     f"stale answers",
                     f"{cls.name}.{name}",
                 ))
-
-
-# ----------------------------------------------------------------------
-# REPRO104 — flat-mirror invalidation
-# ----------------------------------------------------------------------
-
-
-def _mirror_pairs(cls: ClassModel) -> Dict[str, str]:
-    """``{container_attr: kernel_attr}`` for every ``X`` / ``X_kernel``
-    pair the class keeps — a tracked container with a lazily rebuilt
-    flat mirror (``self._axis`` / ``self._axis_kernel`` style)."""
-    pairs: Dict[str, str] = {}
-    for kernel_attr in cls.cache_attrs:
-        if not kernel_attr.endswith("_kernel"):
-            continue
-        stem = kernel_attr[: -len("_kernel")]
-        if stem in cls.tracked_containers:
-            pairs[stem] = kernel_attr
-    return pairs
-
-
-def _check_mirror_kernels(module: ModuleModel,
-                          findings: List[Finding]) -> None:
-    """A mutation of a mirrored container must drop/rewrite its kernel
-    on every normal path, or searches run against a stale mirror."""
-    for cls in module.classes.values():
-        pairs = _mirror_pairs(cls)
-        if not pairs:
-            continue
-        for name, fn in cls.methods.items():
-            if name == "__init__":
-                continue
-            aliases = local_aliases(fn)
-            cfg = build_cfg(fn)
-            scope = f"{cls.name}.{name}"
-            for attr, kernel_attr in pairs.items():
-                tracked_paths = {f"self.{attr}": attr}
-                kernel_path = f"self.{kernel_attr}"
-
-                def invalidates(node: CFGNode,
-                                _aliases: Dict[str, str] = aliases,
-                                _path: str = kernel_path) -> bool:
-                    return node.frag is not None and _writes_path(
-                        node.frag, _path, _aliases
-                    )
-
-                for node, frag in _frags(cfg):
-                    if _container_mutation(
-                        frag, tracked_paths, aliases
-                    ) is None:
-                        continue
-                    if invalidates(node):
-                        continue
-                    if not cfg.must_pass_through(
-                        node.index, invalidates, count_exceptional=False
-                    ):
-                        findings.append(_finding(
-                            module, frag, "REPRO104",
-                            f"{scope}: mutates self.{attr} on a path "
-                            f"that never invalidates its "
-                            f"self.{kernel_attr} mirror — vectorised "
-                            f"routing will search a stale axis",
-                            scope,
-                        ))
 
 
 # ----------------------------------------------------------------------
@@ -280,10 +211,9 @@ def check_snapshot_parity(model: Model) -> List[Finding]:
 
 
 def check_module_dataflow(module: ModuleModel) -> List[Finding]:
-    """Run REPRO101 and REPRO104 over one module (REPRO105 is whole-run;
-    see :func:`check_snapshot_parity`)."""
+    """Run REPRO101 over one module (REPRO105 is whole-run; see
+    :func:`check_snapshot_parity`)."""
     findings: List[Finding] = []
     for cls in module.classes.values():
         _check_version_bumps(module, cls, findings)
-    _check_mirror_kernels(module, findings)
     return findings

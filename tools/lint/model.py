@@ -1,13 +1,10 @@
 """Cross-module class/protocol model for the dataflow lint rules.
 
-One pass over every linted file classifies the code the REPRO101,
-REPRO104 and REPRO105 rules care about:
+One pass over every linted file classifies the code the REPRO101 and
+REPRO105 rules care about:
 
-* which classes carry a version counter (``_version``, or the
-  continuous-query ``changes`` convention) and which of their
+* which classes carry a ``_version`` counter and which of their
   attributes are *tracked containers* (REPRO101);
-* which classes keep an ``X_kernel`` flat mirror of a tracked
-  container (REPRO104);
 * which functions produce snapshot/spec dictionaries and which consume
   them (REPRO105).
 
@@ -31,16 +28,10 @@ __all__ = [
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
-#: Attributes that act as a class's change/version counter (REPRO101).
-#: ``_version`` is the StabCache convention; ``changes`` is the
-#: continuous-query convention — a :class:`QueryGroup`'s cumulative
-#: ``changes`` counter is the paper's ``delta`` every handle reports,
-#: so a container mutation that skips the bump under-reports it just as
-#: a skipped ``_version`` bump lets a versioned cache serve a stale
-#: answer.
-#: ``changes`` only counts when ``__init__`` assigns it an integer
-#: literal (plain data attributes named ``changes`` stay untracked).
-VERSION_COUNTER_ATTRS: FrozenSet[str] = frozenset({"_version", "changes"})
+#: Attributes that act as a class's version counter (REPRO101): the
+#: StabCache convention.  It only counts when ``__init__`` assigns it an
+#: integer literal.
+VERSION_COUNTER_ATTRS: FrozenSet[str] = frozenset({"_version"})
 
 #: Method names on a tracked container that mutate it (REPRO101).
 MUTATOR_NAMES: FrozenSet[str] = frozenset({
@@ -174,8 +165,8 @@ class ClassModel:
     """What the rules need to know about one class."""
 
     __slots__ = (
-        "name", "path", "lineno", "has_version", "version_attr",
-        "tracked_containers", "cache_attrs", "methods",
+        "name", "path", "lineno", "has_version", "tracked_containers",
+        "methods",
     )
 
     def __init__(self, name: str, path: str, lineno: int) -> None:
@@ -184,12 +175,8 @@ class ClassModel:
         self.lineno = lineno
         #: class assigns a version counter in ``__init__``
         self.has_version = False
-        #: which counter it is (``_version`` wins when both appear)
-        self.version_attr: Optional[str] = None
         #: attrs holding mutable containers built in ``__init__``
         self.tracked_containers: Set[str] = set()
-        #: flat-mirror attrs (``self._axis_kernel = None`` style)
-        self.cache_attrs: Set[str] = set()
         self.methods: Dict[str, FunctionNode] = {}
 
 
@@ -273,13 +260,6 @@ def _scan_init(model: ClassModel, init: FunctionNode) -> None:
             value, ast.Constant
         ) and isinstance(value.value, int):
             model.has_version = True
-            if model.version_attr is None or attr == "_version":
-                model.version_attr = attr
-            continue
-        if attr.endswith("_kernel") and isinstance(
-            value, ast.Constant
-        ) and value.value is None:
-            model.cache_attrs.add(attr)
             continue
         if _is_container_value(value):
             model.tracked_containers.add(attr)

@@ -78,7 +78,6 @@ RULES: Dict[str, str] = {
     "REPRO005": "hot-path node class without __slots__",
     "REPRO101": "container mutation on a CFG path without a _version "
                 "bump; versioned caches go stale",
-    "REPRO104": "mirrored container mutation skips its flat-mirror drop",
     "REPRO105": "snapshot round-trip parity: key persisted but never "
                 "restored, or required but never produced",
 }
