@@ -10,6 +10,10 @@ Reproduction: the same grid at scaled-down ``N`` (defaults 500 and
 2000, times ``REPRO_BENCH_SCALE``); each engine ingests a ``2N``-long
 stream and reports the final ``|R_N|``.  Expected shape: the
 corr < indep < anti ordering per row and growth down the columns.
+Beside the independent columns the table prints Theorem 2's exact
+expectation for that family, ``E|R_N| = A(N, d + 1)``
+(:func:`repro.bench.expected_maxima`); one stream per cell spreads
+about 10% around it.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from repro.bench import (
     DISTRIBUTIONS,
     DIST_LABELS,
     build_nofn,
+    expected_maxima,
     format_count,
     render_table,
     scaled,
@@ -35,11 +40,11 @@ def _n_values():
 def test_fig04_rn_size_table(report, nofn_engine, benchmark):
     """Regenerate the Figure 4 table at reproduction scale."""
     n_small, n_large = _n_values()
-    headers = ["dim"] + [
-        f"{DIST_LABELS[dist]} N={n}"
-        for dist in DISTRIBUTIONS
-        for n in (n_small, n_large)
-    ]
+    headers = ["dim"]
+    for dist in DISTRIBUTIONS:
+        headers += [f"{DIST_LABELS[dist]} N={n}" for n in (n_small, n_large)]
+        if dist == "independent":
+            headers += [f"E|R_N| N={n}" for n in (n_small, n_large)]
     rows = []
     sizes = {}
 
@@ -51,6 +56,11 @@ def test_fig04_rn_size_table(report, nofn_engine, benchmark):
                     engine = nofn_engine(dist, dim, capacity, prefill=2 * capacity)
                     sizes[(dim, dist, capacity)] = engine.rn_size
                     row.append(format_count(engine.rn_size))
+                if dist == "independent":
+                    row += [
+                        f"{expected_maxima(capacity, dim + 1):.1f}"
+                        for capacity in (n_small, n_large)
+                    ]
             rows.append(row)
 
     benchmark.pedantic(run_figure, rounds=1, iterations=1)

@@ -3,10 +3,11 @@
 
 ``-O`` strips ``assert`` statements, so any safety check the engines
 rely on in production must be a real exception.  This script exercises
-every engine's hot path — per-element and batched — under whatever
-optimisation level it is launched with, and verifies that:
+every engine's one ingest path — ``append`` runs it as a chunk of one,
+``append_many`` a chunk at a time — under whatever optimisation level
+it is launched with, and verifies that:
 
-* per-element and batched ingestion agree on query results;
+* ``append`` and ``append_many`` agree on query results;
 * the root-expiry structural check still fires as a catchable
   :class:`~repro.exceptions.StructureCorruptionError` (it was once a
   bare ``assert``, silently erased by ``-O``), and so does the check of
@@ -478,11 +479,12 @@ def main() -> int:
     )
     parser.add_argument(
         "--batch", action="store_true",
-        help="re-run the engine pass with small frozen-tree chunk sizes "
-             "(batch_chunk in {1, 7}) so the batched maintenance "
-             "pipeline crosses many chunk boundaries — bulk deletes, "
-             "bulk inserts and staleness repair all fire repeatedly "
-             "under whatever -O / sanitize mode is active",
+        help="re-run the engine pass with a small frozen-tree chunk "
+             "size (batch_chunk=7) so the batched maintenance pipeline "
+             "crosses many chunk boundaries — bulk deletes, bulk "
+             "inserts and staleness repair all fire repeatedly under "
+             "whatever -O / sanitize mode is active (every append "
+             "already runs chunks of one)",
     )
     parser.add_argument(
         "--continuous", action="store_true",
@@ -493,7 +495,7 @@ def main() -> int:
              "active",
     )
     args = parser.parse_args()
-    chunk_grid = (None, 1, 7) if args.batch else (None,)
+    chunk_grid = (None, 7) if args.batch else (None,)
     for chunk in chunk_grid:
         smoke_nofn(args.sanitize, chunk)
         smoke_timewindow(args.sanitize, chunk)
@@ -511,7 +513,7 @@ def main() -> int:
     if args.continuous:
         smoke_continuous_handles(args.sanitize)
     mode = "optimized (-O)" if not __debug__ else "debug"
-    batch = ", batch-chunks={1, 7}" if args.batch else ""
+    batch = ", batch-chunk=7" if args.batch else ""
     continuous = ", continuous-handles" if args.continuous else ""
     print(f"smoke_optimized: all engines OK "
           f"[{mode}, sanitize={args.sanitize}{batch}"

@@ -93,12 +93,21 @@ class BatchPrefilter:
             raise ValueError(f"k must be >= 1, got {k}")
         self.size = len(points)
         self.k = k
-        self.kill: List[int] = []
-        self.survivors: List[int] = []
-        self._dom_by = _np.zeros((0, 0), dtype=bool)
         self._youngest_older: Optional[List[int]] = None
         self._victims: Optional[List[List[int]]] = None
-        if self.size:
+        if self.size == 1:
+            # No other member: no pairs to compare.
+            self.kill: List[int] = [-1]
+            self.survivors: List[int] = [0]
+            self._dom_by = _np.array([[True]])  # weak self-dominance
+            self._youngest_older = [-1]
+            self._killed_at: Dict[int, List[int]] = {}
+            return
+        if not self.size:
+            self.kill = []
+            self.survivors = []
+            self._dom_by = _np.zeros((0, 0), dtype=bool)
+        else:
             # One contiguous row per axis: each outer comparison below
             # then reads two contiguous vectors.
             cols = _np.ascontiguousarray(
@@ -127,7 +136,7 @@ class BatchPrefilter:
             self.kill = kill.tolist()
             self.survivors = _np.flatnonzero(kill < 0).tolist()
             self._dom_by = dom_by
-        self._killed_at: Dict[int, List[int]] = {}
+        self._killed_at = {}
         for i, at in enumerate(self.kill):
             if at >= 0:
                 self._killed_at.setdefault(at, []).append(i)
@@ -175,6 +184,8 @@ class BatchPrefilter:
         """Batch indices ``h < i`` weakly dominating ``i``, youngest
         first — the batch-side candidates for member ``i``'s critical
         dominator search."""
+        if not i:
+            return []
         return _np.flatnonzero(self._dom_by[i, :i])[::-1].tolist()
 
     def older_weak_victims(self, j: int) -> List[int]:
@@ -183,6 +194,8 @@ class BatchPrefilter:
         when member ``j`` arrives (the batch-side mirror of an index
         dominance report).  The first call lists every member's victims
         in one pass over the matrix."""
+        if not j:
+            return []
         if self._victims is None:
             # (j, h) pairs with h < j and dom_by[h, j], ordered by j
             # and then h; each member's victims are one run of them.

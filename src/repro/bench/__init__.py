@@ -24,6 +24,7 @@ from repro.bench.workloads import (
     bench_scale,
     build_n1n2,
     build_nofn,
+    expected_maxima,
     scaled,
     stream_points,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "bucketed_query_times",
     "build_n1n2",
     "build_nofn",
+    "expected_maxima",
     "feed_many_timed",
     "feed_timed",
     "format_count",

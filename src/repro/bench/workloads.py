@@ -55,6 +55,27 @@ def scaled(base: int, minimum: int = 1) -> int:
     return max(minimum, round(base * bench_scale()))
 
 
+def expected_maxima(n: int, dim: int) -> float:
+    """``A(n, dim)``: the expected number of maxima among ``n`` i.i.d.
+    points with continuous coordinates in ``dim`` dimensions (Bentley
+    et al.): ``A(n, 1) = 1`` and ``A(n, d) = sum_{i <= n} A(i, d-1) / i``.
+
+    On an independent stream, Theorem 2's mapping makes ``R_N`` a
+    skyline in ``d + 1`` dimensions, so ``E|R_N| = A(N, d + 1)`` once
+    the window is full, and the answer to ``query(n)`` has expected
+    size ``A(n, d)``.
+    """
+    row: List[float] = [1.0] * (n + 1)  # A(i, 1) for i = 0..n
+    for _ in range(dim - 1):
+        total = 0.0
+        nxt = [0.0] * (n + 1)
+        for i in range(1, n + 1):
+            total += row[i] / i
+            nxt[i] = total
+        row = nxt
+    return row[n]
+
+
 def stream_points(
     distribution: str, dim: int, count: int, seed: int = 0
 ) -> List[Point]:

@@ -38,26 +38,21 @@ would; :meth:`N1N2Skyline.ancestors` and snapshots report it as 0.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Any, List, Optional, Sequence, Set, Tuple, cast
 
 import numpy as _np
 
-from repro.accel.batch_prefilter import (
-    BatchPrefilter,
-    iter_chunks,
-    resolve_batch_chunk,
-)
+from repro.accel.batch_prefilter import BatchPrefilter
 from repro.core.element import StreamElement, batch_elements, checked_element
-from repro.core.stats import EngineStats
+from repro.core.engine import WindowEngine, row_block
 from repro.exceptions import InvalidWindowError, StructureCorruptionError
-from repro.sanitize.sanitizer import InvariantSanitizer, SanitizeArg
+from repro.sanitize.sanitizer import SanitizeArg
 from repro.structures.dense_index import DenseIndex
 
 _INF = float("inf")
 
 
-class N1N2Skyline:
+class N1N2Skyline(WindowEngine):
     """Sliding-window engine answering all (n1,n2)-of-N skyline queries.
 
     Parameters
@@ -90,22 +85,13 @@ class N1N2Skyline:
         sanitize: SanitizeArg = "off",
         batch_chunk: Optional[int] = None,
     ) -> None:
-        if capacity < 1:
-            raise InvalidWindowError(f"capacity must be >= 1, got {capacity}")
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
-        self.dim = dim
-        self.capacity = capacity
-        self._batch_chunk = resolve_batch_chunk(batch_chunk)
-        self._sanitizer = InvariantSanitizer.coerce(sanitize)
-        self._m = 0
+        super().__init__(dim, capacity, sanitize, batch_chunk)
         #: ``P_N``: the element labelled ``kappa`` sits in slot
         #: ``(kappa - 1) % capacity``.
         self._ring: List[Optional[StreamElement]] = [None] * capacity
         self._a = _np.zeros(capacity)  # kappa(a_e); 0 for none
         self._b = _np.full(capacity, _INF)  # kappa(b_e); +inf in R_N
         self._rtree = DenseIndex(dim)
-        self.stats = EngineStats()
 
     # ------------------------------------------------------------------
     # Maintenance (Algorithm 4)
@@ -114,36 +100,12 @@ class N1N2Skyline:
     def append(self, values: Sequence[float], payload: Any = None) -> StreamElement:
         """Ingest one stream element; return it.
 
-        A point the engine rejects raises before any state changes."""
+        A point the engine rejects raises before any state changes.
+        The element runs through the batch pipeline as a chunk of one.
+        """
         element = checked_element(values, self._m + 1, self.dim, payload)
-        self._m = kappa = element.kappa
-        n = self.capacity
-        slot = (kappa - 1) % n
-
-        # -- Expire the element leaving P_N: the one in this slot. ------
-        expired = 0
-        if kappa > n:
-            expired = 1
-            if self._b[slot] == _INF:
-                self._rtree.delete(kappa - n)
-
-        # -- Demote D_{e_new}: e_new becomes their backward ancestor. ---
-        demoted = self._rtree.remove_dominated(element.values)
-        if demoted:
-            self._b[[(entry.kappa - 1) % n for entry in demoted]] = kappa
-
-        # -- Critical ancestor of the newcomer (best-first search). -----
-        parent = self._rtree.max_kappa_dominator(element.values)
-        self._ring[slot] = element
-        self._a[slot] = 0 if parent is None else parent.kappa
-        self._b[slot] = _INF
-        self._rtree.insert(element.values, kappa)
-
-        self.stats.record_arrival(
-            expired=expired, dominated=len(demoted), rn_size=len(self._rtree)
-        )
-        if self._sanitizer is not None:
-            self._sanitizer.maybe_verify(self)
+        self._arrive_chunk([element], row_block(element.values))
+        self._chunk_done()
         return element
 
     def append_many(
@@ -165,23 +127,21 @@ class N1N2Skyline:
         values raise before any engine state changes.  ``points`` may
         also be a ``(B, dim)`` NumPy array.
         """
-        started = perf_counter()
         elements, matrix = batch_elements(points, self._m + 1, self.dim, payloads)
-        dropped = 0
-        chunk = min(self._batch_chunk, self.capacity)
-        for lo, hi in iter_chunks(len(elements), chunk):
-            dropped += self._arrive_chunk(elements[lo:hi], matrix[lo:hi])
-            if self._sanitizer is not None:
-                self._sanitizer.maybe_verify(self)
-        self.stats.record_batch(
-            size=len(elements), dropped=dropped, seconds=perf_counter() - started
+        self._ingest(
+            len(elements),
+            lambda lo, hi: self._arrive_chunk(elements[lo:hi], matrix[lo:hi]),
         )
         return elements
 
     def _arrive_chunk(self, chunk: List[StreamElement], block: Any) -> int:
         """Ingest one chunk, ``block`` holding its coordinate rows (at
         most ``capacity`` members, so no chunk member can expire before
-        its in-chunk dominator arrives, and no two share a slot).
+        its in-chunk dominator arrives, and no two share a slot); return
+        how many members the prefilter dropped.  This is Algorithm 4:
+        an arrival expires the element in its slot, demotes
+        ``D_{e_new}`` (the newcomer becomes their backward ancestor) and
+        takes its critical ancestor from a best-first search.
 
         All dominance-index mutations the chunk causes are deferred:
         demotions and expiries accumulate into one bulk
@@ -218,7 +178,13 @@ class N1N2Skyline:
         victims0 = rtree.report_dominated_batch(block, survivors=pre.survivors)
         youngest = pre.youngest_older
         roots = [i for i, h in enumerate(youngest) if h < 0]
-        parents0 = dict(zip(roots, rtree.max_kappa_dominator_batch(block[roots])))
+        # The frozen answers of the members with no older same-chunk
+        # dominator, in member order: the loop below takes the next one
+        # at each such member.
+        frozen_parents = rtree.max_kappa_dominator_batch(
+            block if len(roots) == len(chunk) else block[roots]
+        )
+        roots_seen = 0
         n = self.capacity
         a, b = self._a, self._b
 
@@ -270,10 +236,11 @@ class N1N2Skyline:
                             parent = kappa_h
                             break
             if not parent:
-                entry = (
-                    parents0[i] if head < 0
-                    else rtree.max_kappa_dominator(element.values)
-                )
+                if head < 0:
+                    entry = frozen_parents[roots_seen]
+                    roots_seen += 1
+                else:
+                    entry = rtree.max_kappa_dominator(element.values)
                 while entry is not None and entry.kappa > kappa - n:
                     if b[(entry.kappa - 1) % n] == _INF:
                         parent = entry.kappa
@@ -305,11 +272,13 @@ class N1N2Skyline:
             )
         if deletes:
             rtree.delete_many(deletes)
-        if pre.survivors:
+        survivors = pre.survivors
+        if survivors:
             # No member expires within its chunk, so every survivor
             # is installed.
             rtree.insert_many(
-                block[pre.survivors], [base_kappa + i for i in pre.survivors]
+                block if len(survivors) == len(chunk) else block[survivors],
+                [base_kappa + i for i in survivors],
             )
         return pre.dropped
 
@@ -360,11 +329,6 @@ class N1N2Skyline:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    @property
-    def seen_so_far(self) -> int:
-        """``M`` — number of elements ingested."""
-        return self._m
 
     @property
     def window_size(self) -> int:
@@ -424,22 +388,6 @@ class N1N2Skyline:
         from repro.sanitize.checks import verify_n1n2
 
         verify_n1n2(self)
-
-    @property
-    def sanitizer(self) -> Optional[InvariantSanitizer]:
-        """The attached sanitizer, or ``None`` when checking is off."""
-        return self._sanitizer
-
-    @property
-    def sanitize_mode(self) -> str:
-        """The active sanitize mode (``"off"`` when none is attached)."""
-        return "off" if self._sanitizer is None else self._sanitizer.mode
-
-    @property
-    def batch_chunk(self) -> int:
-        """The effective batched-ingest chunk size (the ``batch_chunk``
-        knob, or the library default when unset)."""
-        return self._batch_chunk
 
 
 class ContinuousN1N2Query:

@@ -13,7 +13,7 @@ query (``n <= N``):
   half-open intervals ``(kappa(parent), kappa(e)]`` (roots:
   ``(0, kappa(e)]``).
 
-Per arrival, :meth:`append` runs Algorithm 1:
+Per arrival, the engine runs Algorithm 1:
 
 1. expire the oldest ``R_N`` element once it leaves the window,
    re-rooting its children's intervals to ``(0, kappa(child)]``;
@@ -22,6 +22,9 @@ Per arrival, :meth:`append` runs Algorithm 1:
 3. find the newcomer's critical dominator with a newest-first sweep
    that stops at the first hit (the paper's best-first stop);
 4. install the newcomer's interval, index entry and label.
+
+Both :meth:`append` and :meth:`append_many` run it through one chunk
+core, :meth:`NofNSkyline._arrive_chunk`; ``append`` is a chunk of one.
 
 :meth:`query` then answers an n-of-N query as a **stabbing query**
 (Theorem 3): stab the interval tree with ``M - n + 1`` and report the
@@ -37,20 +40,15 @@ in section 6).
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.accel.batch_prefilter import (
-    BatchPrefilter,
-    iter_chunks,
-    resolve_batch_chunk,
-)
+from repro.accel.batch_prefilter import BatchPrefilter
 from repro.accel.stab_cache import StabCache
 from repro.core.element import StreamElement, batch_elements, checked_element
+from repro.core.engine import WindowEngine, row_block
 from repro.core.events import ArrivalOutcome, BatchOutcome, ExpiredRecord
-from repro.core.stats import EngineStats
 from repro.exceptions import InvalidWindowError, StructureCorruptionError
-from repro.sanitize.sanitizer import InvariantSanitizer, SanitizeArg
+from repro.sanitize.sanitizer import SanitizeArg
 from repro.structures.dense_index import DenseIndex
 from repro.structures.interval_tree import IntervalHandle, IntervalTree
 from repro.structures.labelset import LabelSet
@@ -79,7 +77,7 @@ def _record_kappa(record: _Record) -> int:
     return record.element.kappa
 
 
-class NofNSkyline:
+class NofNSkyline(WindowEngine):
     """Sliding-window engine answering all n-of-N skyline queries.
 
     Parameters
@@ -123,15 +121,7 @@ class NofNSkyline:
         query_cache: bool = True,
         batch_chunk: Optional[int] = None,
     ) -> None:
-        if capacity < 1:
-            raise InvalidWindowError(f"capacity must be >= 1, got {capacity}")
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
-        self.dim = dim
-        self.capacity = capacity
-        self._batch_chunk = resolve_batch_chunk(batch_chunk)
-        self._sanitizer = InvariantSanitizer.coerce(sanitize)
-        self._m = 0
+        super().__init__(dim, capacity, sanitize, batch_chunk)
         self._records: Dict[int, _Record] = {}
         self._labels: LabelSet[_Record] = LabelSet()
         self._intervals: IntervalTree[_Record] = IntervalTree()
@@ -142,23 +132,24 @@ class NofNSkyline:
         self._stab_cache: Optional[StabCache[_Record]] = (
             StabCache(self._intervals) if query_cache else None
         )
-        self.stats = EngineStats()
 
     # ------------------------------------------------------------------
     # Hooks overridden by the time-window variant
     # ------------------------------------------------------------------
-
-    def _assign_label(self, element: StreamElement) -> float:
-        """The label used as interval endpoints; positions by default."""
-        return element.kappa
 
     def _window_start(self, new_label: float) -> float:
         """Labels strictly below this value have left the window."""
         return self._m - self.capacity + 1
 
     def _note_arrival(self, label: float) -> None:
-        """Per-arrival clock bookkeeping for the batched path (no-op for
-        count-based windows; the time-window variant advances ``now``)."""
+        """Per-arrival clock bookkeeping (no-op for count-based
+        windows; the time-window variant advances ``now``)."""
+
+    def _chunk_limit(self) -> int:
+        """``batch_chunk`` unclamped: a doomed member that expires
+        before its in-chunk killer arrives is expired from ``pending``
+        (a time window's capacity means nothing, either)."""
+        return self._batch_chunk
 
     # ------------------------------------------------------------------
     # Maintenance (Algorithm 1)
@@ -169,63 +160,20 @@ class NofNSkyline:
 
         The returned :class:`ArrivalOutcome` feeds the continuous-query
         manager (Algorithm 2); ad-hoc users may ignore it.  A point the
-        engine rejects raises before any state changes.
+        engine rejects raises before any state changes.  The element
+        runs through the batch pipeline as a chunk of one, and only the
+        per-arrival counters of :attr:`stats` move.
         """
         element = checked_element(values, self._m + 1, self.dim, payload)
-        self._m += 1
-        label = self._assign_label(element)
-        return self._arrive(element, label)
+        return self._append_one(element, element.kappa)
 
-    def _arrive(self, element: StreamElement, label: float) -> ArrivalOutcome:
-        # -- Lines 2-8: expire elements that left the window. ----------
-        threshold = self._window_start(label)
-        expired: List[ExpiredRecord] = []
-        while self._labels:
-            oldest_label, oldest = self._labels.oldest()
-            if oldest_label >= threshold:
-                break
-            expired.append(self._expire(oldest))
-
-        # -- Lines 9-13: eject D_{e_new}. ------------------------------
-        dominated: List[StreamElement] = []
-        for entry in self._rtree.remove_dominated(element.values):
-            record: _Record = entry.data
-            self._detach(record)
-            dominated.append(record.element)
-
-        # -- Lines 14-15: critical dominator + installation. -----------
-        parent_entry = self._rtree.max_kappa_dominator(element.values)
-        record = _Record(element, label)
-        if parent_entry is None:
-            low = 0.0
-        else:
-            parent: _Record = parent_entry.data
-            record.parent_kappa = parent.element.kappa
-            parent.children.add(element.kappa)
-            low = parent.label
-        record.handle = self._intervals.insert(low, label, record)
-        self._rtree.insert(element.values, element.kappa, record)
-        self._labels.append(label, record)
-        self._records[element.kappa] = record
-
-        self.stats.record_arrival(
-            expired=len(expired),
-            dominated=len(dominated),
-            rn_size=len(self._records),
-        )
-        if self._sanitizer is not None:
-            self._sanitizer.maybe_verify(self)
-        return ArrivalOutcome(
-            element=element,
-            seen_so_far=self._m,
-            dominated_removed=tuple(dominated),
-            parent_kappa=record.parent_kappa,
-            expired=tuple(expired),
-        )
-
-    # ------------------------------------------------------------------
-    # Batched ingestion fast path
-    # ------------------------------------------------------------------
+    def _append_one(self, element: StreamElement, label: float) -> ArrivalOutcome:
+        """Run one validated element, labelled ``label``, as a chunk of
+        one."""
+        outcomes: List[ArrivalOutcome] = []
+        self._arrive_chunk([element], [label], row_block(element.values), outcomes)
+        self._chunk_done()
+        return outcomes[0]
 
     def append_many(
         self,
@@ -249,35 +197,28 @@ class NofNSkyline:
         also be a ``(B, dim)`` NumPy array.
         """
         elements, matrix = batch_elements(points, self._m + 1, self.dim, payloads)
-        return self._ingest_batch(
-            elements, [self._assign_label(e) for e in elements], matrix
-        )
+        return self._ingest_batch(elements, [e.kappa for e in elements], matrix)
 
     def _ingest_batch(
         self, elements: List[StreamElement], labels: List[float], matrix: Any
     ) -> BatchOutcome:
-        """Run the chunked batch-arrival loop over validated elements
-        and their ``(B, dim)`` coordinate matrix."""
-        started = perf_counter()
+        """Run validated elements, their labels and their ``(B, dim)``
+        coordinate matrix through the chunk core, chunk by chunk."""
         outcomes: List[ArrivalOutcome] = []
-        dropped = 0
-        for lo, hi in iter_chunks(len(elements), self._batch_chunk):
-            dropped += self._arrive_chunk(
+        dropped = self._ingest(
+            len(elements),
+            lambda lo, hi: self._arrive_chunk(
                 elements[lo:hi], labels[lo:hi], matrix[lo:hi], outcomes
-            )
-            if self._sanitizer is not None:
-                self._sanitizer.maybe_verify(self)
-        batch = BatchOutcome(tuple(outcomes), prefilter_dropped=dropped)
-        self.stats.record_batch(
-            size=len(elements), dropped=dropped, seconds=perf_counter() - started
+            ),
         )
-        return batch
+        return BatchOutcome(tuple(outcomes), prefilter_dropped=dropped)
 
     def _expire_step(
         self,
         threshold: float,
         pending: Dict[int, _Record],
-        defer: Callable[[int], None],
+        deletes: List[int],
+        indexed_below: int,
     ) -> Tuple[List[ExpiredRecord], Optional[float]]:
         """Run one arrival's merged pending/indexed expiry sweep; return
         what expired and the oldest live label left (``None`` when
@@ -291,7 +232,9 @@ class NofNSkyline:
             ):
                 if tree_oldest[0] >= threshold:
                     return expired, tree_oldest[0]
-                expired.append(self._expire(tree_oldest[1], pending, defer))
+                expired.append(
+                    self._expire(tree_oldest[1], pending, deletes, indexed_below)
+                )
             elif pend_oldest is not None:
                 if pend_oldest.label >= threshold:
                     return expired, pend_oldest.label
@@ -307,7 +250,8 @@ class NofNSkyline:
         outcomes: List[ArrivalOutcome],
     ) -> int:
         """Ingest one chunk with its labels and coordinate rows
-        (``block``), appending one outcome per element.
+        (``block``), appending one outcome per element; return how many
+        members the prefilter dropped.
 
         The dominance index is *frozen* for the duration of the chunk:
         both chunk-wide searches (:meth:`DenseIndex.report_dominated_batch`,
@@ -315,6 +259,8 @@ class NofNSkyline:
         against the chunk-start state, every per-arrival mutation is
         deferred, and the chunk flushes with one
         :meth:`DenseIndex.delete_many` + one :meth:`DenseIndex.insert_many`.
+        While it is frozen the index holds exactly the live elements
+        older than the chunk.
 
         Doomed members (those the prefilter proved dominated by a
         younger same-chunk member) are parked in ``pending`` — logically
@@ -331,11 +277,13 @@ class NofNSkyline:
 
         * dominance victims carry first-arrival attribution, and an
           arrival skips victims another arrival (or an expiry) already
-          removed — the aliveness check against ``self._records``;
+          removed — a record is alive while it holds its interval
+          handle;
         * a chunk survivor is never dominated by any chunk member (the
           prefilter would have doomed it), so survivors installed
-          mid-chunk only ever *leave* via expiry — handled by dropping
-          their deferred insert;
+          mid-chunk only ever *leave* via expiry (which clears their
+          interval handle), and the flush indexes the survivors still
+          alive;
         * critical parents resolve intra-chunk candidates first
           (youngest alive wins — chunk kappas exceed every indexed
           kappa): the prefilter's ``youngest_older`` member, and only
@@ -357,13 +305,16 @@ class NofNSkyline:
         victims0 = rtree.report_dominated_batch(block, survivors=pre.survivors)
         youngest = pre.youngest_older
         roots = [i for i, h in enumerate(youngest) if h < 0]
-        parents0 = dict(zip(roots, rtree.max_kappa_dominator_batch(block[roots])))
-        deferred_deletes: List[int] = []
-        deferred_inserts: Dict[int, _Record] = {}
-
-        def defer_delete(kappa: int) -> None:
-            if deferred_inserts.pop(kappa, None) is None:
-                deferred_deletes.append(kappa)
+        # The frozen answers of the members with no older same-chunk
+        # dominator, in member order: the loop below takes the next one
+        # at each such member.
+        frozen_parents = rtree.max_kappa_dominator_batch(
+            block if len(roots) == len(chunk) else block[roots]
+        )
+        roots_seen = 0
+        first = chunk[0].kappa  # the index holds every live kappa below it
+        deletes: List[int] = []
+        installed: List[_Record] = []
 
         oldest = labels[0]
         if self._labels:
@@ -378,19 +329,17 @@ class NofNSkyline:
             expired: List[ExpiredRecord] = []
             threshold = self._window_start(label)
             if threshold > oldest:
-                expired, stop = self._expire_step(
-                    threshold, pending, defer_delete
-                )
+                expired, stop = self._expire_step(threshold, pending, deletes, first)
                 oldest = label if stop is None else stop
                 expired_count += len(expired)
 
             dominated: List[StreamElement] = []
             for entry in victims0[i]:
-                tree_record = self._records.get(entry.kappa)
-                if tree_record is None:
+                tree_record = entry.data
+                if tree_record.handle is None:
                     continue  # expired earlier in the chunk
                 self._detach(tree_record)
-                defer_delete(entry.kappa)
+                deletes.append(entry.kappa)
                 dominated.append(tree_record.element)
             for h in pre.killed_at(i):
                 doomed = pending.pop(chunk[h].kappa, None)
@@ -424,13 +373,14 @@ class NofNSkyline:
                         if best is not None:
                             break
             if best is None:
-                parent_entry = (
-                    parents0[i] if head < 0
-                    else rtree.max_kappa_dominator(element.values)
-                )
+                if head < 0:
+                    parent_entry = frozen_parents[roots_seen]
+                    roots_seen += 1
+                else:
+                    parent_entry = rtree.max_kappa_dominator(element.values)
                 while (
                     parent_entry is not None
-                    and parent_entry.kappa not in self._records
+                    and parent_entry.data.handle is None
                 ):
                     # The frozen-tree answer died mid-chunk: descend.
                     parent_entry = rtree.max_kappa_dominator(
@@ -446,9 +396,9 @@ class NofNSkyline:
             else:
                 low = 0.0 if best is None else best.label
                 record.handle = self._intervals.insert(low, label, record)
-                deferred_inserts[element.kappa] = record
                 self._labels.append(label, record)
                 self._records[element.kappa] = record
+                installed.append(record)
 
             rn_size = len(self._records) + len(pending)
             rn_sum += rn_size
@@ -470,30 +420,35 @@ class NofNSkyline:
             raise StructureCorruptionError(
                 f"{len(pending)} doomed batch members survived their chunk"
             )
-        if deferred_deletes:
-            rtree.delete_many(deferred_deletes)
-        if deferred_inserts:
-            rows = [i for i in pre.survivors if chunk[i].kappa in deferred_inserts]
+        if deletes:
+            rtree.delete_many(deletes)
+        if expired_count:
+            # A survivor installed earlier in the chunk may have expired.
+            installed = [r for r in installed if r.handle is not None]
+        if installed:
+            kappas = [r.element.kappa for r in installed]
             rtree.insert_many(
-                block[rows],
-                [chunk[i].kappa for i in rows],
-                [deferred_inserts[chunk[i].kappa] for i in rows],
+                block if len(kappas) == len(chunk)
+                else block[[kappa - first for kappa in kappas]],
+                kappas,
+                installed,
             )
         return pre.dropped
 
     def _expire(
         self,
         record: _Record,
-        pending: Optional[Dict[int, _Record]] = None,
-        defer: Optional[Callable[[int], None]] = None,
+        pending: Dict[int, _Record],
+        deletes: List[int],
+        indexed_below: int,
     ) -> ExpiredRecord:
         """Remove an expired root from ``R_N``, re-rooting its children.
 
-        ``pending`` is supplied by the batched path: a child may be a
-        doomed batch member awaiting its in-batch killer — it has no
-        interval yet, only a parent link to clear.  ``defer`` (the
-        frozen-tree pipeline) replaces the index delete with a
-        deferred-mutation callback.
+        A child may be a doomed chunk member in ``pending``, awaiting
+        its in-chunk killer: it has no interval yet, only a parent link
+        to clear.  The index delete is queued on ``deletes`` when the
+        record is indexed (its kappa is below ``indexed_below``, the
+        chunk's first); a chunk survivor is simply never indexed.
         """
         if record.parent_kappa != 0:
             raise StructureCorruptionError(
@@ -508,7 +463,7 @@ class NofNSkyline:
                 child.handle = self._intervals.replace(
                     child.handle, 0.0, child.label
                 )
-            elif pending is not None and child_kappa in pending:
+            elif child_kappa in pending:
                 child = pending[child_kappa]
             else:
                 raise StructureCorruptionError(
@@ -517,13 +472,12 @@ class NofNSkyline:
                 )
             child.parent_kappa = 0
             children_elements.append(child.element)
+        kappa = record.element.kappa
         self._intervals.remove(record.handle)
-        if defer is None:
-            self._rtree.delete(record.element.kappa)
-        else:
-            defer(record.element.kappa)
+        if kappa < indexed_below:
+            deletes.append(kappa)
         self._labels.remove(record.label)
-        del self._records[record.element.kappa]
+        del self._records[kappa]
         record.handle = None
         return ExpiredRecord(
             element=record.element,
@@ -560,12 +514,9 @@ class NofNSkyline:
         )
 
     def _detach(self, record: _Record) -> None:
-        """Remove a dominated element's interval, label and parent link.
-
-        The index entry has already been removed (by
-        :meth:`DenseIndex.remove_dominated`, or queued for the chunk's
-        :meth:`DenseIndex.delete_many`).
-        """
+        """Remove a dominated element's interval, label and parent link
+        (its index entry is queued for the chunk's
+        :meth:`DenseIndex.delete_many`)."""
         self._intervals.remove(record.handle)
         record.handle = None
         parent = self._records.get(record.parent_kappa)
@@ -645,24 +596,9 @@ class NofNSkyline:
     # ------------------------------------------------------------------
 
     @property
-    def seen_so_far(self) -> int:
-        """``M`` — number of elements ingested."""
-        return self._m
-
-    @property
     def rn_size(self) -> int:
         """``|R_N|`` — the minimized element count of Theorem 1."""
         return len(self._records)
-
-    @property
-    def sanitizer(self) -> Optional[InvariantSanitizer]:
-        """The attached sanitizer, or ``None`` when checking is off."""
-        return self._sanitizer
-
-    @property
-    def sanitize_mode(self) -> str:
-        """The active sanitize mode (``"off"`` when none is attached)."""
-        return "off" if self._sanitizer is None else self._sanitizer.mode
 
     @property
     def structure_version(self) -> int:
@@ -675,12 +611,6 @@ class NofNSkyline:
     def stab_cache(self) -> Optional[StabCache[_Record]]:
         """The query cache, or ``None`` when ``query_cache=False``."""
         return self._stab_cache
-
-    @property
-    def batch_chunk(self) -> int:
-        """Effective :meth:`append_many` chunk size (the ``batch_chunk``
-        knob, with ``None`` resolved to the module default)."""
-        return self._batch_chunk
 
     def cache_stats(self) -> Optional[Dict[str, int]]:
         """Hit/miss/rebuild counters of the query cache (``None`` when

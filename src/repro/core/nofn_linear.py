@@ -44,9 +44,8 @@ class _ScanIndex:
     """A drop-in replacement for the engine's R-tree: a flat dict.
 
     Implements exactly the :class:`repro.structures.dense_index.DenseIndex`
-    surface the engine uses (``insert``, ``delete``,
-    ``remove_dominated``, ``max_kappa_dominator``, ``__len__`` and the
-    chunk pipeline's four batch methods) with linear scans.
+    surface the engine uses (``max_kappa_dominator``, ``__len__`` and
+    the chunk pipeline's four batch methods) with linear scans.
     """
 
     class _Entry:
@@ -69,26 +68,6 @@ class _ScanIndex:
     def __contains__(self, kappa: int) -> bool:
         return kappa in self._entries
 
-    def insert(
-        self, point: Sequence[float], kappa: int, data: object = None
-    ) -> "_ScanIndex._Entry":
-        entry = self._Entry(point, kappa, data)
-        self._entries[kappa] = entry
-        return entry
-
-    def delete(self, kappa: int) -> "_ScanIndex._Entry":
-        return self._entries.pop(kappa)
-
-    def remove_dominated(self, q: Sequence[float]) -> List["_ScanIndex._Entry"]:
-        removed = [
-            entry
-            for entry in self._entries.values()
-            if weakly_dominates(q, entry.point)
-        ]
-        for entry in removed:
-            del self._entries[entry.kappa]
-        return removed
-
     def max_kappa_dominator(
         self, q: Sequence[float], kappa_below: Optional[int] = None
     ) -> Optional["_ScanIndex._Entry"]:
@@ -108,10 +87,10 @@ class _ScanIndex:
     ) -> List[List["_ScanIndex._Entry"]]:
         """Non-destructive chunk-wide dominance report: each dominated
         entry lands in the bucket of the *earliest* probe dominating it
-        (the arrival whose ``remove_dominated`` would have claimed it);
-        buckets are kappa-sorted.  With ``survivors`` (the probes that
-        dominate the rest, as for the dense index) an entry is looked
-        up only once one of them dominates it."""
+        (the arrival that ejects it); buckets are kappa-sorted.  With
+        ``survivors`` (the probes that dominate the rest, as for the
+        dense index) an entry is looked up only once one of them
+        dominates it."""
         probes = _rows(points)
         search = probes if survivors is None else [probes[s] for s in survivors]
         buckets: List[List[_ScanIndex._Entry]] = [[] for _ in probes]
@@ -139,10 +118,13 @@ class _ScanIndex:
         kappas: Sequence[int],
         datas: Optional[Sequence[object]] = None,
     ) -> List["_ScanIndex._Entry"]:
-        return [
-            self.insert(point, kappa, None if datas is None else datas[i])
+        entries = [
+            self._Entry(point, kappa, None if datas is None else datas[i])
             for i, (point, kappa) in enumerate(zip(_rows(points), kappas))
         ]
+        for entry in entries:
+            self._entries[entry.kappa] = entry
+        return entries
 
     def check_invariants(self) -> None:
         for kappa, entry in self._entries.items():

@@ -44,19 +44,14 @@ exactly (property-tested).
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.accel.batch_prefilter import (
-    BatchPrefilter,
-    iter_chunks,
-    resolve_batch_chunk,
-)
+from repro.accel.batch_prefilter import BatchPrefilter
 from repro.accel.stab_cache import StabCache
 from repro.core.element import StreamElement, batch_elements, checked_element
-from repro.core.stats import EngineStats
+from repro.core.engine import WindowEngine, row_block
 from repro.exceptions import InvalidWindowError, StructureCorruptionError
-from repro.sanitize.sanitizer import InvariantSanitizer, SanitizeArg
+from repro.sanitize.sanitizer import SanitizeArg
 from repro.structures.dense_index import DenseIndex
 from repro.structures.interval_tree import IntervalHandle, IntervalTree
 from repro.structures.labelset import LabelSet
@@ -83,7 +78,7 @@ def _band_record_kappa(record: _BandRecord) -> int:
     return record.element.kappa
 
 
-class KSkybandEngine:
+class KSkybandEngine(WindowEngine):
     """Sliding-window engine answering all n-of-N k-skyband queries.
 
     Parameters
@@ -116,18 +111,10 @@ class KSkybandEngine:
         query_cache: bool = True,
         batch_chunk: Optional[int] = None,
     ) -> None:
-        if capacity < 1:
-            raise InvalidWindowError(f"capacity must be >= 1, got {capacity}")
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
+        super().__init__(dim, capacity, sanitize, batch_chunk)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        self.dim = dim
-        self.capacity = capacity
         self.k = k
-        self._batch_chunk = resolve_batch_chunk(batch_chunk)
-        self._sanitizer = InvariantSanitizer.coerce(sanitize)
-        self._m = 0
         self._records: Dict[int, _BandRecord] = {}
         self._labels: LabelSet[_BandRecord] = LabelSet()
         self._intervals: IntervalTree[_BandRecord] = IntervalTree()
@@ -138,7 +125,6 @@ class KSkybandEngine:
         self._stab_cache: Optional[StabCache[_BandRecord]] = (
             StabCache(self._intervals) if query_cache else None
         )
-        self.stats = EngineStats()
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -147,77 +133,13 @@ class KSkybandEngine:
     def append(self, values: Sequence[float], payload: Any = None) -> StreamElement:
         """Ingest one stream element; return it.
 
-        A point the engine rejects raises before any state changes."""
+        A point the engine rejects raises before any state changes.
+        The element runs through the batch pipeline as a chunk of one.
+        """
         element = checked_element(values, self._m + 1, self.dim, payload)
-        self._m += 1
-        self._arrive(element)
+        self._arrive_chunk([element], row_block(element.values))
+        self._chunk_done()
         return element
-
-    def _arrive(self, element: StreamElement) -> None:
-        """Run the per-arrival maintenance for an already-built element
-        (``self._m`` has been advanced to ``element.kappa``)."""
-        # Expiry: drop retained elements that left the window.  Their
-        # positions fall below every admissible stab point, so nobody
-        # else's interval needs touching.
-        threshold = self._m - self.capacity + 1
-        expired = 0
-        while self._labels:
-            oldest_kappa, oldest = self._labels.oldest()
-            if oldest_kappa >= threshold:
-                break
-            self._discard(oldest)
-            expired += 1
-
-        # The newcomer's exact top-k older *strict* dominators, computed
-        # BEFORE this arrival's pruning: an element pruned by this very
-        # arrival counts the newcomer among its k younger dominators, so
-        # it has only k-1 older witnesses and must still be visible here
-        # (the module-doc argument covers elements pruned on *earlier*
-        # arrivals only).  Older exact duplicates are skipped — they do
-        # not count against the newcomer under the youngest-copy tie
-        # convention (which is what makes k = 1 coincide exactly with
-        # NofNSkyline).
-        older_doms: List[int] = []
-        bound: Optional[int] = None
-        while len(older_doms) < self.k:
-            entry = self._rtree.max_kappa_dominator(
-                element.values, kappa_below=bound
-            )
-            if entry is None:
-                break
-            bound = entry.kappa
-            # Duplicate-identity check, not a dominance test: an exact
-            # twin is excluded from older_doms by the tie rule.
-            if entry.point != element.values:  # lint: skip=REPRO004
-                older_doms.append(entry.kappa)
-
-        # Dominated elements gain one younger dominator each; those
-        # reaching k are pruned (generalised Theorem 1).
-        demoted = 0
-        for entry in self._rtree.report_dominated(element.values):
-            record: _BandRecord = entry.data
-            record.younger += 1
-            if record.younger >= self.k:
-                self._rtree.delete(record.element.kappa)
-                self._discard(record)
-                demoted += 1
-            else:
-                self._reseat(record)
-
-        record = _BandRecord(element)
-        record.older_doms = older_doms
-        record.handle = self._intervals.insert(
-            float(self._threshold_kappa(record)), float(element.kappa), record
-        )
-        self._rtree.insert(element.values, element.kappa, record)
-        self._labels.append(element.kappa, record)
-        self._records[element.kappa] = record
-
-        self.stats.record_arrival(
-            expired=expired, dominated=demoted, rn_size=len(self._records)
-        )
-        if self._sanitizer is not None:
-            self._sanitizer.maybe_verify(self)
 
     def append_many(
         self,
@@ -240,17 +162,9 @@ class KSkybandEngine:
         also be a ``(B, dim)`` NumPy array.
         """
         elements, matrix = batch_elements(points, self._m + 1, self.dim, payloads)
-        started = perf_counter()
-        dropped = 0
-        # Chunks span at most ``capacity`` kappas, so no chunk member can
-        # expire before its in-chunk ``k``-th dominator arrives.
-        chunk = min(self._batch_chunk, self.capacity)
-        for lo, hi in iter_chunks(len(elements), chunk):
-            dropped += self._arrive_chunk(elements[lo:hi], matrix[lo:hi])
-            if self._sanitizer is not None:
-                self._sanitizer.maybe_verify(self)
-        self.stats.record_batch(
-            size=len(elements), dropped=dropped, seconds=perf_counter() - started
+        self._ingest(
+            len(elements),
+            lambda lo, hi: self._arrive_chunk(elements[lo:hi], matrix[lo:hi]),
         )
         return elements
 
@@ -264,7 +178,17 @@ class KSkybandEngine:
         since each hit increments a younger-dominator count) runs up
         front, every mutation is deferred, and the chunk flushes with
         one :meth:`DenseIndex.delete_many` + one
-        :meth:`DenseIndex.insert_many`.
+        :meth:`DenseIndex.insert_many`.  While it is frozen the index
+        holds exactly the retained elements older than the chunk.
+
+        Older-dominator lists are computed *before* the arrival's own
+        pruning: an element pruned by this very arrival counts the
+        newcomer among its k younger dominators, so it has only k-1
+        older witnesses and must still be visible here (the module-doc
+        argument covers elements pruned on *earlier* arrivals only).
+        Older exact duplicates are skipped — they do not count against
+        the newcomer under the youngest-copy tie convention (which is
+        what makes k = 1 coincide exactly with NofNSkyline).
 
         ``pending`` parks prefilter casualties until their pruning
         arrival: logically retained (they count towards ``rn_size`` and
@@ -285,7 +209,8 @@ class KSkybandEngine:
           younger than anything indexed) with the frozen-tree stream,
           skipping entries that died mid-chunk.  Doomed members skip
           the search: the list only ever feeds their interval encoding,
-          which they never get.
+          which they never get;
+        * the stats counters are added once per chunk.
         """
         pre = BatchPrefilter(block, k=self.k)
         # Expiry gate: if the oldest retained position survives even the
@@ -295,9 +220,10 @@ class KSkybandEngine:
         may_expire = bool(self._labels) and self._labels.oldest()[0] < threshold_end
         rtree = self._rtree
         victims0 = rtree.report_dominated_batch(block, first_only=False)
-        deferred_deletes: List[int] = []
-        deferred_inserts: Dict[int, _BandRecord] = {}
+        first = chunk[0].kappa  # the index holds every retained kappa below it
+        deletes: List[int] = []
         pending: Dict[int, StreamElement] = {}
+        expired_count = demoted_count = rn_sum = rn_peak = 0
         for i, element in enumerate(chunk):
             self._m = element.kappa
 
@@ -308,9 +234,7 @@ class KSkybandEngine:
                     oldest_kappa, oldest = self._labels.oldest()
                     if oldest_kappa >= threshold:
                         break
-                    self._discard_deferred(
-                        oldest, deferred_deletes, deferred_inserts
-                    )
+                    self._discard(oldest, deletes, first)
                     expired += 1
 
             # Merged top-k older strict dominator search (computed
@@ -355,9 +279,7 @@ class KSkybandEngine:
                     continue  # already pruned or expired this chunk
                 dominated_record.younger += 1
                 if dominated_record.younger >= self.k:
-                    self._discard_deferred(
-                        dominated_record, deferred_deletes, deferred_inserts
-                    )
+                    self._discard(dominated_record, deletes, first)
                     demoted += 1
                 else:
                     self._reseat(dominated_record)
@@ -369,9 +291,7 @@ class KSkybandEngine:
                 if survivor.younger >= self.k:  # pragma: no cover
                     # Unreachable by the prefilter bound; kept for the
                     # same defensive shape as the frozen-tree branch.
-                    self._discard_deferred(
-                        survivor, deferred_deletes, deferred_inserts
-                    )
+                    self._discard(survivor, deletes, first)
                     demoted += 1
                 else:
                     self._reseat(survivor)
@@ -389,47 +309,48 @@ class KSkybandEngine:
                     float(element.kappa),
                     record,
                 )
-                deferred_inserts[element.kappa] = record
                 self._labels.append(element.kappa, record)
                 self._records[element.kappa] = record
 
-            self.stats.record_arrival(
-                expired=expired,
-                dominated=demoted,
-                rn_size=len(self._records) + len(pending),
-            )
+            expired_count += expired
+            demoted_count += demoted
+            rn_size = len(self._records) + len(pending)
+            rn_sum += rn_size
+            if rn_size > rn_peak:
+                rn_peak = rn_size
+        self.stats.record_arrivals(
+            len(chunk), expired_count, demoted_count, rn_sum, rn_peak
+        )
         if pending:
             raise StructureCorruptionError(
                 f"{len(pending)} doomed batch members survived their chunk"
             )
-        if deferred_deletes:
-            rtree.delete_many(deferred_deletes)
-        if deferred_inserts:
-            rows = [i for i in pre.survivors if chunk[i].kappa in deferred_inserts]
+        if deletes:
+            rtree.delete_many(deletes)
+        rows = [i for i in pre.survivors if chunk[i].kappa in self._records]
+        if rows:
             rtree.insert_many(
-                block[rows],
+                block if len(rows) == len(chunk) else block[rows],
                 [chunk[i].kappa for i in rows],
-                [deferred_inserts[chunk[i].kappa] for i in rows],
+                [self._records[chunk[i].kappa] for i in rows],
             )
         return pre.dropped
 
-    def _discard_deferred(
-        self,
-        record: _BandRecord,
-        deferred_deletes: List[int],
-        deferred_inserts: Dict[int, _BandRecord],
+    def _discard(
+        self, record: _BandRecord, deletes: List[int], indexed_below: int
     ) -> None:
-        """Deferred-mutation variant of :meth:`_discard`: the frozen
-        tree is flushed at chunk end, so the record's physical entry is
-        either queued for :meth:`DenseIndex.delete_many` or simply dropped
-        from the pending inserts."""
+        """Remove a pruned or expired record's interval, label and book-
+        keeping.  Its index delete is queued on ``deletes`` for the
+        chunk's :meth:`DenseIndex.delete_many` when the record is
+        indexed (its kappa is below ``indexed_below``, the chunk's
+        first); a chunk survivor is simply never indexed."""
         kappa = record.element.kappa
         self._intervals.remove(record.handle)
         record.handle = None
         self._labels.remove(kappa)
         del self._records[kappa]
-        if deferred_inserts.pop(kappa, None) is None:
-            deferred_deletes.append(kappa)
+        if kappa < indexed_below:
+            deletes.append(kappa)
 
     def _threshold_kappa(self, record: _BandRecord) -> int:
         """Position of the dominator whose window-exit admits ``record``.
@@ -449,15 +370,6 @@ class KSkybandEngine:
             float(self._threshold_kappa(record)),
             float(record.element.kappa),
         )
-
-    def _discard(self, record: _BandRecord) -> None:
-        kappa = record.element.kappa
-        self._intervals.remove(record.handle)
-        record.handle = None
-        self._labels.remove(kappa)
-        del self._records[kappa]
-        if kappa in self._rtree:
-            self._rtree.delete(kappa)
 
     # ------------------------------------------------------------------
     # Queries
@@ -497,11 +409,6 @@ class KSkybandEngine:
     # ------------------------------------------------------------------
 
     @property
-    def seen_so_far(self) -> int:
-        """``M`` — number of elements ingested."""
-        return self._m
-
-    @property
     def retained_size(self) -> int:
         """``|R_N^k|`` — elements with fewer than k younger dominators."""
         return len(self._records)
@@ -527,16 +434,6 @@ class KSkybandEngine:
         verify_skyband(self)
 
     @property
-    def sanitizer(self) -> Optional[InvariantSanitizer]:
-        """The attached sanitizer, or ``None`` when checking is off."""
-        return self._sanitizer
-
-    @property
-    def sanitize_mode(self) -> str:
-        """The active sanitize mode (``"off"`` when none is attached)."""
-        return "off" if self._sanitizer is None else self._sanitizer.mode
-
-    @property
     def structure_version(self) -> int:
         """Monotonic version of the interval encoding (see
         :attr:`repro.core.nofn.NofNSkyline.structure_version`)."""
@@ -546,12 +443,6 @@ class KSkybandEngine:
     def stab_cache(self) -> Optional[StabCache[_BandRecord]]:
         """The query cache, or ``None`` when ``query_cache=False``."""
         return self._stab_cache
-
-    @property
-    def batch_chunk(self) -> int:
-        """The effective batched-ingest chunk size (the ``batch_chunk``
-        knob, or the library default when unset)."""
-        return self._batch_chunk
 
     def cache_stats(self) -> Optional[Dict[str, int]]:
         """Hit/miss/rebuild counters of the query cache (``None`` when

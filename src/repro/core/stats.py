@@ -31,15 +31,6 @@ class EngineStats:
     batch_seconds_total: float = 0.0
     batch_seconds_max: float = 0.0
 
-    def record_arrival(self, expired: int, dominated: int, rn_size: int) -> None:
-        """Account one maintenance step."""
-        self.arrivals += 1
-        self.expiries += expired
-        self.dominated_removed += dominated
-        if rn_size > self.rn_size_peak:
-            self.rn_size_peak = rn_size
-        self.rn_size_sum += rn_size
-
     def record_arrivals(
         self,
         count: int,
@@ -48,9 +39,9 @@ class EngineStats:
         rn_size_sum: int,
         rn_size_peak: int,
     ) -> None:
-        """Account ``count`` maintenance steps at once: the totals of
-        their :meth:`record_arrival` arguments, and the largest
-        ``rn_size`` among them."""
+        """Account one chunk of ``count`` maintenance steps (one for
+        ``append``): the expiries and dominance removals they made, and
+        the sum and the largest of the ``|R_N|`` after each step."""
         self.arrivals += count
         self.expiries += expired
         self.dominated_removed += dominated
@@ -62,9 +53,11 @@ class EngineStats:
         """Account one ``append_many`` call.
 
         The batch's arrivals are *also* accounted through
-        :meth:`record_arrival` or :meth:`record_arrivals` (counter
-        parity with per-element ingestion); these counters describe only
-        the batching itself.
+        :meth:`record_arrivals`, as ``append``'s are (counter parity
+        with per-element ingestion); these counters describe only the
+        batching itself.  ``seconds`` runs from the end of the batch's
+        validation to the end of its last chunk, so a batch that fails
+        validation records nothing.
         """
         self.batches += 1
         self.batch_elements += size

@@ -93,9 +93,7 @@ class TimeWindowSkyline(NofNSkyline):
         timestamp = float(timestamp)
         self._check_stamps([timestamp])
         element = checked_element(values, self._m + 1, self.dim, payload)
-        self._now = timestamp
-        self._m += 1
-        return self._arrive(element, timestamp)
+        return self._append_one(element, timestamp)
 
     def append_many(  # type: ignore[override]
         self,
@@ -144,8 +142,7 @@ class TimeWindowSkyline(NofNSkyline):
             previous = timestamp
 
     def _note_arrival(self, label: float) -> None:
-        """Advance the clock: the batched path's equivalent of
-        :meth:`append` setting ``now`` before maintenance."""
+        """Advance the clock to the arriving element's stamp."""
         self._now = label
 
     def _window_start(self, new_label: float) -> float:

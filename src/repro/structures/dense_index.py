@@ -24,10 +24,12 @@ answers them with NumPy passes over one dense matrix instead:
   *is* the youngest dominator: the paper's best-first stop.  A
   ``kappa_below`` bound starts the sweep at its ``searchsorted`` cut.
 
-The search surface (method names, entry objects with tuple points,
-kappa-sorted answers) is the pointer
-:class:`~repro.structures.rtree.RTree`'s, plus the bulk searches and
-mutations of the batched-ingest pipeline.
+The engines search and mutate a chunk at a time (``append`` is a chunk
+of one), so the chunk-wide methods run the single-probe search, and
+the bulk insert the single insert, when the chunk has one member.  The
+single-probe searches keep the pointer
+:class:`~repro.structures.rtree.RTree`'s names, entry objects with
+tuple points and kappa-sorted answers.
 """
 
 from __future__ import annotations
@@ -171,6 +173,8 @@ class DenseIndex:
         if isinstance(points, _np.ndarray):
             if points.ndim != 2 or points.shape[1] != self.dim:
                 raise DimensionMismatchError(self.dim, points.shape[-1])
+            if points.dtype == _np.float64:
+                return points
         else:
             for p in points:
                 if len(p) != self.dim:
@@ -221,9 +225,15 @@ class DenseIndex:
         """
         coords = self._coords(point)
         self._check_kappas((kappa,))
+        return self._append_row(coords, coords, kappa, data)
+
+    def _append_row(
+        self, coords: Point, column: Any, kappa: int, data: Any
+    ) -> DenseEntry:
+        """Write one validated row (``column`` holds ``coords``)."""
         self._reserve(1)
         row = len(self._rows)
-        self._points[:, row] = coords
+        self._points[:, row] = column
         self._kappas[row] = kappa
         entry = DenseEntry(coords, kappa, data, row)
         self._rows.append(entry)
@@ -253,6 +263,19 @@ class DenseIndex:
                 f"insert_many got {count} points but {len(datas)} payloads"
             )
         block = self._probes(points)
+        if count == 1:
+            # One row: the single insert's checks, on the block's row.
+            row = block[0]
+            coords = tuple(row.tolist())
+            if any(map(math.isnan, coords)):
+                self._coords(coords)  # raises the NaN error
+            kappa = int(kappas[0])
+            self._check_kappas((kappa,))
+            return [
+                self._append_row(
+                    coords, row, kappa, None if datas is None else datas[0]
+                )
+            ]
         bad = _np.flatnonzero(_np.isnan(block).any(axis=1))
         if bad.size:
             self._coords(points[int(bad[0])])  # raises that point's error
@@ -278,7 +301,10 @@ class DenseIndex:
     def _bury(self, victims: List[DenseEntry]) -> None:
         """Tombstone the columns of entries already popped from
         ``_entries``, then compact if the dead outnumber the live."""
-        self._points[:, [entry.row for entry in victims]] = _np.nan
+        cols = [entry.row for entry in victims]
+        # One column is a plain index: a list index costs about ten
+        # times as much to write.
+        self._points[:, cols[0] if len(cols) == 1 else cols] = _np.nan
         rows = self._rows
         for entry in victims:
             rows[entry.row] = None
@@ -298,14 +324,6 @@ class DenseIndex:
         for row, entry in enumerate(rows):
             entry.row = row
         self._rows = rows
-
-    def delete(self, kappa: int) -> DenseEntry:
-        """Remove the entry labelled ``kappa`` (a NaN tombstone)."""
-        entry = self._entries.pop(kappa, None)
-        if entry is None:
-            raise KeyNotFoundError(f"no entry with kappa={kappa}")
-        self._bury([entry])
-        return entry
 
     def delete_many(self, kappas: Sequence[int]) -> List[DenseEntry]:
         """Remove a chunk's victims with one tombstone write.
@@ -336,28 +354,20 @@ class DenseIndex:
         rows = self._rows
         return [entry for col in cols if (entry := rows[col]) is not None]
 
-    def _dominated_cols(self, q: Sequence[float]) -> Any:
-        """Columns weakly dominated by ``q``, ascending."""
+    def _dominated_by(self, probe: Any) -> List[DenseEntry]:
+        """Entries weakly dominated by a ``(dim, 1)`` probe column,
+        sorted by kappa."""
         used = len(self._rows)
-        probe = self._probe(q)
-        return _np.flatnonzero(
-            (self._points[:, :used] >= probe).all(axis=0)
-        )
+        # ``logical_and.reduce`` and ``.nonzero()`` are ``.all(axis=0)``
+        # and ``np.flatnonzero`` without their Python-level wrappers,
+        # which are a visible share of a one-probe search.
+        dominated = _np.logical_and.reduce(self._points[:, :used] >= probe, axis=0)
+        return self._live_at(dominated.nonzero()[0].tolist())
 
     def report_dominated(self, q: Sequence[float]) -> List[DenseEntry]:
         """Entries weakly dominated by ``q`` (non-destructive), sorted
         by kappa."""
-        return self._live_at(self._dominated_cols(q).tolist())
-
-    def remove_dominated(self, q: Sequence[float]) -> List[DenseEntry]:
-        """Remove and return every entry weakly dominated by ``q``
-        (Algorithm 1's ``D_{e_new}``), sorted by kappa."""
-        removed = self._live_at(self._dominated_cols(q).tolist())
-        if removed:
-            for entry in removed:
-                del self._entries[entry.kappa]
-            self._bury(removed)
-        return removed
+        return self._dominated_by(self._probe(q))
 
     def report_dominated_batch(
         self,
@@ -371,11 +381,11 @@ class DenseIndex:
         Returns one kappa-sorted bucket per probe.  With
         ``first_only=True`` (the skyline engines) each dominated entry
         is attributed to the *earliest* probe that dominates it: the
-        arrival whose per-element ``remove_dominated`` would have
-        claimed it.  With ``first_only=False`` (the k-skyband engine)
-        an entry appears in the bucket of *every* probe dominating it.
-        Non-destructive: the chunk pipeline applies the removals later
-        via :meth:`delete_many`.
+        arrival that ejects it.  With ``first_only=False`` (the
+        k-skyband engine) an entry appears in the bucket of *every*
+        probe dominating it.  Non-destructive: the chunk pipeline
+        applies the removals later via :meth:`delete_many`.  One probe
+        is one :meth:`report_dominated` mask.
 
         ``survivors`` (first-only attribution) lists the probes that the
         search over all rows needs: every probe must be weakly
@@ -385,8 +395,10 @@ class DenseIndex:
         rows alone, then attributes each row to its earliest dominating
         probe.
         """
-        buckets: List[List[DenseEntry]] = [[] for _ in range(len(points))]
         probes = self._probes(points)
+        if len(probes) == 1:
+            return [self._dominated_by(probes.T)]
+        buckets: List[List[DenseEntry]] = [[] for _ in range(len(probes))]
         used = len(self._rows)
         if used == 0 or not len(probes):
             return buckets
@@ -461,7 +473,12 @@ class DenseIndex:
         Sweeps newest-first in doubling segments; the first segment
         with a hit holds the answer in its last hit column.
         """
-        probe = self._probe(q)
+        return self._newest_dominator(self._probe(q), kappa_below)
+
+    def _newest_dominator(
+        self, probe: Any, kappa_below: Optional[int]
+    ) -> Optional[DenseEntry]:
+        """:meth:`max_kappa_dominator` of a ``(dim, 1)`` probe column."""
         hi = len(self._rows)
         if kappa_below is not None:
             hi = int(_np.searchsorted(self._kappas[:hi], kappa_below))
@@ -469,7 +486,7 @@ class DenseIndex:
         seg = _FIRST_SEGMENT
         while hi > 0:
             lo = max(0, hi - seg)
-            hits = _np.flatnonzero((pts[:, lo:hi] <= probe).all(axis=0))
+            hits = _np.logical_and.reduce(pts[:, lo:hi] <= probe, axis=0).nonzero()[0]
             if hits.size:
                 return self._rows[lo + int(hits[-1])]
             hi = lo
@@ -485,12 +502,15 @@ class DenseIndex:
         probes x segment mask per step; a probe drops out at its first
         segment with a hit, whose last hit column is its answer.  Most
         probes resolve in the first segment, so only the probes with no
-        dominator at all pay for the full depth.
+        dominator at all pay for the full depth.  One probe is one
+        :meth:`max_kappa_dominator` sweep.
         """
-        best: List[Optional[DenseEntry]] = [None] * len(points)
-        if not len(points):
-            return best
         probes = self._probes(points)
+        if len(probes) == 1:
+            return [self._newest_dominator(probes.T, None)]
+        best: List[Optional[DenseEntry]] = [None] * len(probes)
+        if not len(probes):
+            return best
         pts = self._points
         rows = self._rows
         alive = _np.arange(len(points))

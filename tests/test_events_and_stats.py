@@ -49,14 +49,22 @@ class TestEngineStats:
         assert stats.snapshot()["arrivals"] == 0
 
     def test_arrival_accounting(self):
+        # Two chunks of one (``append``) account what one chunk of two
+        # does.
         stats = EngineStats()
-        stats.record_arrival(expired=1, dominated=2, rn_size=5)
-        stats.record_arrival(expired=0, dominated=0, rn_size=7)
+        stats.record_arrivals(1, expired=1, dominated=2, rn_size_sum=5,
+                              rn_size_peak=5)
+        stats.record_arrivals(1, expired=0, dominated=0, rn_size_sum=7,
+                              rn_size_peak=7)
         assert stats.arrivals == 2
         assert stats.expiries == 1
         assert stats.dominated_removed == 2
         assert stats.rn_size_peak == 7
         assert stats.rn_size_mean == 6.0
+        chunk = EngineStats()
+        chunk.record_arrivals(2, expired=1, dominated=2, rn_size_sum=12,
+                              rn_size_peak=7)
+        assert chunk == stats
 
     def test_query_accounting(self):
         stats = EngineStats()
@@ -67,7 +75,8 @@ class TestEngineStats:
 
     def test_snapshot_raw_round_trips_every_counter(self):
         stats = EngineStats()
-        stats.record_arrival(expired=1, dominated=4, rn_size=9)
+        stats.record_arrivals(1, expired=1, dominated=4, rn_size_sum=9,
+                              rn_size_peak=9)
         stats.record_query(2)
         raw = stats.snapshot_raw()
         clone = EngineStats(**raw)
@@ -75,7 +84,8 @@ class TestEngineStats:
 
     def test_snapshot_contains_derived_metrics(self):
         stats = EngineStats()
-        stats.record_arrival(expired=0, dominated=0, rn_size=4)
+        stats.record_arrivals(1, expired=0, dominated=0, rn_size_sum=4,
+                              rn_size_peak=4)
         snap = stats.snapshot()
         assert snap["rn_size_mean"] == 4.0
         assert "rn_size_peak" in snap and "mean_result_size" in snap

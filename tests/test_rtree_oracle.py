@@ -14,9 +14,10 @@ classes take their name from the index's struct-of-arrays layout (a
 coordinate matrix beside a kappa vector), which it shares with the
 block R-tree it replaced.
 
-* the per-probe searches ``report_dominated``, ``remove_dominated``
-  and ``max_kappa_dominator`` (with and without ``kappa_below``) equal
-  the pointer tree's;
+* the per-probe searches ``report_dominated`` and
+  ``max_kappa_dominator`` (with and without ``kappa_below``) equal the
+  pointer tree's, and so does an ejection (a report deleted with
+  ``delete_many``) to the pointer's ``remove_dominated``;
 * ``report_dominated_batch`` equals per-probe pointer
   ``report_dominated``, each victim under the earliest probe that
   dominates it (``first_only=True``) or under every such probe
@@ -26,6 +27,9 @@ block R-tree it replaced.
   ``max_kappa_dominator``;
 * after ``delete_many`` and ``insert_many`` both indexes still agree,
   including across a compaction of the dense index's tombstones.
+
+``append`` runs a chunk of one, so every batch test also runs a fixed
+one-probe case (one probe, one delete, one insert) on every run.
 
 The oracle's own pruning contract is pinned first: ``report_dominated``
 expands only subtrees whose candidate region contains the probe, under
@@ -40,7 +44,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.accel.batch_prefilter import intra_batch_survivors
@@ -156,6 +160,26 @@ def frozen_cases(draw, max_contents=120, max_chunk=12):
     return dim, contents, probes, deletes, inserts
 
 
+#: A one-probe chunk over tied contents: the probe weakly dominates an
+#: exact duplicate of itself (kappas 1 and 3) and a worse point (5), and
+#: is dominated by both duplicates and by kappa 6.  One delete and one
+#: insert follow.
+ONE_PROBE = (
+    2,
+    [((0.5, 0.5), 1), ((0.25, 1.0), 2), ((0.5, 0.5), 3), ((1.0, 0.25), 4),
+     ((0.75, 0.75), 5), ((0.25, 0.5), 6)],
+    [(0.5, 0.5)],
+    [2],
+    [(0.25, 0.25)],
+)
+
+
+def one_probe(test):
+    """Run ``test`` on :data:`ONE_PROBE` with the default and the
+    smallest sweep segments on every run, whatever hypothesis draws."""
+    return example(ONE_PROBE, 1)(example(ONE_PROBE, None)(test))
+
+
 def pointer_of(dim, contents):
     tree = RTree(dim, max_entries=4, min_entries=2)
     for point, kappa in contents:
@@ -256,12 +280,15 @@ class TestSoAProbeOracle:
     @settings(max_examples=60, deadline=None)
     @given(frozen_cases(), blocking)
     def test_remove_dominated_matches_pointer(self, case, size):
+        """An ejection as the engines flush it — the report, then
+        ``delete_many`` — against the pointer's ``remove_dominated``."""
         dim, contents, probes, _, _ = case
         dense = dense_of(dim, contents)
         pointer = pointer_of(dim, contents)
         with blocked(size):
             for q in probes:
-                got = [e.kappa for e in dense.remove_dominated(q)]
+                got = [e.kappa for e in dense.report_dominated(q)]
+                dense.delete_many(got)
                 assert got == sorted(
                     e.kappa for e in pointer.remove_dominated(q)
                 )
@@ -296,6 +323,7 @@ class TestSoAProbeOracle:
 class TestSoABatchOracle:
     @settings(max_examples=60, deadline=None)
     @given(frozen_cases(), blocking)
+    @one_probe
     def test_report_dominated_batch_matches_pointer(self, case, size):
         dim, contents, probes, _, _ = case
         dense = dense_of(dim, contents)
@@ -314,6 +342,7 @@ class TestSoABatchOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(frozen_cases(max_chunk=40), blocking)
+    @one_probe
     def test_report_over_survivors_matches_full_pass(self, case, size):
         dim, contents, probes, _, _ = case
         dense = dense_of(dim, contents)
@@ -332,6 +361,7 @@ class TestSoABatchOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(frozen_cases(), blocking)
+    @one_probe
     def test_max_kappa_dominator_batch_matches_pointer(self, case, size):
         dim, contents, probes, _, _ = case
         dense = dense_of(dim, contents)
@@ -342,6 +372,7 @@ class TestSoABatchOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(frozen_cases(), blocking)
+    @one_probe
     def test_bulk_mutations_keep_trees_in_agreement(self, case, size):
         dim, contents, probes, deletes, inserts = case
         dense = DenseIndex(dim)
@@ -415,8 +446,11 @@ class TestScanIndexOracle:
     @staticmethod
     def scan_of(dim, contents):
         index = _ScanIndex(dim)
-        for point, kappa in contents:
-            index.insert(point, kappa, ("payload", kappa))
+        index.insert_many(
+            [p for p, _ in contents],
+            [k for _, k in contents],
+            [("payload", k) for _, k in contents],
+        )
         return index
 
     @settings(max_examples=40, deadline=None)

@@ -15,9 +15,10 @@ Three concerns:
 * *mechanics and parity* — bad inserts are rejected before any write,
   deletes leave NaN tombstones, the matrix grows and compacts, and the
   index answers every dominance search identically to the pointer tree
-  and to brute force over random interleavings of
-  insert/delete/remove_dominated (the batch searches are checked
-  against the same oracle in ``tests/test_rtree_oracle.py``);
+  and to brute force over random interleavings of inserts, deletes and
+  ejections (a dominance report deleted with ``delete_many``, as the
+  engines flush a chunk; the batch searches are checked against the
+  same oracle in ``tests/test_rtree_oracle.py``);
 * *seeded corruption* — one deliberate tamper per check id the index
   raises, plus an engine-level tamper the full verifier must surface.
 """
@@ -155,7 +156,7 @@ class TestSoAMechanics:
         # A tombstone keeps its kappa, so a deleted kappa cannot return
         # below the newest row either.
         index.insert((0.1, 0.1), 6)
-        index.delete(6)
+        index.delete_many([6])
         with pytest.raises(ValueError):
             index.insert((0.2, 0.2), 6)
         index.check_invariants()
@@ -195,7 +196,7 @@ class TestSoAMechanics:
         assert len(index) == 100
         for kappa in range(1, 101):
             assert kappa in index
-            index.delete(kappa)
+            index.delete_many([kappa])
         assert len(index) == 0
         index.check_invariants()
 
@@ -203,7 +204,7 @@ class TestSoAMechanics:
         index = fed_index(count=10)
         entry = index._entries[4]
         column = entry.row
-        assert index.delete(4) is entry
+        assert index.delete_many([4]) == [entry]
         assert entry.row == -1
         assert index._rows[column] is None
         assert all(math.isnan(v) for v in index._points[:, column])
@@ -234,11 +235,11 @@ class TestSoAMechanics:
         probes = [tuple(rng.random() for _ in range(3)) for _ in range(30)]
         victims = rng.sample(sorted(live), 101)
         for kappa in victims[:100]:
-            index.delete(kappa)
+            index.delete_many([kappa])
             del live[kappa]
         # 100 dead of 200: not yet more dead than live.
         assert len(index._rows) == 200
-        index.delete(victims[100])
+        index.delete_many([victims[100]])
         del live[victims[100]]
         # 101 dead of 200: the matrix compacted to the live columns,
         # still in arrival order, every entry naming its new column.
@@ -281,13 +282,14 @@ class TestSoAParity:
                 live[kappa] = q
             elif op < 0.70:
                 victim = rng.choice(list(live))
-                dense.delete(victim)
+                dense.delete_many([victim])
                 pointer.delete(victim)
                 del live[victim]
             elif op < 0.80:
                 # The pointer tree reports in DFS order (no ordering
                 # contract); the dense index reports in kappa order.
-                got = [e.kappa for e in dense.remove_dominated(q)]
+                got = [e.kappa for e in dense.report_dominated(q)]
+                dense.delete_many(got)
                 want = sorted(
                     e.kappa for e in pointer.remove_dominated(q)
                 )
@@ -328,7 +330,7 @@ class TestSoACorruption:
     def test_tombstone_tamper_is_tombstone(self):
         index = fed_index()
         column = index._entries[7].row
-        index.delete(7)
+        index.delete_many([7])
         index._points[1, column] = 0.5
         self.check_raises(index, "dense-tombstone")
 

@@ -25,25 +25,12 @@ from typing import List
 import pytest
 
 from repro import NofNSkyline
+from repro.bench import expected_maxima
 from repro.streams import materialize
 
 SEEDS = range(1000, 1060)
 N = 500
 Z_BOUND = 4.0
-
-
-def expected_maxima(n: int, dim: int) -> float:
-    """``A(n, dim)``: the expected number of maxima among ``n`` i.i.d.
-    points with continuous coordinates in ``dim`` dimensions."""
-    row: List[float] = [1.0] * (n + 1)  # A(i, 1) for i = 0..n
-    for _ in range(dim - 1):
-        total = 0.0
-        nxt = [0.0] * (n + 1)
-        for i in range(1, n + 1):
-            total += row[i] / i
-            nxt[i] = total
-        row = nxt
-    return row[n]
 
 
 def z_score(samples: List[int], expected: float) -> float:
