@@ -1,26 +1,28 @@
-"""Ablation — is the R-tree worth it?
+"""Ablation A1 — is the R-tree worth it?
 
 Section 3.3 builds the maintenance path on an in-memory R-tree because
 "most in-memory data structures for points are difficult to balance
 when data are updated".  But Theorem 2 bounds ``|R_N|`` by
 ``O(log^d N)`` on independent data, so a plain scan over ``R_N`` is a
 legitimate contender.  This bench feeds identical streams through the
-same n-of-N engine over three dominance indexes and reports
-per-element maintenance cost:
+same n-of-N engine over two dominance indexes and reports per-element
+maintenance cost:
 
-* ``rtree`` — the paper's pointer R-tree
-  (:class:`repro.structures.rtree.RTree`, fan-out 12), swapped in as
-  ``bench_ablation_fanout.py`` does;
 * ``dense`` — the engines' default, one NumPy scan over a dense
   kappa-ordered matrix (:mod:`repro.structures.dense_index`);
 * ``scan`` — :class:`repro.core.nofn_linear.LinearScanNofNSkyline`,
   the same scans in pure Python.
 
-Expected shape: both scans beat the pointer tree at reproduction scale
-— interpreter call overhead taxes tree traversal more than the pruning
-saves while ``|R_N|`` is in the tens-to-hundreds — and the NumPy scan
-beats the pure-Python one once ``|R_N|`` reaches the low hundreds.
-EXPERIMENTS.md discusses this candidly.
+The paper's pointer R-tree (:class:`repro.structures.rtree.RTree`) has
+no column any more: the engines' one ingest path runs chunk-wide
+searches (``report_dominated_batch`` and the rest) that it does not
+offer, so no engine can host it.  Its last measurements, where it lost
+to both scans everywhere, are kept in EXPERIMENTS.md with the commit
+that produced them.
+
+Expected shape: the NumPy scan beats the pure-Python one once
+``|R_N|`` reaches the low hundreds.  EXPERIMENTS.md discusses this
+candidly.
 """
 
 from __future__ import annotations
@@ -38,19 +40,15 @@ from repro.bench import (
 )
 from repro.core.nofn import NofNSkyline
 from repro.core.nofn_linear import LinearScanNofNSkyline
-from repro.structures.rtree import RTree
 
 DIMS = (2, 3, 5)
-VARIANTS = ("rtree", "dense", "scan")
+VARIANTS = ("dense", "scan")
 
 
 def _engine(variant: str, dim: int, capacity: int) -> NofNSkyline:
     if variant == "scan":
         return LinearScanNofNSkyline(dim, capacity)
-    engine = NofNSkyline(dim, capacity)
-    if variant == "rtree":
-        engine._rtree = RTree(dim)  # type: ignore[assignment]
-    return engine
+    return NofNSkyline(dim, capacity)
 
 
 def _run(variant: str, dist: str, dim: int, capacity: int):
@@ -61,7 +59,7 @@ def _run(variant: str, dist: str, dim: int, capacity: int):
 
 
 def test_ablation_rtree_vs_linear_scan(report, benchmark):
-    """Per-element maintenance: R-tree searches vs dense and flat scans."""
+    """Per-element maintenance: dense NumPy scans vs flat Python scans."""
     capacity = scaled(1500)
     results = {}
 
@@ -90,15 +88,14 @@ def test_ablation_rtree_vs_linear_scan(report, benchmark):
     report(
         "ablation_rtree",
         render_table(
-            f"Ablation — R-tree vs dense and linear scan maintenance "
-            f"(N={capacity})",
+            f"Ablation — dense vs linear scan maintenance (N={capacity})",
             headers,
             rows,
         ),
     )
 
-    # All three engines must produce identical R_N sizes (they are the
-    # same algorithm); this guards the ablation against silent divergence.
+    # Both engines must produce identical R_N sizes (they are the same
+    # algorithm); this guards the ablation against silent divergence.
     for dim in DIMS:
         for dist in DISTRIBUTIONS:
             sizes = {results[(dim, dist, v)][1] for v in VARIANTS}

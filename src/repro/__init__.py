@@ -28,7 +28,6 @@ from repro.core import (
     ContinuousQueryHandle,
     ContinuousQueryManager,
     EngineStats,
-    ExpiredRecord,
     KSkybandEngine,
     LinearScanNofNSkyline,
     N1N2Skyline,
@@ -67,7 +66,6 @@ __all__ = [
     "DuplicateKeyError",
     "EmptyStructureError",
     "EngineStats",
-    "ExpiredRecord",
     "InvalidIntervalError",
     "InvalidWindowError",
     "InvariantSanitizer",

@@ -3,8 +3,8 @@
 Real feeds deliver points in bursts, and Theorem 2 (``E[|R_N|] =
 O(log^d N)``) says almost every burst member is dominated quickly —
 most often by a *younger member of the same burst*.  Such an element
-would be inserted into the dominance index / interval tree / label set
-only to be ejected again before any query can observe it (queries never
+would be inserted into the dominance index and the interval tree only
+to be ejected again before any query can observe it (queries never
 run mid-batch).  The batched ingestion paths
 (:meth:`repro.core.nofn.NofNSkyline.append_many` and friends) therefore
 build one row-oriented ``B x B`` weak-dominance matrix over the batch

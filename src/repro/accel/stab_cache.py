@@ -8,8 +8,8 @@ engines keep that encoding in an
 per insert and remove, where every stab is one ``O(m)`` vectorised
 pass.  Query traffic is typically far heavier than the update stream
 cares to admit, and the interval set changes only when an arrival,
-expiry or re-rooting touches the tree, so most stabs can be answered
-without any pass.
+an expiry or a dominance ejection touches the tree, so most stabs can
+be answered without any pass.
 
 :class:`StabCache` answers from the tree's **slot arrays** and
 memoizes per elementary span:

@@ -22,7 +22,7 @@ from repro.core.approx import ApproxNofNSkyline
 from repro.core.continuous import ContinuousQueryHandle, ContinuousQueryManager
 from repro.core.dominance import dominates, incomparable, weakly_dominates
 from repro.core.element import StreamElement
-from repro.core.events import ArrivalOutcome, BatchOutcome, ExpiredRecord
+from repro.core.events import ArrivalOutcome, BatchOutcome
 from repro.core.n1n2 import ContinuousN1N2Query, N1N2Skyline
 from repro.core.nofn import NofNSkyline
 from repro.core.nofn_linear import LinearScanNofNSkyline
@@ -38,7 +38,6 @@ __all__ = [
     "ContinuousQueryHandle",
     "ContinuousQueryManager",
     "EngineStats",
-    "ExpiredRecord",
     "KSkybandEngine",
     "LinearScanNofNSkyline",
     "N1N2Skyline",

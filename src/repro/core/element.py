@@ -8,7 +8,7 @@ full deal object in the stock-market example of section 1).
 
 Elements compare, hash and print by ``kappa``: within one stream the
 label is unique, and the engines use it as the identity throughout
-(label set, interval endpoints, index keys, continuous-query rows).
+(record keys, interval endpoints, index keys, continuous-query rows).
 
 :func:`checked_element` validates one point for an engine of a given
 dimensionality; :func:`batch_elements` validates a whole batch with

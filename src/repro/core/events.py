@@ -17,19 +17,6 @@ from repro.core.element import StreamElement
 
 
 @dataclass(frozen=True)
-class ExpiredRecord:
-    """An element that left the most recent N elements this arrival.
-
-    ``children`` lists the elements it *critically dominated* at the
-    moment of expiry (they are re-rooted by Algorithm 1 lines 5-7 and
-    are candidate skyline insertions per Proposition 1).
-    """
-
-    element: StreamElement
-    children: Tuple[StreamElement, ...]
-
-
-@dataclass(frozen=True)
 class ArrivalOutcome:
     """Everything Algorithm 1 did for one new element.
 
@@ -48,23 +35,23 @@ class ArrivalOutcome:
         Label of the newcomer's critical dominator, or ``0`` when the
         newcomer is a root of the dominance graph.
     expired:
-        Elements that fell out of the window this arrival (at most one
-        for the count-based n-of-N window; possibly several for
-        time-based windows), each with its children at expiry time.
+        Elements of ``R_N`` that fell out of the window this arrival,
+        oldest first (at most one for the count-based n-of-N window;
+        possibly several for time-based windows).
     """
 
     element: StreamElement
     seen_so_far: int
     dominated_removed: Tuple[StreamElement, ...] = ()
     parent_kappa: int = 0
-    expired: Tuple[ExpiredRecord, ...] = ()
+    expired: Tuple[StreamElement, ...] = ()
 
     @property
     def removed_kappas(self) -> frozenset:
         """Labels of every element that left ``R_N`` this arrival."""
         return frozenset(
             [e.kappa for e in self.dominated_removed]
-            + [rec.element.kappa for rec in self.expired]
+            + [e.kappa for e in self.expired]
         )
 
 
@@ -90,7 +77,7 @@ class BatchOutcome:
         Batch members the vectorised intra-batch prefilter proved
         dominated by a younger same-batch member; their outcomes are in
         ``outcomes`` like everyone else's, but they never touched the
-        R-tree / interval tree / label set — the batch path's saving.
+        dominance index or the interval tree — the batch path's saving.
     """
 
     outcomes: Tuple[ArrivalOutcome, ...]

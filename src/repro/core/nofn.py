@@ -6,8 +6,8 @@ query (``n <= N``):
 
 * ``R_N`` — the non-redundant elements (Theorem 1), held in a dense
   dominance index (:mod:`repro.structures.dense_index`, standing in for
-  the paper's R-tree), an ordered label set, and an interval tree,
-  wired together as in Figure 6;
+  the paper's R-tree), a kappa-ordered dict of records, and an interval
+  tree, wired together as in Figure 6;
 * the **critical dominance graph** ``G_{R_N}`` — each element points to
   its youngest older dominator within ``R_N`` (a forest) — encoded as
   half-open intervals ``(kappa(parent), kappa(e)]`` (roots:
@@ -15,13 +15,20 @@ query (``n <= N``):
 
 Per arrival, the engine runs Algorithm 1:
 
-1. expire the oldest ``R_N`` element once it leaves the window,
-   re-rooting its children's intervals to ``(0, kappa(child)]``;
+1. expire the oldest ``R_N`` elements once they leave the window;
 2. find and eject ``D_{e_new}`` — everything the newcomer weakly
    dominates — with one dominance mask over the index;
 3. find the newcomer's critical dominator with a newest-first sweep
    that stops at the first hit (the paper's best-first stop);
-4. install the newcomer's interval, index entry and label.
+4. install the newcomer's interval, index entry and record.
+
+Each record keeps its *birth* parent, the critical dominator found at
+its arrival, and Algorithm 1's re-rooting (lines 5-7) is left out:
+whatever dominates the parent dominates the child, so a parent leaves
+``R_N`` before its child only by expiring, and an expired parent's
+label lies below every admissible stab point, where it passes the
+stab exactly as a root's 0 does (docs/THEORY.md).  Introspection and
+snapshots report such a parent as a root.
 
 Both :meth:`append` and :meth:`append_many` run it through one chunk
 core, :meth:`NofNSkyline._arrive_chunk`; ``append`` is a chunk of one.
@@ -40,34 +47,34 @@ in section 6).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+import math
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.accel.batch_prefilter import BatchPrefilter
 from repro.accel.stab_cache import StabCache
 from repro.core.element import StreamElement, batch_elements, checked_element
 from repro.core.engine import WindowEngine, row_block
-from repro.core.events import ArrivalOutcome, BatchOutcome, ExpiredRecord
+from repro.core.events import ArrivalOutcome, BatchOutcome
 from repro.exceptions import InvalidWindowError, StructureCorruptionError
 from repro.sanitize.sanitizer import SanitizeArg
 from repro.structures.dense_index import DenseIndex
 from repro.structures.interval_tree import IntervalHandle, IntervalTree
-from repro.structures.labelset import LabelSet
 
 
 class _Record:
     """Book-keeping for one element of ``R_N``.
 
     Realises the 1-1 links of Figure 6: element <-> index entry <->
-    interval <-> label.
+    interval.  ``parent_kappa`` is the birth parent (0 for a root),
+    never rewritten.
     """
 
-    __slots__ = ("element", "label", "parent_kappa", "children", "handle")
+    __slots__ = ("element", "label", "parent_kappa", "handle")
 
     def __init__(self, element: StreamElement, label: float) -> None:
         self.element = element
         self.label = label
         self.parent_kappa: int = 0
-        self.children: Set[int] = set()
         self.handle: Optional[IntervalHandle] = None
 
 
@@ -122,8 +129,10 @@ class NofNSkyline(WindowEngine):
         batch_chunk: Optional[int] = None,
     ) -> None:
         super().__init__(dim, capacity, sanitize, batch_chunk)
+        # In kappa order, hence label order, oldest first.
         self._records: Dict[int, _Record] = {}
-        self._labels: LabelSet[_Record] = LabelSet()
+        # The expiry cursor: no kappa below it is in R_N.
+        self._cursor = 1
         self._intervals: IntervalTree[_Record] = IntervalTree()
         self._rtree = DenseIndex(dim)
         # Memoized answers come back ascending by interval high — the
@@ -137,7 +146,7 @@ class NofNSkyline(WindowEngine):
     # Hooks overridden by the time-window variant
     # ------------------------------------------------------------------
 
-    def _window_start(self, new_label: float) -> float:
+    def _window_start(self) -> float:
         """Labels strictly below this value have left the window."""
         return self._m - self.capacity + 1
 
@@ -188,8 +197,8 @@ class NofNSkyline(WindowEngine):
         calls would have produced), but much faster on bursty feeds: a
         vectorised intra-batch prefilter proves which batch members are
         dominated by a younger same-batch member before any query could
-        observe them, and those members skip all index / interval-tree
-        / label-set maintenance.  The window-expiry sweep runs only at
+        observe them, and those members skip all index and
+        interval-tree maintenance.  The window-expiry sweep runs only at
         arrivals whose window start passes the oldest live label.
 
         Validation is all-or-nothing: dimension mismatches and invalid
@@ -219,28 +228,31 @@ class NofNSkyline(WindowEngine):
         pending: Dict[int, _Record],
         deletes: List[int],
         indexed_below: int,
-    ) -> Tuple[List[ExpiredRecord], Optional[float]]:
-        """Run one arrival's merged pending/indexed expiry sweep; return
-        what expired and the oldest live label left (``None`` when
-        ``R_N`` is empty)."""
-        expired: List[ExpiredRecord] = []
-        while True:
-            tree_oldest = self._labels.oldest() if self._labels else None
-            pend_oldest = pending[next(iter(pending))] if pending else None
-            if tree_oldest is not None and (
-                pend_oldest is None or tree_oldest[0] <= pend_oldest.label
-            ):
-                if tree_oldest[0] >= threshold:
-                    return expired, tree_oldest[0]
-                expired.append(
-                    self._expire(tree_oldest[1], pending, deletes, indexed_below)
-                )
-            elif pend_oldest is not None:
-                if pend_oldest.label >= threshold:
-                    return expired, pend_oldest.label
-                expired.append(self._expire_pending(pend_oldest, pending))
-            else:
-                return expired, None
+    ) -> Tuple[List[StreamElement], Optional[float]]:
+        """Expire, oldest first, the elements labelled below
+        ``threshold``; return them and the oldest live label left
+        (``None`` when ``R_N`` is empty).
+
+        The cursor walks the kappas of ``_records`` and ``pending``
+        upwards and stops at the first live one still in the window.
+        Labels ascend with kappa in both window kinds, so that one is
+        the oldest, and every kappa is passed once: amortised O(1) per
+        arrival.
+        """
+        expired: List[StreamElement] = []
+        records = self._records
+        # An empty R_N has nothing to expire, however far M has jumped.
+        kappa = self._cursor if records or pending else self._m
+        while kappa < self._m:
+            record = records.get(kappa) or pending.get(kappa)
+            if record is not None:
+                if record.label >= threshold:
+                    self._cursor = kappa
+                    return expired, record.label
+                expired.append(self._expire(record, pending, deletes, indexed_below))
+            kappa += 1
+        self._cursor = kappa
+        return expired, None
 
     def _arrive_chunk(
         self,
@@ -316,9 +328,9 @@ class NofNSkyline(WindowEngine):
         deletes: List[int] = []
         installed: List[_Record] = []
 
-        oldest = labels[0]
-        if self._labels:
-            oldest = min(oldest, self._labels.oldest()[0])
+        # A lower bound on the oldest live label; the first arrival's
+        # sweep moves the cursor to the oldest live element.
+        oldest = -math.inf
         expired_count = dominated_count = rn_sum = rn_peak = 0
         pending: Dict[int, _Record] = {}
         for i, element in enumerate(chunk):
@@ -326,8 +338,8 @@ class NofNSkyline(WindowEngine):
             self._m = element.kappa
             self._note_arrival(label)
 
-            expired: List[ExpiredRecord] = []
-            threshold = self._window_start(label)
+            expired: List[StreamElement] = []
+            threshold = self._window_start()
             if threshold > oldest:
                 expired, stop = self._expire_step(threshold, pending, deletes, first)
                 oldest = label if stop is None else stop
@@ -343,14 +355,8 @@ class NofNSkyline(WindowEngine):
                 dominated.append(tree_record.element)
             for h in pre.killed_at(i):
                 doomed = pending.pop(chunk[h].kappa, None)
-                if doomed is None:
-                    continue  # already expired
-                parent = self._records.get(doomed.parent_kappa)
-                if parent is None:
-                    parent = pending.get(doomed.parent_kappa)
-                if parent is not None:
-                    parent.children.discard(doomed.element.kappa)
-                dominated.append(doomed.element)
+                if doomed is not None:  # else already expired
+                    dominated.append(doomed.element)
             dominated_count += len(dominated)
 
             record = _Record(element, label)
@@ -390,13 +396,11 @@ class NofNSkyline(WindowEngine):
                     best = parent_entry.data
             if best is not None:
                 record.parent_kappa = best.element.kappa
-                best.children.add(element.kappa)
             if pre.is_doomed(i):
                 pending[element.kappa] = record
             else:
                 low = 0.0 if best is None else best.label
                 record.handle = self._intervals.insert(low, label, record)
-                self._labels.append(label, record)
                 self._records[element.kappa] = record
                 installed.append(record)
 
@@ -441,88 +445,38 @@ class NofNSkyline(WindowEngine):
         pending: Dict[int, _Record],
         deletes: List[int],
         indexed_below: int,
-    ) -> ExpiredRecord:
-        """Remove an expired root from ``R_N``, re-rooting its children.
+    ) -> StreamElement:
+        """Remove an expired element from ``R_N``; return it.
 
-        A child may be a doomed chunk member in ``pending``, awaiting
-        its in-chunk killer: it has no interval yet, only a parent link
-        to clear.  The index delete is queued on ``deletes`` when the
-        record is indexed (its kappa is below ``indexed_below``, the
-        chunk's first); a chunk survivor is simply never indexed.
+        Its birth parent must be older and already gone: labels ascend
+        with kappa, so the parent expired first, and anything that
+        dominated the parent away dominated this element too.  A doomed
+        chunk member in ``pending`` owns no interval or index entry.
+        The index delete of an indexed record (its kappa is below
+        ``indexed_below``, the chunk's first) is queued on ``deletes``;
+        a chunk survivor is simply never indexed.
         """
-        if record.parent_kappa != 0:
-            raise StructureCorruptionError(
-                f"expiring element {record.element.kappa} is not a root of "
-                f"the dominance graph (critical parent "
-                f"{record.parent_kappa} outlived it)"
-            )
-        children_elements: List[StreamElement] = []
-        for child_kappa in sorted(record.children):
-            child = self._records.get(child_kappa)
-            if child is not None:
-                child.handle = self._intervals.replace(
-                    child.handle, 0.0, child.label
-                )
-            elif child_kappa in pending:
-                child = pending[child_kappa]
-            else:
-                raise StructureCorruptionError(
-                    f"dominance-graph child {child_kappa} of expiring "
-                    f"element {record.element.kappa} is missing from R_N"
-                )
-            child.parent_kappa = 0
-            children_elements.append(child.element)
         kappa = record.element.kappa
-        self._intervals.remove(record.handle)
-        if kappa < indexed_below:
-            deletes.append(kappa)
-        self._labels.remove(record.label)
-        del self._records[kappa]
-        record.handle = None
-        return ExpiredRecord(
-            element=record.element,
-            children=tuple(children_elements),
-        )
-
-    def _expire_pending(
-        self, record: _Record, pending: Dict[int, _Record]
-    ) -> ExpiredRecord:
-        """Expire a doomed batch member that left the window before its
-        in-batch killer arrived (bursty time windows; count windows
-        smaller than the chunk).  It owns no index entries — only the
-        dominance-graph links need maintenance."""
-        if record.parent_kappa != 0:
+        parent = record.parent_kappa
+        if parent >= kappa or parent in self._records or parent in pending:
+            state = "is not older" if parent >= kappa else "outlived it"
             raise StructureCorruptionError(
-                f"expiring element {record.element.kappa} is not a root of "
-                f"the dominance graph (critical parent "
-                f"{record.parent_kappa} outlived it)"
+                f"expiring element {kappa}: birth parent {parent} {state}"
             )
-        del pending[record.element.kappa]
-        children_elements: List[StreamElement] = []
-        for child_kappa in sorted(record.children):
-            child = pending.get(child_kappa)
-            if child is None:
-                raise StructureCorruptionError(
-                    f"dominance-graph child {child_kappa} of expiring "
-                    f"element {record.element.kappa} is missing from R_N"
-                )
-            child.parent_kappa = 0
-            children_elements.append(child.element)
-        return ExpiredRecord(
-            element=record.element,
-            children=tuple(children_elements),
-        )
+        if record.handle is None:
+            del pending[kappa]
+        else:
+            self._detach(record)
+            if kappa < indexed_below:
+                deletes.append(kappa)
+        return record.element
 
     def _detach(self, record: _Record) -> None:
-        """Remove a dominated element's interval, label and parent link
-        (its index entry is queued for the chunk's
+        """Remove a record's interval and its entry in ``_records`` (its
+        index entry is queued for the chunk's
         :meth:`DenseIndex.delete_many`)."""
         self._intervals.remove(record.handle)
         record.handle = None
-        parent = self._records.get(record.parent_kappa)
-        if parent is not None:
-            parent.children.discard(record.element.kappa)
-        self._labels.remove(record.label)
         del self._records[record.element.kappa]
 
     # ------------------------------------------------------------------
@@ -579,12 +533,9 @@ class NofNSkyline(WindowEngine):
             self.stats.record_query(0)
             return []
         results = []
-        for kappa, record in self._records.items():
-            parent_label = (
-                0.0
-                if record.parent_kappa == 0
-                else self._records[record.parent_kappa].label
-            )
+        for record in self._records.values():
+            parent = self._records.get(record.parent_kappa)
+            parent_label = 0.0 if parent is None else parent.label
             if parent_label < stab <= record.label:
                 results.append(record.element)
         results.sort(key=lambda e: e.kappa)
@@ -603,8 +554,8 @@ class NofNSkyline(WindowEngine):
     @property
     def structure_version(self) -> int:
         """Monotonic version of the interval encoding; bumps on every
-        arrival, expiry, dominance ejection and re-rooting (anything
-        that can change a query answer)."""
+        arrival, expiry and dominance ejection (anything that can
+        change a query answer)."""
         return self._intervals.version
 
     @property
@@ -621,27 +572,23 @@ class NofNSkyline(WindowEngine):
 
     def non_redundant(self) -> List[StreamElement]:
         """The elements of ``R_N``, oldest first."""
-        return [record.element for _, record in self._labels.items()]
+        return [record.element for record in self._records.values()]
 
     def critical_parent(self, kappa: int) -> Optional[StreamElement]:
         """The critical dominator of the ``R_N`` element labelled
-        ``kappa`` (``None`` for roots)."""
-        record = self._records[kappa]
-        if record.parent_kappa == 0:
-            return None
-        return self._records[record.parent_kappa].element
-
-    def children_of(self, kappa: int) -> List[StreamElement]:
-        """Elements critically dominated by the element labelled
-        ``kappa``, sorted by arrival."""
-        record = self._records[kappa]
-        return [self._records[c].element for c in sorted(record.children)]
+        ``kappa`` (``None`` for roots, and once the parent has left
+        ``R_N``)."""
+        parent = self._records.get(self._records[kappa].parent_kappa)
+        return None if parent is None else parent.element
 
     def dominance_graph_edges(self) -> List[tuple]:
         """All critical-dominance edges as ``(parent_kappa, child_kappa)``
-        pairs (``parent_kappa == 0`` for roots)."""
+        pairs (``parent_kappa == 0`` for roots, and once the parent has
+        left ``R_N``)."""
+        records = self._records
         return sorted(
-            (record.parent_kappa, kappa) for kappa, record in self._records.items()
+            (record.parent_kappa if record.parent_kappa in records else 0, kappa)
+            for kappa, record in records.items()
         )
 
     def __len__(self) -> int:

@@ -18,9 +18,9 @@ plain-loop scans over a dict:
 Both are ``O(|R_N| * d)`` interpreter steps per arrival.  It is the
 pure-Python reference the dense index is checked against, and
 ``benchmarks/bench_ablation_rtree.py`` prices it beside the dense
-index and the paper's pointer R-tree: both scans beat the tree at
-reproduction scale, and the NumPy scan pulls ahead of this one once
-``|R_N|`` reaches a few dozen elements.
+index: the NumPy scan pulls ahead of this one once ``|R_N|`` reaches a
+few dozen elements.  Both scans beat the paper's pointer R-tree at
+reproduction scale while an engine could still host it (EXPERIMENTS.md).
 """
 
 from __future__ import annotations

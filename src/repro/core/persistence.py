@@ -5,13 +5,13 @@ million elements from a raw replay is exactly what the paper's
 structures exist to avoid.  This module serialises an engine's *logical*
 state — the elements it retains plus their graph annotations — to a
 plain dict (JSON-ready if the payloads are) and rebuilds a live engine
-from it, re-deriving the dominance-index / interval-tree / label-set
-wiring.
+from it, re-deriving the dominance-index / interval-tree wiring.
 
 Supported engines:
 
 * :class:`~repro.core.nofn.NofNSkyline` (and its linear-scan ablation
-  subclass) — ``R_N`` with parent pointers;
+  subclass) — ``R_N`` with parent pointers, a parent that has left
+  ``R_N`` written as 0 (a root: both pass every admissible stab);
 * :class:`~repro.core.timewindow.TimeWindowSkyline` — additionally the
   horizon, clock and per-element timestamps;
 * :class:`~repro.core.n1n2.N1N2Skyline` — all of ``P_N`` with both CBC
@@ -55,7 +55,7 @@ unchanged; like every other section, it must still be a dict.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.core.continuous import ContinuousQueryHandle, ContinuousQueryManager
 from repro.core.n1n2 import N1N2Skyline
@@ -100,13 +100,14 @@ def snapshot(engine: PersistableState) -> Dict[str, Any]:
 
 def _snapshot_nofn(engine: NofNSkyline) -> Dict[str, Any]:
     records: List[Dict[str, Any]] = []
-    for _, record in engine._labels.items():  # oldest first
+    live = engine._records
+    for record in live.values():  # oldest first
         records.append(
             {
                 "kappa": record.element.kappa,
                 "values": list(record.element.values),
                 "label": record.label,
-                "parent": record.parent_kappa,
+                "parent": record.parent_kappa if record.parent_kappa in live else 0,
                 "payload": record.element.payload,
             }
         )
@@ -147,7 +148,7 @@ def _snapshot_skyband(engine: KSkybandEngine) -> Dict[str, Any]:
                 "values": list(record.element.values),
                 "payload": record.element.payload,
             }
-            for _, record in engine._labels.items()  # oldest first
+            for record in engine._records.values()  # oldest first
         ],
         "stats": engine.stats.snapshot_raw(),
         "query": {"cache": engine.stab_cache is not None},
@@ -402,33 +403,39 @@ def _query_kwargs(snap: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _restore_nofn(snap: Dict[str, Any], engine: NofNSkyline) -> NofNSkyline:
+    """Rebuild ``R_N`` from records that ascend in kappa and in label,
+    each parent an earlier record or 0."""
     engine._m = int(snap["seen_so_far"])
-    by_kappa: Dict[int, _Record] = {}
-    for raw in snap["records"]:
+    records = engine._records
+    last: Optional[_Record] = None
+    for raw in snap["records"]:  # oldest first, as dumped
         element = StreamElement(
             raw["values"], int(raw["kappa"]), raw.get("payload")
         )
         record = _Record(element, float(raw["label"]))
         record.parent_kappa = int(raw["parent"])
-        by_kappa[element.kappa] = record
-
-    for raw in snap["records"]:  # oldest first, as dumped
-        record = by_kappa[int(raw["kappa"])]
+        _require(
+            last is None
+            or (element.kappa > last.element.kappa and record.label > last.label),
+            f"record {element.kappa} does not follow the record before "
+            f"it in kappa and label order",
+        )
+        last = record
         if record.parent_kappa:
-            parent = by_kappa.get(record.parent_kappa)
+            parent = records.get(record.parent_kappa)
             _require(
                 parent is not None,
-                f"record {record.element.kappa} references missing "
+                f"record {element.kappa} references missing "
                 f"parent {record.parent_kappa}",
             )
-            parent.children.add(record.element.kappa)
             low = parent.label
         else:
             low = 0.0
         record.handle = engine._intervals.insert(low, record.label, record)
-        engine._rtree.insert(record.element.values, record.element.kappa, record)
-        engine._labels.append(record.label, record)
-        engine._records[record.element.kappa] = record
+        engine._rtree.insert(element.values, element.kappa, record)
+        records[element.kappa] = record
+    if records:
+        engine._cursor = next(iter(records))
 
     _restore_stats(engine, snap.get("stats"))
     return engine

@@ -28,10 +28,12 @@ though pruned elements also dominate: if a pruned ``x`` dominates
 dominators of ``e`` can never be pruned elements, and the top-``k``
 best-first search over the retained R-tree returns the true list.
 
-Unlike Algorithm 1, expiry needs **no re-rooting**: thresholds are raw
-positions, and a stab point ``M - n + 1 >= M - N + 1`` always clears an
-expired dominator's position, so intervals age out of relevance by
-themselves; per arrival only the dominated elements' intervals move.
+As in the n-of-N engine, expiry needs **no re-rooting**: thresholds
+are raw positions, and a stab point ``M - n + 1 >= M - N + 1`` always
+clears an expired dominator's position, so intervals age out of
+relevance by themselves; per arrival only the dominated elements'
+intervals move.  Expiry itself looks up the one position that leaves
+at each arrival, ``M - N``.
 
 Tie convention matches the rest of the library (DESIGN.md §7): a
 *younger* exact duplicate counts as a dominator (so old copies fade as
@@ -54,7 +56,6 @@ from repro.exceptions import InvalidWindowError, StructureCorruptionError
 from repro.sanitize.sanitizer import SanitizeArg
 from repro.structures.dense_index import DenseIndex
 from repro.structures.interval_tree import IntervalHandle, IntervalTree
-from repro.structures.labelset import LabelSet
 
 
 class _BandRecord:
@@ -115,8 +116,8 @@ class KSkybandEngine(WindowEngine):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
+        # In kappa order, oldest first.
         self._records: Dict[int, _BandRecord] = {}
-        self._labels: LabelSet[_BandRecord] = LabelSet()
         self._intervals: IntervalTree[_BandRecord] = IntervalTree()
         self._rtree = DenseIndex(dim)
         # Memoized answers come back ascending by interval high — the
@@ -213,11 +214,6 @@ class KSkybandEngine(WindowEngine):
         * the stats counters are added once per chunk.
         """
         pre = BatchPrefilter(block, k=self.k)
-        # Expiry gate: if the oldest retained position survives even the
-        # chunk's final threshold, no arrival in the chunk can expire
-        # anything (chunk members themselves cannot, chunk <= capacity).
-        threshold_end = chunk[-1].kappa - self.capacity + 1
-        may_expire = bool(self._labels) and self._labels.oldest()[0] < threshold_end
         rtree = self._rtree
         victims0 = rtree.report_dominated_batch(block, first_only=False)
         first = chunk[0].kappa  # the index holds every retained kappa below it
@@ -227,15 +223,13 @@ class KSkybandEngine(WindowEngine):
         for i, element in enumerate(chunk):
             self._m = element.kappa
 
+            # The one position leaving the window (chunk members
+            # cannot: a chunk holds at most ``capacity`` of them).
             expired = 0
-            if may_expire:
-                threshold = self._m - self.capacity + 1
-                while self._labels:
-                    oldest_kappa, oldest = self._labels.oldest()
-                    if oldest_kappa >= threshold:
-                        break
-                    self._discard(oldest, deletes, first)
-                    expired += 1
+            leaving = self._records.get(self._m - self.capacity)
+            if leaving is not None:
+                self._discard(leaving, deletes, first)
+                expired = 1
 
             # Merged top-k older strict dominator search (computed
             # before this arrival's pruning, as per element).  Every
@@ -309,7 +303,6 @@ class KSkybandEngine(WindowEngine):
                     float(element.kappa),
                     record,
                 )
-                self._labels.append(element.kappa, record)
                 self._records[element.kappa] = record
 
             expired_count += expired
@@ -339,15 +332,14 @@ class KSkybandEngine(WindowEngine):
     def _discard(
         self, record: _BandRecord, deletes: List[int], indexed_below: int
     ) -> None:
-        """Remove a pruned or expired record's interval, label and book-
-        keeping.  Its index delete is queued on ``deletes`` for the
+        """Remove a pruned or expired record's interval and book-keeping.
+        Its index delete is queued on ``deletes`` for the
         chunk's :meth:`DenseIndex.delete_many` when the record is
         indexed (its kappa is below ``indexed_below``, the chunk's
         first); a chunk survivor is simply never indexed."""
         kappa = record.element.kappa
         self._intervals.remove(record.handle)
         record.handle = None
-        self._labels.remove(kappa)
         del self._records[kappa]
         if kappa < indexed_below:
             deletes.append(kappa)

@@ -27,6 +27,9 @@ from repro.core.nofn import NofNSkyline
 from repro.exceptions import InvalidWindowError
 from repro.sanitize.sanitizer import SanitizeArg
 
+#: The least positive float: at or below every (positive) label.
+_FIRST_STAB = 5e-324
+
 
 class TimeWindowSkyline(NofNSkyline):
     """Skyline over the most recent ``horizon`` time units of a stream.
@@ -145,7 +148,7 @@ class TimeWindowSkyline(NofNSkyline):
         """Advance the clock to the arriving element's stamp."""
         self._now = label
 
-    def _window_start(self, new_label: float) -> float:
+    def _window_start(self) -> float:
         """Elements stamped before ``now - horizon`` have expired."""
         return self._now - self.horizon
 
@@ -166,15 +169,13 @@ class TimeWindowSkyline(NofNSkyline):
             raise InvalidWindowError(
                 f"duration must be in (0, {self.horizon}], got {duration}"
             )
-        if not self._labels:
+        if not self._records:
             self.stats.record_query(0)
             return []
-        stab = self._now - duration
-        if stab <= 0:
-            # The period covers the whole retained history: any stab
-            # point at or below the oldest live label reports exactly
-            # the dominance-graph roots.
-            stab = self._labels.oldest()[0]
+        # A period reaching back past 0 covers the whole history, none
+        # of which has expired: any stab point in (0, oldest label]
+        # reports exactly the dominance-graph roots.
+        stab = max(self._now - duration, _FIRST_STAB)
         if self._stab_cache is not None:
             records = self._stab_cache.stab(stab)  # pre-sorted by kappa
         else:

@@ -75,7 +75,7 @@ class SanitizerReport:
     ----------
     structure:
         The structure at fault (``"rtree"``, ``"interval_tree"``,
-        ``"labelset"``, ``"dominance_graph"``, ``"R_N"``,
+        ``"dense_index"``, ``"dominance_graph"``, ``"R_N"``,
         ``"engine"`` …).
     invariant:
         Machine-readable invariant name from the catalogue in

@@ -9,18 +9,21 @@ Nothing here uses ``assert``, so every check survives ``python -O``.
 The invariant catalogue (the ``invariant`` field of the report):
 
 ================== ====================================================
-``counts``          cross-structure sizes, label/window membership
+``counts``          cross-structure sizes, label/window membership,
+                    records in kappa and label order
 ``non-redundancy``  Theorem 1: no ``R_N`` element has a younger
                     in-window weak dominator inside ``R_N``
-``forest``          the critical-dominance graph is an acyclic forest
-                    with consistent parent/child links (acyclicity
-                    follows from every parent being strictly older)
-``critical-parent`` the recorded parent is a dominator and is the
-                    *youngest* older dominator within ``R_N``
+``forest``          the critical-dominance graph is an acyclic forest:
+                    every birth parent is strictly older
+``critical-parent`` the recorded parent, while in ``R_N``, is a
+                    dominator, and no ``R_N`` element between it and
+                    the element dominates (it is the *youngest* older
+                    dominator)
 ``interval-encoding`` each element's interval is exactly
-                    ``(label(parent), label(e)]`` (Theorem 3) /
-                    ``(threshold, kappa(e)]`` (k-skyband); section 4's
-                    ``a``/``b`` columns hold a kappa in
+                    ``(label(parent), label(e)]`` (Theorem 3), its low
+                    below the window start once the parent has left
+                    ``R_N`` / ``(threshold, kappa(e)]`` (k-skyband);
+                    section 4's ``a``/``b`` columns hold a kappa in
                     ``[0, kappa(e))`` and ``+inf`` or a kappa in
                     ``(kappa(e), M]``
 ``stabbing-bruteforce`` stabbing-query answers equal a brute-force
@@ -43,7 +46,7 @@ The invariant catalogue (the ``invariant`` field of the report):
 ================== ====================================================
 
 plus the structure-level invariants raised by the structures themselves
-(``slot-mirror``, ``labelset-*``, ``rtree-*`` from the pointer R-tree,
+(``slot-mirror``, ``rtree-*`` from the pointer R-tree,
 and ``dense-*`` from the engines' dense dominance index — e.g.
 ``dense-mirror``, its matrix no longer mirroring its entry objects).
 
@@ -118,6 +121,20 @@ def _check_stab_cache_at(
         )
 
 
+def _check_sizes(engine: "NofNSkyline | KSkybandEngine", name: str) -> None:
+    """The records, the dominance index and the interval tree hold one
+    entry per retained element."""
+    sizes = (len(engine._records), len(engine._rtree), len(engine._intervals))
+    if len(set(sizes)) != 1:
+        raise corruption(
+            "engine",
+            "counts",
+            f"structure sizes diverged: records={sizes[0]}, "
+            f"rtree={sizes[1]}, intervals={sizes[2]}",
+            engine=name,
+        )
+
+
 # ----------------------------------------------------------------------
 # n-of-N family (NofNSkyline / TimeWindowSkyline)
 # ----------------------------------------------------------------------
@@ -154,38 +171,12 @@ def _check_nofn_state(engine: "NofNSkyline", name: str) -> None:
     """Counts, structure health, dominance forest, interval encoding
     and Theorem-1 non-redundancy — shared by both label schemes."""
     records = engine._records
-    sizes = (
-        len(records),
-        len(engine._labels),
-        len(engine._rtree),
-        len(engine._intervals),
-    )
-    if len(set(sizes)) != 1:
-        raise corruption(
-            "engine",
-            "counts",
-            f"structure sizes diverged: records={sizes[0]}, "
-            f"labels={sizes[1]}, rtree={sizes[2]}, intervals={sizes[3]}",
-            engine=name,
-        )
+    _check_sizes(engine, name)
     engine._rtree.check_invariants()
     engine._intervals.check_invariants()
-    engine._labels.check_invariants()
 
-    if engine._labels:
-        oldest_label, _ = engine._labels.oldest()
-        youngest_label, _ = engine._labels.youngest()
-        threshold = engine._window_start(youngest_label)
-        if oldest_label < threshold:
-            raise corruption(
-                "engine",
-                "counts",
-                f"retained label {oldest_label} precedes the window "
-                f"start {threshold}",
-                engine=name,
-            )
-
-    ordered = sorted(records)
+    ordered = list(records)
+    threshold = engine._window_start()
     for kappa in ordered:
         record = records[kappa]
         if record.element.kappa != kappa:
@@ -224,35 +215,31 @@ def _check_nofn_state(engine: "NofNSkyline", name: str) -> None:
                     kappas=(kappa,),
                     engine=name,
                 )
+            continue
+        if record.parent_kappa >= kappa:
+            raise corruption(
+                "engine",
+                "forest",
+                f"element {kappa}: critical parent "
+                f"{record.parent_kappa} is not older",
+                kappas=(kappa, record.parent_kappa),
+                engine=name,
+            )
+        parent = records.get(record.parent_kappa)
+        if parent is None:
+            # The birth parent expired: its label, the interval's low,
+            # passes every admissible stab as a root's 0 does.
+            if not interval.low < threshold:
+                raise corruption(
+                    "engine",
+                    "interval-encoding",
+                    f"element {kappa}: birth parent {record.parent_kappa} "
+                    f"left R_N but the interval low {interval.low} is "
+                    f"not below the window start {threshold}",
+                    kappas=(kappa, record.parent_kappa),
+                    engine=name,
+                )
         else:
-            parent = records.get(record.parent_kappa)
-            if parent is None:
-                raise corruption(
-                    "engine",
-                    "forest",
-                    f"element {kappa}: critical parent "
-                    f"{record.parent_kappa} is missing from R_N",
-                    kappas=(kappa, record.parent_kappa),
-                    engine=name,
-                )
-            if parent.element.kappa >= kappa:
-                raise corruption(
-                    "engine",
-                    "forest",
-                    f"element {kappa}: critical parent "
-                    f"{record.parent_kappa} is not older",
-                    kappas=(kappa, record.parent_kappa),
-                    engine=name,
-                )
-            if kappa not in parent.children:
-                raise corruption(
-                    "engine",
-                    "forest",
-                    f"element {kappa} is missing from the child set of "
-                    f"its parent {record.parent_kappa}",
-                    kappas=(kappa, record.parent_kappa),
-                    engine=name,
-                )
             if interval.low != parent.label:
                 raise corruption(
                     "engine",
@@ -273,16 +260,32 @@ def _check_nofn_state(engine: "NofNSkyline", name: str) -> None:
                     kappas=(kappa, record.parent_kappa),
                     engine=name,
                 )
-        for child_kappa in record.children:
-            child = records.get(child_kappa)
-            if child is None or child.parent_kappa != kappa:
-                raise corruption(
-                    "engine",
-                    "forest",
-                    f"stale child link {kappa} -> {child_kappa}",
-                    kappas=(kappa, child_kappa),
-                    engine=name,
-                )
+
+    # Expiry walks the records oldest first, by kappa and label alike.
+    labels = [records[kappa].label for kappa in ordered]
+    if ordered != sorted(ordered) or labels != sorted(set(labels)):
+        raise corruption(
+            "engine",
+            "counts",
+            f"records are not in ascending kappa and label order: {ordered}",
+            engine=name,
+        )
+    if ordered and labels[0] < threshold:
+        raise corruption(
+            "engine",
+            "counts",
+            f"retained label {labels[0]} precedes the window start "
+            f"{threshold}",
+            engine=name,
+        )
+    if ordered and ordered[0] < engine._cursor:
+        raise corruption(
+            "engine",
+            "counts",
+            f"the expiry cursor {engine._cursor} passed the retained "
+            f"element {ordered[0]}",
+            engine=name,
+        )
 
     # Theorem 1 (non-redundancy) and the *youngest*-dominator property
     # of the critical parent, both O(|R_N|^2).
@@ -347,9 +350,9 @@ def _check_timewindow_stabbing(
     """Time-based Theorem 3: stabbing at ``now - tau`` must equal a
     brute-force skyline of the retained elements stamped within the
     closed window ``[now - tau, now]``."""
-    if not engine._labels:
+    if not engine._records:
         return
-    oldest_label, _ = engine._labels.oldest()
+    oldest_label = next(iter(engine._records.values())).label
     for duration in (engine.horizon / 2, engine.horizon):
         stab = engine._now - duration
         if stab <= 0:
@@ -524,23 +527,25 @@ def verify_skyband(engine: "KSkybandEngine") -> None:
     """
     name = type(engine).__name__
     records = engine._records
-    sizes = (
-        len(records),
-        len(engine._labels),
-        len(engine._rtree),
-        len(engine._intervals),
-    )
-    if len(set(sizes)) != 1:
+    _check_sizes(engine, name)
+    engine._rtree.check_invariants()
+    engine._intervals.check_invariants()
+    if list(records) != sorted(records):
         raise corruption(
             "engine",
             "counts",
-            f"structure sizes diverged: records={sizes[0]}, "
-            f"labels={sizes[1]}, rtree={sizes[2]}, intervals={sizes[3]}",
+            f"records are not in ascending kappa order: {list(records)}",
             engine=name,
         )
-    engine._rtree.check_invariants()
-    engine._intervals.check_invariants()
-    engine._labels.check_invariants()
+    window_start = engine._m - engine.capacity + 1
+    if records and next(iter(records)) < window_start:
+        raise corruption(
+            "engine",
+            "counts",
+            f"retained element {next(iter(records))} precedes the window "
+            f"start {window_start}",
+            engine=name,
+        )
 
     k = engine.k
     for kappa, record in records.items():

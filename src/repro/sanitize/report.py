@@ -2,8 +2,8 @@
 
 :class:`~repro.exceptions.SanitizerReport` and the
 :func:`~repro.exceptions.corruption` factory physically live in
-:mod:`repro.exceptions` so that the low-level structures (label set,
-interval tree, R-tree, dense index) can raise structured corruption errors
+:mod:`repro.exceptions` so that the low-level structures (interval
+tree, R-tree, dense index) can raise structured corruption errors
 without importing this package — the sanitizer reaches *down* into the
 engines and structures, so nothing below it may import *up*.  This
 module re-exports them under the name users expect

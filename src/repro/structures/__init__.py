@@ -11,13 +11,11 @@ Everything here is self-contained and paper-faithful:
   one dense kappa-ordered matrix, the dominance index every engine
   runs;
 * :mod:`repro.structures.mbr` — bounding-box algebra incl. Figure 7's
-  candidate-region tests;
-* :mod:`repro.structures.labelset` — the ordered label set of Figure 6.
+  candidate-region tests.
 """
 
 from repro.structures.dense_index import DenseEntry, DenseIndex
 from repro.structures.interval_tree import Interval, IntervalHandle, IntervalTree
-from repro.structures.labelset import LabelSet
 from repro.structures.mbr import MBR
 from repro.structures.rtree import RTree, RTreeEntry
 
@@ -27,7 +25,6 @@ __all__ = [
     "Interval",
     "IntervalHandle",
     "IntervalTree",
-    "LabelSet",
     "MBR",
     "RTree",
     "RTreeEntry",

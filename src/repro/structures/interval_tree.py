@@ -73,8 +73,8 @@ class IntervalHandle(Generic[D]):
     """An opaque handle returned by :meth:`IntervalTree.insert`.
 
     Handles stay valid until the interval is removed, letting the n-of-N
-    engine maintain the constant-time links between interval endpoints
-    and the label set (paper, Figure 6).  A handle names the interval's
+    engine keep constant-time links between its records and their
+    interval endpoints (paper, Figure 6).  A handle names the interval's
     slot and the tree version its insert produced, which orders
     insertions.
     """
@@ -167,10 +167,12 @@ class IntervalTree(Generic[D]):
     ) -> IntervalHandle[D]:
         """Atomically swap an interval's endpoints, keeping its payload.
 
-        Used by Algorithm 1 line 6: on expiry of a root's parent, the
-        child's interval ``(kappa(parent), kappa(e)]`` becomes
-        ``(0, kappa(e)]``.  The freed slot is the one the new interval
-        takes.  Raises like :meth:`remove` on a handle that is not live.
+        Used by the k-skyband engine to re-encode an element whose
+        younger-dominator count grew (its threshold dominator moves).
+        The n-of-N engines never call it: they keep birth parents
+        instead of re-rooting (Algorithm 1, lines 5-7).  The freed slot
+        is the one the new interval takes.  Raises like :meth:`remove`
+        on a handle that is not live.
         """
         data = handle.interval.data
         self.remove(handle)

@@ -92,8 +92,13 @@ class Algorithm2Oracle:
 
     def process(self, outcome: ArrivalOutcome) -> None:
         removed = outcome.removed_kappas
+        # Each expired element's children at expiry, from the mirror
+        # (the engine no longer re-roots, nor reports them).
         expired_children = {
-            rec.element.kappa: rec.children for rec in outcome.expired
+            e.kappa: tuple(
+                self.elements[c] for c in sorted(self.children.get(e.kappa, ()))
+            )
+            for e in outcome.expired
         }
         self._advance_graph(outcome)
         for query in self.queries:
@@ -102,10 +107,10 @@ class Algorithm2Oracle:
     def _advance_graph(self, outcome: ArrivalOutcome) -> None:
         """Algorithm 1's maintenance on the mirror: expire, eject,
         install."""
-        for rec in outcome.expired:
-            kappa = rec.element.kappa
-            for child in rec.children:
-                self.parent[child.kappa] = 0
+        for expired in outcome.expired:
+            kappa = expired.kappa
+            for child in self.children.get(kappa, ()):
+                self.parent[child] = 0
             self.elements.pop(kappa, None)
             self.parent.pop(kappa, None)
             self.children.pop(kappa, None)

@@ -113,7 +113,7 @@ class ArrivalOracle:
 
     def outcome(self, m):
         """Arrival ``m``'s outcome: ``(dominated set, parent, expired)``,
-        ``expired`` as ``(kappa, children)`` pairs oldest first."""
+        ``expired`` as kappas oldest first."""
         before = self.retained(m - 1)
         start = self.starts[m - 1]
         point = self.points[m - 1]
@@ -123,21 +123,14 @@ class ArrivalOracle:
             y for y in stay if weakly_dominates(point, self.points[y - 1])
         }
         parent = self.parent_in([y for y in stay if y not in dominated], m)
-        expired = [
-            (y, tuple(x for x in before if self.parent_in(before, x) == y))
-            for y in gone
-        ]
-        return dominated, parent, expired
+        return dominated, parent, gone
 
 
 def outcome_key(outcome):
     return (
         {e.kappa for e in outcome.dominated_removed},
         outcome.parent_kappa,
-        [
-            (rec.element.kappa, tuple(sorted(c.kappa for c in rec.children)))
-            for rec in outcome.expired
-        ],
+        [e.kappa for e in outcome.expired],
     )
 
 

@@ -65,10 +65,7 @@ def outcome_key(outcome):
         outcome.seen_so_far,
         outcome.parent_kappa,
         frozenset(e.kappa for e in outcome.dominated_removed),
-        tuple(
-            (rec.element.kappa, frozenset(c.kappa for c in rec.children))
-            for rec in outcome.expired
-        ),
+        tuple(e.kappa for e in outcome.expired),
     )
 
 
@@ -401,3 +398,15 @@ class TestRootExpiryCheck:
         engine._records[1].parent_kappa = 99  # simulate corruption
         with pytest.raises(StructureCorruptionError):
             engine.append((0.9, 0.9))  # forces expiry of kappa 1
+
+    def test_birth_parent_in_rn_at_expiry_raises(self):
+        """A birth parent leaves ``R_N`` before its child: expiring a
+        child whose parent is still retained raises."""
+        engine = NofNSkyline(dim=2, capacity=2)
+        engine.append((0.1, 0.1))
+        engine.append((0.5, 0.5))  # child of kappa 1
+        engine._cursor = 2  # simulate corruption: expiry skips kappa 1
+        engine.append((0.9, 0.05))
+        assert 1 in engine._records
+        with pytest.raises(StructureCorruptionError, match="outlived"):
+            engine.append((0.05, 0.9))  # forces expiry of kappa 2

@@ -169,7 +169,7 @@ def outcome_key(outcome):
         outcome.element.kappa,
         outcome.parent_kappa,
         frozenset(e.kappa for e in outcome.dominated_removed),
-        frozenset(r.element.kappa for r in outcome.expired),
+        frozenset(e.kappa for e in outcome.expired),
     )
 
 

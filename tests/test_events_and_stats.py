@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.element import StreamElement
-from repro.core.events import ArrivalOutcome, ExpiredRecord
+from repro.core.events import ArrivalOutcome
+from repro.core.timewindow import TimeWindowSkyline
 from repro.core.stats import EngineStats
 
 
@@ -26,7 +27,7 @@ class TestArrivalOutcome:
             element=element(5),
             seen_so_far=5,
             dominated_removed=(element(3), element(4)),
-            expired=(ExpiredRecord(element(1), children=(element(2),)),),
+            expired=(element(1),),
         )
         assert outcome.removed_kappas == frozenset({1, 3, 4})
 
@@ -35,10 +36,14 @@ class TestArrivalOutcome:
         with pytest.raises(AttributeError):
             outcome.seen_so_far = 2
 
-    def test_expired_record_children_are_a_tuple_snapshot(self):
-        record = ExpiredRecord(element(1), children=(element(2), element(3)))
-        assert isinstance(record.children, tuple)
-        assert [c.kappa for c in record.children] == [2, 3]
+    def test_expired_holds_the_elements_oldest_first(self):
+        engine = TimeWindowSkyline(dim=2, horizon=2.0)
+        engine.append((0.2, 0.8), timestamp=1.0)
+        engine.append((0.8, 0.2), timestamp=2.0)
+        outcome = engine.append((0.5, 0.5), timestamp=9.0)
+        assert isinstance(outcome.expired, tuple)
+        assert [e.kappa for e in outcome.expired] == [1, 2]
+        assert all(isinstance(e, StreamElement) for e in outcome.expired)
 
 
 class TestEngineStats:

@@ -85,7 +85,9 @@ class TestExpiry:
         assert outcome.expired == ()
         assert [e.kappa for e in engine.skyline()] == [2]
 
-    def test_expiry_reroots_children(self):
+    def test_expired_parent_reads_as_root(self):
+        """A child keeps its birth parent, which reads as a root once
+        it has expired."""
         engine = NofNSkyline(dim=2, capacity=3)
         engine.append((0.1, 0.1))  # kappa 1: will critically dominate 2, 3
         engine.append((0.5, 0.5))  # kappa 2: child of 1
@@ -93,10 +95,11 @@ class TestExpiry:
         assert engine.critical_parent(2).kappa == 1
         outcome = engine.append((0.9, 0.9))  # kappa 4: expels kappa 1
         [expired] = outcome.expired
-        assert expired.element.kappa == 1
-        assert [c.kappa for c in expired.children] == [2]
-        # kappa 2 is now a root: it answers the full-window query.
+        assert expired.kappa == 1
+        assert engine._records[2].parent_kappa == 1  # the birth parent
+        # kappa 2 now reads as a root: it answers the full-window query.
         assert engine.critical_parent(2) is None
+        assert (0, 2) in engine.dominance_graph_edges()
         assert [e.kappa for e in engine.skyline()] == [2]
 
     def test_capacity_one_window(self):
@@ -186,9 +189,9 @@ class TestOutcomes:
         engine.append((0.5, 0.5))
         outcome = engine.append((0.6, 0.4))
         [expired] = outcome.expired
-        assert expired.element.kappa == 1
+        assert expired.kappa == 1
         with pytest.raises(AttributeError):
-            expired.element = None  # frozen dataclass
+            outcome.expired = ()  # frozen dataclass
 
 
 class TestStats:

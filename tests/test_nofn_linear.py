@@ -41,8 +41,8 @@ class TestObservationalEquivalence:
             assert sorted(e.kappa for e in a.dominated_removed) == (
                 sorted(e.kappa for e in b.dominated_removed)
             )
-            assert [r.element.kappa for r in a.expired] == [
-                r.element.kappa for r in b.expired
+            assert [e.kappa for e in a.expired] == [
+                e.kappa for e in b.expired
             ]
         assert rtree_engine.dominance_graph_edges() == (
             linear_engine.dominance_graph_edges()

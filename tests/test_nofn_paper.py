@@ -101,9 +101,14 @@ class TestFigure5DominanceGraph:
         assert engine.critical_parent(KAPPA["h"]).kappa == KAPPA["c"]
 
     def test_children_links(self, engine):
-        assert names_of(engine.children_of(KAPPA["e"])) == ["f", "g"]
-        assert names_of(engine.children_of(KAPPA["c"])) == ["h"]
-        assert engine.children_of(KAPPA["h"]) == []
+        edges = engine.dominance_graph_edges()
+
+        def children(name):
+            return [c for p, c in edges if p == KAPPA[name]]
+
+        assert children("e") == [KAPPA["f"], KAPPA["g"]]
+        assert children("c") == [KAPPA["h"]]
+        assert children("h") == []
 
     def test_interval_encoding(self, engine):
         """Example 3's interval list: (0,3], (0,4], (3,7], (4,5], (4,6]."""

@@ -66,29 +66,39 @@ class TestPackageSurface:
 
 
 class TestRetiredSurface:
-    """The sharded parallel tier and the red-black tree baseline are
-    gone; ``import repro`` no longer pulls in ``multiprocessing``."""
+    """The sharded parallel tier, the red-black tree baseline, the label
+    set and the expired-record children are gone; ``import repro`` no
+    longer pulls in ``multiprocessing``."""
 
     RETIRED = (
         "ShardedNofNSkyline", "ShardedKSkyband", "ShardFailureError",
-        "Dynamic2DSkyline", "RedBlackTree",
+        "Dynamic2DSkyline", "RedBlackTree", "LabelSet", "ExpiredRecord",
     )
 
     @pytest.mark.parametrize("name", RETIRED)
     def test_name_is_gone(self, name):
         import repro.baselines as baselines
+        import repro.core as core
+        import repro.core.events as events
         import repro.structures as structures
 
-        for module in (repro, exceptions, baselines, structures):
+        for module in (repro, exceptions, baselines, structures, core, events):
             assert name not in getattr(module, "__all__", ())
             assert not hasattr(module, name), f"{module.__name__}.{name}"
 
     @pytest.mark.parametrize("module", [
         "repro.parallel", "repro.baselines.dynamic2d", "repro.structures.rbtree",
+        "repro.structures.labelset",
     ])
     def test_module_is_gone(self, module):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
+
+    @pytest.mark.parametrize("engine_cls", [
+        repro.NofNSkyline, repro.LinearScanNofNSkyline, repro.TimeWindowSkyline,
+    ])
+    def test_children_of_is_gone(self, engine_cls):
+        assert not hasattr(engine_cls, "children_of")
 
     def test_import_does_not_load_multiprocessing(self):
         probe = (

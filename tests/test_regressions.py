@@ -84,19 +84,6 @@ class TestConstrainedRCorner:
         assert found is not None and found.kappa == 50
 
 
-class TestLabelSetCheckOrder:
-    """Re-appending the current tail label must fail as an ordering
-    violation (ValueError), not as a duplicate."""
-
-    def test_equal_label_is_an_ordering_error(self):
-        from repro.structures.labelset import LabelSet
-
-        labels = LabelSet()
-        labels.append(5, None)
-        with pytest.raises(ValueError, match="increasing"):
-            labels.append(5, None)
-
-
 class TestBNLWindowEvictionSlice:
     """BNL's window-eviction loop once mis-sliced the untouched suffix
     after a domination hit; this instance exercises that exact path:

@@ -205,6 +205,28 @@ class TestNofNCorruption:
             engine.check_invariants()
         assert invariant_of(excinfo) == "forest"
 
+    def test_expired_parent_low_in_window_is_interval_encoding(self):
+        # A child keeps its expired birth parent's label as its interval
+        # low, below every admissible stab; one at or above the window
+        # start would hide the child from the full-window query.
+        engine = NofNSkyline(2, 3)
+        for point in [(0.1, 0.1), (0.9, 0.05), (0.5, 0.5), (0.05, 0.9)]:
+            engine.append(point)
+        record = engine._records[3]
+        assert record.parent_kappa == 1 and 1 not in engine._records
+        engine.check_invariants()
+        record.handle = engine._intervals.replace(record.handle, 2.5, 3.0)
+        with pytest.raises(StructureCorruptionError) as excinfo:
+            engine.check_invariants()
+        assert invariant_of(excinfo) == "interval-encoding"
+
+    def test_cursor_past_retained_element_is_counts(self):
+        engine = fed_nofn()
+        engine._cursor = next(iter(engine._records)) + 1
+        with pytest.raises(StructureCorruptionError) as excinfo:
+            engine.check_invariants()
+        assert invariant_of(excinfo) == "counts"
+
     def test_rtree_augmentation_tamper(self):
         # The pointer tree is the reference the engines' dense index is
         # checked against; its own augmentation check stays pinned here.
@@ -428,21 +450,6 @@ class TestContinuousCorruption:
         with pytest.raises(StructureCorruptionError) as excinfo:
             manager.check_invariants()
         assert invariant_of(excinfo) == "result-sync"
-
-
-# ----------------------------------------------------------------------
-# Structure-level raises keep their names
-# ----------------------------------------------------------------------
-
-
-class TestStructureReports:
-    def test_labelset_order_tamper(self):
-        engine = fed_nofn()
-        node = engine._labels._head  # oldest node
-        node.kappa += 1e9
-        with pytest.raises(StructureCorruptionError) as excinfo:
-            engine._labels.check_invariants()
-        assert invariant_of(excinfo).startswith("labelset")
 
 
 # ----------------------------------------------------------------------
