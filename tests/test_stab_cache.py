@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accel import DEFAULT_MAX_MEMO, StabCache
+from repro.baselines.naive import naive_skyline_youngest
 from repro.core.continuous import ContinuousQueryManager
+from repro.core.dominance import weakly_dominates
 from repro.core.nofn import NofNSkyline
 from repro.core.skyband import KSkybandEngine
 from repro.core.timewindow import TimeWindowSkyline
@@ -143,6 +145,38 @@ operations = st.lists(
     max_size=25,
 )
 
+#: Time-window writes: each arrival carries the gap since the previous
+#: stamp; a gap of 8 outlasts every horizon below (a quiet spell).
+timed_operations = st.lists(
+    st.tuples(
+        st.sampled_from(["append", "batch"]),
+        st.lists(
+            st.tuples(point2, st.sampled_from([0.25, 0.5, 1.0, 8.0])),
+            min_size=1,
+            max_size=5,
+        ),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def band_kappas(history, n, k):
+    """Brute-force n-of-N k-skyband: the window elements that fewer
+    than ``k`` window elements strictly dominate or duplicate later."""
+    lo = max(0, len(history) - n)
+    window = history[lo:]
+    out = []
+    for i, p in enumerate(window):
+        beaten = sum(
+            1
+            for j, q in enumerate(window)
+            if j != i and weakly_dominates(q, p) and (q != p or j > i)
+        )
+        if beaten < k:
+            out.append(lo + i + 1)
+    return out
+
 
 class TestCachedQueryProperty:
     @settings(max_examples=60, deadline=None)
@@ -208,6 +242,80 @@ class TestCachedQueryProperty:
         assert interval_set == sorted(
             (i.low, i.high) for i in engine._intervals.intervals()
         )
+
+    @pytest.mark.parametrize("query_cache", [True, False])
+    @settings(max_examples=40, deadline=None)
+    @given(timed_operations, st.sampled_from([1.5, 3.0]))
+    def test_time_window_matches_brute_force(self, query_cache, ops, horizon):
+        """``query_last`` through ``append`` and ``append_many``, with
+        quiet spells longer than the horizon that expire several
+        elements at one arrival, against a brute-force skyline of the
+        stamps in ``[now - duration, now]``."""
+        engine = TimeWindowSkyline(
+            dim=2, horizon=horizon, query_cache=query_cache
+        )
+        history, stamps = [], []
+        now = 0.0
+        for kind, arrivals in ops:
+            if kind == "append":
+                arrivals = arrivals[:1]
+            points = [point for point, _ in arrivals]
+            batch_stamps = []
+            for _, gap in arrivals:
+                now += gap
+                batch_stamps.append(now)
+            before_version = engine.structure_version
+            if kind == "append":
+                engine.append(points[0], batch_stamps[0])
+            else:
+                engine.append_many(points, batch_stamps)
+            history += points
+            stamps += batch_stamps
+            assert engine.structure_version > before_version
+            for duration in {horizon, horizon / 2, 1.0, 0.25}:
+                start = now - duration
+                expected = [
+                    i + 1 for i in naive_skyline_youngest(
+                        [p for p, t in zip(history, stamps) if t >= start]
+                    )
+                ]
+                offset = sum(1 for t in stamps if t < start)
+                expected = [offset + kappa for kappa in expected]
+                got = [e.kappa for e in engine.query_last(duration)]
+                assert got == expected
+                assert [e.kappa for e in engine.query_last(duration)] == got
+        engine.check_invariants()
+
+    @pytest.mark.parametrize("query_cache", [True, False])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.lists(point2, min_size=1, max_size=6), min_size=1,
+                 max_size=12),
+        st.integers(2, 8),
+        st.integers(1, 3),
+        st.sampled_from([None, 1, 3]),
+    )
+    def test_skyband_matches_brute_force(
+        self, query_cache, batches, capacity, k, chunk
+    ):
+        """``KSkybandEngine`` at k=1-3 fed in ``append_many`` chunks,
+        every ``query(n)`` against a brute-force k-skyband of the
+        window."""
+        engine = KSkybandEngine(
+            dim=2, capacity=capacity, k=k, query_cache=query_cache,
+            batch_chunk=chunk,
+        )
+        history = []
+        for batch in batches:
+            before_version = engine.structure_version
+            engine.append_many(batch)
+            history += batch
+            assert engine.structure_version > before_version
+            for n in sorted({1, 2, capacity // 2, capacity}):
+                got = [e.kappa for e in engine.query(n)]
+                assert got == band_kappas(history, n, k)
+                assert [e.kappa for e in engine.query(n)] == got
+        engine.check_invariants()
 
 
 class TestEngineIntegration:
