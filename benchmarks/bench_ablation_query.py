@@ -1,9 +1,10 @@
-"""Ablation — is the interval tree worth it on the query path?
+"""Ablation — is the vectorised stab worth it on the query path?
 
 ``NofNSkyline.query`` answers n-of-N with one stab through the stab
 cache: a memo hit is one ``bisect`` plus a copy of the ``s``-element
-answer, a miss one vectorised ``O(|R_N|)`` pass over the interval
-tree's slot arrays.  The alternative is Theorem 3 applied directly —
+answer, a miss one vectorised ``O(|R_N|)`` pass over the ``low`` and
+``label`` interval columns of the dense index's rows, whose hits come
+out in kappa order.  The alternative is Theorem 3 applied directly —
 scan ``R_N`` in the interpreter and keep elements whose critical parent
 predates the window (``NofNSkyline.query_scan``, ``O(|R_N|)``).  Since
 ``|R_N|`` is small (Theorem 2), the scan is a serious contender,
@@ -31,7 +32,7 @@ from repro.streams import random_n_values
 
 
 def test_ablation_query_paths(report, nofn_engine, benchmark):
-    """Average query time: interval-tree stab vs Theorem-3 scan."""
+    """Average query time: vectorised stab vs Theorem-3 scan."""
     capacity = scaled(2000)
     prefill = 2 * capacity
     rows = []

@@ -10,12 +10,12 @@ it is launched with, and verifies that:
 * ``append`` and ``append_many`` agree on query results;
 * the root-expiry structural check still fires as a catchable
   :class:`~repro.exceptions.StructureCorruptionError` (it was once a
-  bare ``assert``, silently erased by ``-O``), and so does the check of
-  the interval tree's slot arrays against its handles;
-* the interval tree rejects a dead handle before changing anything;
+  bare ``assert``, silently erased by ``-O``);
 * the engines' dense dominance index rejects a kappa not above its
-  newest row and a NaN coordinate (NaN is its tombstone) before any
-  write, and its ``dense-mirror`` check still fires;
+  newest row, a NaN coordinate (NaN is its tombstone) and an empty
+  interval ``low >= label`` before any write (its bytes and version
+  unchanged), and its ``dense-mirror`` check, and the engine's check
+  of each row's interval ``low``, still fire;
 * every engine rejects a wrong-dimension, NaN or empty point before
   any state changes;
 * restoring an (n1,n2) snapshot rejects a window with a hole, a record
@@ -50,7 +50,7 @@ from repro import (
 )
 from repro.core.persistence import SnapshotError, dumps, restore, snapshot
 from repro.exceptions import (
-    KeyNotFoundError,
+    InvalidIntervalError,
     ReproError,
     StructureCorruptionError,
 )
@@ -216,35 +216,6 @@ def smoke_corruption_check_survives_dash_o(sanitize: str) -> None:
                  "(check erased by -O?)")
 
 
-def smoke_slot_mirror_check_survives_dash_o(sanitize: str) -> None:
-    engine = NofNSkyline(dim=2, capacity=8, sanitize=sanitize)
-    for point in points_stream(20, 2, seed=5):
-        engine.append(point)
-    # A dead handle is rejected before anything changes.
-    tree = engine._intervals
-    dead = tree.insert(0.0, 1.0, None)
-    tree.remove(dead)
-    before = (len(tree), tree.version, list(tree._free))
-    try:
-        tree.remove(dead)
-    except KeyNotFoundError:
-        pass
-    else:
-        check(False, "second removal of an interval handle was accepted "
-                     "(guard erased by -O?)")
-    check((len(tree), tree.version, list(tree._free)) == before,
-          "rejected removal of a dead interval handle changed the tree")
-    engine.check_invariants()
-    handle = next(iter(engine._records.values())).handle
-    engine._intervals._highs[handle._slot] += 0.5  # slot disagrees with handle
-    try:
-        engine.check_invariants()
-    except StructureCorruptionError:
-        return
-    check(False, "tampered interval slot passed check_invariants "
-                 "(check erased by -O?)")
-
-
 def smoke_dense_index_guards_survive_dash_o(sanitize: str) -> None:
     engine = NofNSkyline(dim=2, capacity=8, sanitize=sanitize)
     for point in points_stream(20, 2, seed=6):
@@ -253,16 +224,21 @@ def smoke_dense_index_guards_survive_dash_o(sanitize: str) -> None:
 
     def state():
         used = len(index._rows)
-        return (len(index), used, index._points[:, :used].tobytes())
+        lows, labels, _ = index.intervals()
+        return (len(index), used, index._points[:, :used].tobytes(),
+                lows.tobytes(), labels.tobytes(), index.version)
 
     before = state()
-    for point, kappa, guard in (
-        ((0.5, 0.5), 0, "a kappa not above the newest row"),
-        ((float("nan"), 0.5), engine.seen_so_far + 1, "a NaN coordinate"),
+    fresh = engine.seen_so_far + 1
+    for point, kappa, low, error, guard in (
+        ((0.5, 0.5), 0, 0.0, ValueError, "a kappa not above the newest row"),
+        ((float("nan"), 0.5), fresh, 0.0, ValueError, "a NaN coordinate"),
+        ((0.5, 0.5), fresh, float(fresh), InvalidIntervalError,
+         "an empty interval (low >= label)"),
     ):
         try:
-            index.insert(point, kappa)
-        except ValueError:
+            index.insert(point, kappa, low=low)
+        except error:
             pass
         else:
             check(False, f"dense index accepted {guard} "
@@ -270,17 +246,30 @@ def smoke_dense_index_guards_survive_dash_o(sanitize: str) -> None:
         check(state() == before,
               f"rejected insert of {guard} changed the dense index")
     engine.check_invariants()
+
+    def expect_corruption(what: str, invariant=None) -> None:
+        try:
+            engine.check_invariants()
+        except StructureCorruptionError as exc:
+            report = exc.report
+            check(invariant is None or (
+                report is not None and report.invariant == invariant),
+                f"{what} raised {exc!r}, not {invariant}")
+            return
+        check(False, f"{what} passed check_invariants "
+                     "(check erased by -O?)")
+
+    # The newest row's low moved into the window, off its parent's label
+    # (and off a root's 0), its interval still non-empty.
+    row = index._entries[engine.seen_so_far].row
+    saved = index._lows[row]
+    index._lows[row] = engine.seen_so_far - 0.5
+    expect_corruption("tampered interval low", "interval-encoding")
+    index._lows[row] = saved
+    engine.check_invariants()
     column = next(index.entries()).row
     index._points[0, column] += 0.5  # the matrix disagrees with its entry
-    try:
-        engine.check_invariants()
-    except StructureCorruptionError as exc:
-        report = exc.report
-        check(report is not None and report.invariant == "dense-mirror",
-              f"tampered dense index raised {exc!r}, not dense-mirror")
-        return
-    check(False, "tampered dense index passed check_invariants "
-                 "(check erased by -O?)")
+    expect_corruption("tampered dense index", "dense-mirror")
 
 
 def smoke_rejected_append_changes_nothing(sanitize: str) -> None:
@@ -503,7 +492,6 @@ def main() -> int:
         smoke_skyband(args.sanitize, chunk)
         smoke_continuous(args.sanitize, chunk)
     smoke_corruption_check_survives_dash_o(args.sanitize)
-    smoke_slot_mirror_check_survives_dash_o(args.sanitize)
     smoke_dense_index_guards_survive_dash_o(args.sanitize)
     smoke_rejected_append_changes_nothing(args.sanitize)
     smoke_n1n2_restore_checks_survive_dash_o(args.sanitize)

@@ -4,8 +4,8 @@ Hosts the vectorised static skyline for users who batch-process large
 static point sets (e.g. seeding a window from history), the intra-batch
 dominance prefilter behind the engines' ``append_many`` fast path, and
 the query fast path: the versioned stab cache
-(:mod:`repro.accel.stab_cache`) that memoizes interval-tree stabbing
-queries between structural changes.
+(:mod:`repro.accel.stab_cache`) that memoizes the dense index's
+stabbing queries between writes.
 """
 
 from repro.accel.batch_prefilter import BatchPrefilter, intra_batch_survivors

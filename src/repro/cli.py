@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "at all (off, the default)")
     win.add_argument("--query-cache", default="on", choices=("on", "off"),
                      help="versioned stab cache for queries: memoize stab "
-                          "results until the interval tree changes "
+                          "results until the dominance index changes "
                           "(default on)")
     win.add_argument("--continuous-queries", type=int, default=0, metavar="Q",
                      help="register Q continuous n-of-N queries (a "

@@ -77,7 +77,8 @@ class BatchOutcome:
         Batch members the vectorised intra-batch prefilter proved
         dominated by a younger same-batch member; their outcomes are in
         ``outcomes`` like everyone else's, but they never touched the
-        dominance index or the interval tree — the batch path's saving.
+        dominance index or its interval columns — the batch path's
+        saving.
     """
 
     outcomes: Tuple[ArrivalOutcome, ...]

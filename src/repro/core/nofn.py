@@ -6,12 +6,13 @@ query (``n <= N``):
 
 * ``R_N`` — the non-redundant elements (Theorem 1), held in a dense
   dominance index (:mod:`repro.structures.dense_index`, standing in for
-  the paper's R-tree), a kappa-ordered dict of records, and an interval
-  tree, wired together as in Figure 6;
+  the paper's R-tree and interval tree at once) and a kappa-ordered
+  dict of records;
 * the **critical dominance graph** ``G_{R_N}`` — each element points to
   its youngest older dominator within ``R_N`` (a forest) — encoded as
   half-open intervals ``(kappa(parent), kappa(e)]`` (roots:
-  ``(0, kappa(e)]``).
+  ``(0, kappa(e)]``), kept in the index's ``low``/``label`` columns
+  beside each element's point.
 
 Per arrival, the engine runs Algorithm 1:
 
@@ -20,7 +21,7 @@ Per arrival, the engine runs Algorithm 1:
    dominates — with one dominance mask over the index;
 3. find the newcomer's critical dominator with a newest-first sweep
    that stops at the first hit (the paper's best-first stop);
-4. install the newcomer's interval, index entry and record.
+4. install the newcomer's record, then its index row and interval.
 
 Each record keeps its *birth* parent, the critical dominator found at
 its arrival, and Algorithm 1's re-rooting (lines 5-7) is left out:
@@ -34,10 +35,11 @@ Both :meth:`append` and :meth:`append_many` run it through one chunk
 core, :meth:`NofNSkyline._arrive_chunk`; ``append`` is a chunk of one.
 
 :meth:`query` then answers an n-of-N query as a **stabbing query**
-(Theorem 3): stab the interval tree with ``M - n + 1`` and report the
-elements owning the stabbed intervals.  Through the stab cache a stab
-that hits the memo costs ``O(log |R_N| + s)``; a miss is one vectorised
-``O(|R_N|)`` pass over the tree's slot arrays.
+(Theorem 3): stab the index's intervals with ``M - n + 1`` and report
+the elements owning the stabbed rows, which come out in kappa order.
+Through the stab cache a stab that hits the memo costs
+``O(log |R_N| + s)``; a miss is one vectorised ``O(|R_N|)`` pass over
+the index's interval columns.
 
 The label/threshold machinery is factored into small overridable hooks
 so :class:`repro.core.timewindow.TimeWindowSkyline` can reuse the whole
@@ -48,7 +50,7 @@ in section 6).
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.accel.batch_prefilter import BatchPrefilter
 from repro.accel.stab_cache import StabCache
@@ -58,30 +60,21 @@ from repro.core.events import ArrivalOutcome, BatchOutcome
 from repro.exceptions import InvalidWindowError, StructureCorruptionError
 from repro.sanitize.sanitizer import SanitizeArg
 from repro.structures.dense_index import DenseIndex
-from repro.structures.interval_tree import IntervalHandle, IntervalTree
 
 
 class _Record:
-    """Book-keeping for one element of ``R_N``.
-
-    Realises the 1-1 links of Figure 6: element <-> index entry <->
-    interval.  ``parent_kappa`` is the birth parent (0 for a root),
-    never rewritten.
+    """Book-keeping for one element of ``R_N``: the payload of its index
+    row, which holds its point and interval (Figure 6's links, in one
+    row).  ``parent_kappa`` is the birth parent (0 for a root), never
+    rewritten.
     """
 
-    __slots__ = ("element", "label", "parent_kappa", "handle")
+    __slots__ = ("element", "label", "parent_kappa")
 
     def __init__(self, element: StreamElement, label: float) -> None:
         self.element = element
         self.label = label
         self.parent_kappa: int = 0
-        self.handle: Optional[IntervalHandle] = None
-
-
-def _record_kappa(record: _Record) -> int:
-    """Query-order sort key of the uncached path (the cache orders by
-    interval high, which is the same order)."""
-    return record.element.kappa
 
 
 class NofNSkyline(WindowEngine):
@@ -101,10 +94,10 @@ class NofNSkyline(WindowEngine):
     query_cache:
         When true (the default), :meth:`query` answers through a
         :class:`~repro.accel.stab_cache.StabCache`, which memoizes the
-        interval tree's vectorised stab per elementary span, instead of
-        running that pass over every slot per call.
-        Invalidation is exact (every structural write bumps the tree
-        version), so answers are always identical to the uncached path.
+        index's vectorised stab per elementary span, instead of running
+        that pass over every row per call.
+        Invalidation is exact (every write bumps the index version), so
+        answers are always identical to the uncached path.
     batch_chunk:
         Slice size of the :meth:`append_many` pipeline (``None`` — the
         default — means :data:`repro.accel.batch_prefilter.CHUNK`).
@@ -120,6 +113,10 @@ class NofNSkyline(WindowEngine):
     identical to strict dominance.
     """
 
+    #: The index holding ``R_N`` and its intervals (the linear-scan
+    #: ablation swaps in its pure-Python searches).
+    _index_class: Type[DenseIndex] = DenseIndex
+
     def __init__(
         self,
         dim: int,
@@ -133,13 +130,9 @@ class NofNSkyline(WindowEngine):
         self._records: Dict[int, _Record] = {}
         # The expiry cursor: no kappa below it is in R_N.
         self._cursor = 1
-        self._intervals: IntervalTree[_Record] = IntervalTree()
-        self._rtree = DenseIndex(dim)
-        # Memoized answers come back ascending by interval high — the
-        # element's own label, hence query (kappa) order — so the cached
-        # query path never re-sorts.
+        self._rtree = self._index_class(dim)
         self._stab_cache: Optional[StabCache[_Record]] = (
-            StabCache(self._intervals) if query_cache else None
+            StabCache(self._rtree) if query_cache else None
         )
 
     # ------------------------------------------------------------------
@@ -197,8 +190,8 @@ class NofNSkyline(WindowEngine):
         calls would have produced), but much faster on bursty feeds: a
         vectorised intra-batch prefilter proves which batch members are
         dominated by a younger same-batch member before any query could
-        observe them, and those members skip all index and
-        interval-tree maintenance.  The window-expiry sweep runs only at
+        observe them, and those members skip all index maintenance.
+        The window-expiry sweep runs only at
         arrivals whose window start passes the oldest live label.
 
         Validation is all-or-nothing: dimension mismatches and invalid
@@ -289,13 +282,12 @@ class NofNSkyline(WindowEngine):
 
         * dominance victims carry first-arrival attribution, and an
           arrival skips victims another arrival (or an expiry) already
-          removed — a record is alive while it holds its interval
-          handle;
+          removed — a record is alive while ``_records`` holds it;
         * a chunk survivor is never dominated by any chunk member (the
           prefilter would have doomed it), so survivors installed
-          mid-chunk only ever *leave* via expiry (which clears their
-          interval handle), and the flush indexes the survivors still
-          alive;
+          mid-chunk only ever *leave* via expiry, and the flush indexes
+          the survivors still alive, each with the interval low its
+          arrival computed;
         * critical parents resolve intra-chunk candidates first
           (youngest alive wins — chunk kappas exceed every indexed
           kappa): the prefilter's ``youngest_older`` member, and only
@@ -327,6 +319,7 @@ class NofNSkyline(WindowEngine):
         first = chunk[0].kappa  # the index holds every live kappa below it
         deletes: List[int] = []
         installed: List[_Record] = []
+        lows: List[float] = []  # the interval low of each installed record
 
         # A lower bound on the oldest live label; the first arrival's
         # sweep moves the cursor to the oldest live element.
@@ -347,12 +340,10 @@ class NofNSkyline(WindowEngine):
 
             dominated: List[StreamElement] = []
             for entry in victims0[i]:
-                tree_record = entry.data
-                if tree_record.handle is None:
+                if self._records.pop(entry.kappa, None) is None:
                     continue  # expired earlier in the chunk
-                self._detach(tree_record)
                 deletes.append(entry.kappa)
-                dominated.append(tree_record.element)
+                dominated.append(entry.data.element)
             for h in pre.killed_at(i):
                 doomed = pending.pop(chunk[h].kappa, None)
                 if doomed is not None:  # else already expired
@@ -386,7 +377,7 @@ class NofNSkyline(WindowEngine):
                     parent_entry = rtree.max_kappa_dominator(element.values)
                 while (
                     parent_entry is not None
-                    and parent_entry.data.handle is None
+                    and parent_entry.kappa not in self._records
                 ):
                     # The frozen-tree answer died mid-chunk: descend.
                     parent_entry = rtree.max_kappa_dominator(
@@ -399,10 +390,9 @@ class NofNSkyline(WindowEngine):
             if pre.is_doomed(i):
                 pending[element.kappa] = record
             else:
-                low = 0.0 if best is None else best.label
-                record.handle = self._intervals.insert(low, label, record)
                 self._records[element.kappa] = record
                 installed.append(record)
+                lows.append(0.0 if best is None else best.label)
 
             rn_size = len(self._records) + len(pending)
             rn_sum += rn_size
@@ -428,7 +418,12 @@ class NofNSkyline(WindowEngine):
             rtree.delete_many(deletes)
         if expired_count:
             # A survivor installed earlier in the chunk may have expired.
-            installed = [r for r in installed if r.handle is not None]
+            alive = [
+                i for i, r in enumerate(installed)
+                if r.element.kappa in self._records
+            ]
+            installed = [installed[i] for i in alive]
+            lows = [lows[i] for i in alive]
         if installed:
             kappas = [r.element.kappa for r in installed]
             rtree.insert_many(
@@ -436,6 +431,8 @@ class NofNSkyline(WindowEngine):
                 else block[[kappa - first for kappa in kappas]],
                 kappas,
                 installed,
+                lows=lows,
+                labels=[r.label for r in installed],
             )
         return pre.dropped
 
@@ -451,10 +448,10 @@ class NofNSkyline(WindowEngine):
         Its birth parent must be older and already gone: labels ascend
         with kappa, so the parent expired first, and anything that
         dominated the parent away dominated this element too.  A doomed
-        chunk member in ``pending`` owns no interval or index entry.
-        The index delete of an indexed record (its kappa is below
-        ``indexed_below``, the chunk's first) is queued on ``deletes``;
-        a chunk survivor is simply never indexed.
+        chunk member in ``pending`` owns no index row.  The index delete
+        of an indexed record (its kappa is below ``indexed_below``, the
+        chunk's first) is queued on ``deletes``; a chunk survivor is
+        simply never indexed.
         """
         kappa = record.element.kappa
         parent = record.parent_kappa
@@ -463,21 +460,11 @@ class NofNSkyline(WindowEngine):
             raise StructureCorruptionError(
                 f"expiring element {kappa}: birth parent {parent} {state}"
             )
-        if record.handle is None:
-            del pending[kappa]
-        else:
-            self._detach(record)
+        if pending.pop(kappa, None) is None:
+            del self._records[kappa]
             if kappa < indexed_below:
                 deletes.append(kappa)
         return record.element
-
-    def _detach(self, record: _Record) -> None:
-        """Remove a record's interval and its entry in ``_records`` (its
-        index entry is queued for the chunk's
-        :meth:`DenseIndex.delete_many`)."""
-        self._intervals.remove(record.handle)
-        record.handle = None
-        del self._records[record.element.kappa]
 
     # ------------------------------------------------------------------
     # Query processing (Theorem 3 / section 3.2)
@@ -495,13 +482,16 @@ class NofNSkyline(WindowEngine):
         if stab is None:
             self.stats.record_query(0)
             return []
-        if self._stab_cache is not None:
-            records = self._stab_cache.stab(stab)  # pre-sorted by kappa
-        else:
-            records = self._intervals.stab(stab)
-            records.sort(key=_record_kappa)
+        records = self._stab(stab)
         self.stats.record_query(len(records))
         return [r.element for r in records]
+
+    def _stab(self, t: float) -> List[_Record]:
+        """The records whose interval ``t`` stabs, in kappa order,
+        through the stab cache when one is attached."""
+        if self._stab_cache is not None:
+            return self._stab_cache.stab(t)
+        return self._rtree.stab(t)
 
     def _stab_point(self, n: int) -> Optional[float]:
         if not 1 <= n <= self.capacity:
@@ -521,12 +511,13 @@ class NofNSkyline(WindowEngine):
 
     def query_scan(self, n: int) -> List[StreamElement]:
         """Ablation/debug variant of :meth:`query`: answer by scanning
-        ``R_N`` and applying Theorem 3 directly, without the interval
-        tree — an ``O(|R_N|)`` interpreter loop instead of one stab.
+        ``R_N`` and applying Theorem 3 directly, without the index's
+        interval columns — an ``O(|R_N|)`` interpreter loop instead of
+        one stab.
 
         Returns exactly what :meth:`query` returns; exists so the
-        benchmarks can price the interval-tree design choice and so
-        tests have an independent second implementation.
+        benchmarks can price the vectorised stab and so tests have an
+        independent second implementation.
         """
         stab = self._stab_point(n)
         if stab is None:
@@ -553,10 +544,12 @@ class NofNSkyline(WindowEngine):
 
     @property
     def structure_version(self) -> int:
-        """Monotonic version of the interval encoding; bumps on every
-        arrival, expiry and dominance ejection (anything that can
-        change a query answer)."""
-        return self._intervals.version
+        """Monotonic version of the interval encoding: the dominance
+        index's write counter.  It moves with every write of a chunk's
+        flush (its inserts, deletes and compaction) — after every
+        arrival, expiry and dominance ejection, so after anything that
+        can change a query answer — and with nothing else."""
+        return self._rtree.version
 
     @property
     def stab_cache(self) -> Optional[StabCache[_Record]]:

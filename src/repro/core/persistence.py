@@ -5,7 +5,7 @@ million elements from a raw replay is exactly what the paper's
 structures exist to avoid.  This module serialises an engine's *logical*
 state — the elements it retains plus their graph annotations — to a
 plain dict (JSON-ready if the payloads are) and rebuilds a live engine
-from it, re-deriving the dominance-index / interval-tree wiring.
+from it, re-deriving the dominance index and its interval columns.
 
 Supported engines:
 
@@ -431,8 +431,9 @@ def _restore_nofn(snap: Dict[str, Any], engine: NofNSkyline) -> NofNSkyline:
             low = parent.label
         else:
             low = 0.0
-        record.handle = engine._intervals.insert(low, record.label, record)
-        engine._rtree.insert(element.values, element.kappa, record)
+        engine._rtree.insert(
+            element.values, element.kappa, record, low=low, label=record.label
+        )
         records[element.kappa] = record
     if records:
         engine._cursor = next(iter(records))

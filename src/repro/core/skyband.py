@@ -26,14 +26,16 @@ though pruned elements also dominate: if a pruned ``x`` dominates
 ``e``, then ``x``'s ``>= k`` younger dominators transitively dominate
 ``e`` and are younger than ``x`` — so the ``k`` *youngest* older
 dominators of ``e`` can never be pruned elements, and the top-``k``
-best-first search over the retained R-tree returns the true list.
+newest-first search over the retained index returns the true list.
 
 As in the n-of-N engine, expiry needs **no re-rooting**: thresholds
 are raw positions, and a stab point ``M - n + 1 >= M - N + 1`` always
 clears an expired dominator's position, so intervals age out of
 relevance by themselves; per arrival only the dominated elements'
-intervals move.  Expiry itself looks up the one position that leaves
-at each arrival, ``M - N``.
+intervals move.  The intervals live in the dense index's ``low`` and
+``label`` columns, beside each element's point: a dominated element's
+reseat rewrites one ``low``.  Expiry itself looks up the one position
+that leaves at each arrival, ``M - N``.
 
 Tie convention matches the rest of the library (DESIGN.md §7): a
 *younger* exact duplicate counts as a dominator (so old copies fade as
@@ -55,13 +57,13 @@ from repro.core.engine import WindowEngine, row_block
 from repro.exceptions import InvalidWindowError, StructureCorruptionError
 from repro.sanitize.sanitizer import SanitizeArg
 from repro.structures.dense_index import DenseIndex
-from repro.structures.interval_tree import IntervalHandle, IntervalTree
 
 
 class _BandRecord:
-    """Book-keeping for one element of ``R_N^k``."""
+    """Book-keeping for one element of ``R_N^k``: the payload of its
+    index row, which holds its point and interval."""
 
-    __slots__ = ("element", "younger", "older_doms", "handle")
+    __slots__ = ("element", "younger", "older_doms")
 
     def __init__(self, element: StreamElement) -> None:
         self.element = element
@@ -70,13 +72,6 @@ class _BandRecord:
         #: kappas of the youngest older weak dominators, youngest first
         #: (at most k entries; computed exactly on arrival).
         self.older_doms: List[int] = []
-        self.handle: Optional[IntervalHandle] = None
-
-
-def _band_record_kappa(record: _BandRecord) -> int:
-    """Query-order sort key of the uncached path (the cache orders by
-    interval high, which is the same order)."""
-    return record.element.kappa
 
 
 class KSkybandEngine(WindowEngine):
@@ -118,13 +113,9 @@ class KSkybandEngine(WindowEngine):
         self.k = k
         # In kappa order, oldest first.
         self._records: Dict[int, _BandRecord] = {}
-        self._intervals: IntervalTree[_BandRecord] = IntervalTree()
         self._rtree = DenseIndex(dim)
-        # Memoized answers come back ascending by interval high — the
-        # element's own label, hence query (kappa) order — so the cached
-        # query path never re-sorts.
         self._stab_cache: Optional[StabCache[_BandRecord]] = (
-            StabCache(self._intervals) if query_cache else None
+            StabCache(self._rtree) if query_cache else None
         )
 
     # ------------------------------------------------------------------
@@ -198,13 +189,15 @@ class KSkybandEngine(WindowEngine):
         Per-element semantics are reconstructed exactly:
 
         * a frozen-tree victim only counts while its record is still
-          retained (aliveness against ``self._records``);
+          retained (aliveness against ``self._records``), and its
+          reseat rewrites its row's ``low`` at once;
         * increments *from* chunk survivors *to* chunk survivors come
           from the prefilter's dominance matrix
           (:meth:`BatchPrefilter.older_weak_victims`, listed for every
           member in one pass over the matrix) — the prefilter
           bound guarantees they stay below ``k``, so mid-chunk
-          survivors reseat but never demote;
+          survivors never demote, and the flush computes each one's
+          threshold from its final count;
         * older-dominator lists merge the intra-chunk stream (alive
           pending members and installed survivors, youngest first — all
           younger than anything indexed) with the frozen-tree stream,
@@ -276,7 +269,11 @@ class KSkybandEngine(WindowEngine):
                     self._discard(dominated_record, deletes, first)
                     demoted += 1
                 else:
-                    self._reseat(dominated_record)
+                    # Its threshold dominator moved: re-encode its row.
+                    rtree.set_low(
+                        entry.kappa,
+                        float(self._threshold_kappa(dominated_record)),
+                    )
             for h in pre.older_weak_victims(i):
                 survivor = self._records.get(chunk[h].kappa)
                 if survivor is None:
@@ -287,8 +284,6 @@ class KSkybandEngine(WindowEngine):
                     # same defensive shape as the frozen-tree branch.
                     self._discard(survivor, deletes, first)
                     demoted += 1
-                else:
-                    self._reseat(survivor)
             for h in pre.killed_at(i):
                 if pending.pop(chunk[h].kappa, None) is not None:
                     demoted += 1
@@ -298,11 +293,6 @@ class KSkybandEngine(WindowEngine):
             else:
                 record = _BandRecord(element)
                 record.older_doms = older_doms
-                record.handle = self._intervals.insert(
-                    float(self._threshold_kappa(record)),
-                    float(element.kappa),
-                    record,
-                )
                 self._records[element.kappa] = record
 
             expired_count += expired
@@ -322,24 +312,24 @@ class KSkybandEngine(WindowEngine):
             rtree.delete_many(deletes)
         rows = [i for i in pre.survivors if chunk[i].kappa in self._records]
         if rows:
+            records = [self._records[chunk[i].kappa] for i in rows]
             rtree.insert_many(
                 block if len(rows) == len(chunk) else block[rows],
                 [chunk[i].kappa for i in rows],
-                [self._records[chunk[i].kappa] for i in rows],
+                records,
+                lows=[float(self._threshold_kappa(r)) for r in records],
             )
         return pre.dropped
 
     def _discard(
         self, record: _BandRecord, deletes: List[int], indexed_below: int
     ) -> None:
-        """Remove a pruned or expired record's interval and book-keeping.
-        Its index delete is queued on ``deletes`` for the
+        """Remove a pruned or expired record's book-keeping.  Its index
+        row (and interval) delete is queued on ``deletes`` for the
         chunk's :meth:`DenseIndex.delete_many` when the record is
         indexed (its kappa is below ``indexed_below``, the chunk's
         first); a chunk survivor is simply never indexed."""
         kappa = record.element.kappa
-        self._intervals.remove(record.handle)
-        record.handle = None
         del self._records[kappa]
         if kappa < indexed_below:
             deletes.append(kappa)
@@ -354,14 +344,6 @@ class KSkybandEngine(WindowEngine):
         if len(record.older_doms) < need:
             return 0
         return record.older_doms[need - 1]
-
-    def _reseat(self, record: _BandRecord) -> None:
-        """Re-encode a record after its younger-dominator count grew."""
-        record.handle = self._intervals.replace(
-            record.handle,
-            float(self._threshold_kappa(record)),
-            float(record.element.kappa),
-        )
 
     # ------------------------------------------------------------------
     # Queries
@@ -385,10 +367,9 @@ class KSkybandEngine(WindowEngine):
             return []
         stab = max(1, self._m - n + 1)
         if self._stab_cache is not None:
-            records = self._stab_cache.stab(stab)  # pre-sorted by kappa
+            records = self._stab_cache.stab(stab)
         else:
-            records = self._intervals.stab(stab)
-            records.sort(key=_band_record_kappa)
+            records = self._rtree.stab(stab)
         self.stats.record_query(len(records))
         return [r.element for r in records]
 
@@ -428,8 +409,9 @@ class KSkybandEngine(WindowEngine):
     @property
     def structure_version(self) -> int:
         """Monotonic version of the interval encoding (see
-        :attr:`repro.core.nofn.NofNSkyline.structure_version`)."""
-        return self._intervals.version
+        :attr:`repro.core.nofn.NofNSkyline.structure_version`); a
+        reseat's ``low`` rewrite moves it too."""
+        return self._rtree.version
 
     @property
     def stab_cache(self) -> Optional[StabCache[_BandRecord]]:

@@ -175,12 +175,7 @@ class TimeWindowSkyline(NofNSkyline):
         # A period reaching back past 0 covers the whole history, none
         # of which has expired: any stab point in (0, oldest label]
         # reports exactly the dominance-graph roots.
-        stab = max(self._now - duration, _FIRST_STAB)
-        if self._stab_cache is not None:
-            records = self._stab_cache.stab(stab)  # pre-sorted by kappa
-        else:
-            records = self._intervals.stab(stab)
-            records.sort(key=lambda r: r.element.kappa)
+        records = self._stab(max(self._now - duration, _FIRST_STAB))
         self.stats.record_query(len(records))
         return [r.element for r in records]
 

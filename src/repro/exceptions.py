@@ -39,7 +39,8 @@ class InvalidWindowError(ReproError):
 
 
 class InvalidIntervalError(ReproError):
-    """An interval's endpoints are inconsistent (requires ``low < high``)."""
+    """An interval ``(low, label]`` is empty or NaN (a dense-index row
+    requires ``low < label``)."""
 
 
 class DuplicateKeyError(ReproError):
@@ -74,8 +75,7 @@ class SanitizerReport:
     Attributes
     ----------
     structure:
-        The structure at fault (``"rtree"``, ``"interval_tree"``,
-        ``"dense_index"``, ``"dominance_graph"``, ``"R_N"``,
+        The structure at fault (``"rtree"``, ``"dense_index"``,
         ``"engine"`` …).
     invariant:
         Machine-readable invariant name from the catalogue in

@@ -19,16 +19,16 @@ The invariant catalogue (the ``invariant`` field of the report):
                     dominator, and no ``R_N`` element between it and
                     the element dominates (it is the *youngest* older
                     dominator)
-``interval-encoding`` each element's interval is exactly
+``interval-encoding`` each element's index row holds the interval
                     ``(label(parent), label(e)]`` (Theorem 3), its low
                     below the window start once the parent has left
                     ``R_N`` / ``(threshold, kappa(e)]`` (k-skyband);
                     section 4's ``a``/``b`` columns hold a kappa in
                     ``[0, kappa(e))`` and ``+inf`` or a kappa in
                     ``(kappa(e), M]``
-``stabbing-bruteforce`` stabbing-query answers equal a brute-force
-                    skyline/skyband of the window suffix (of the
-                    queried slice, for (n1,n2)-of-N)
+``stabbing-bruteforce`` stabbing-query answers, in kappa order, equal
+                    a brute-force skyline/skyband of the window suffix
+                    (of the queried slice, for (n1,n2)-of-N)
 ``cbc-ancestor``    Theorem 4's ``a_e``/``b_e`` ancestors match a
                     brute-force recomputation over ``P_N``
 ``band-count``      k-skyband younger-dominator counters are in range
@@ -41,14 +41,16 @@ The invariant catalogue (the ``invariant`` field of the report):
                     engine's parent or below the window start
 ``result-sync``     a continuous result equals the stabbing answer
 ``stab-cache``      the versioned query cache's answer at each tested
-                    stab point equals a fresh stab of the live interval
-                    tree (checked whenever a cache is attached)
+                    stab point equals a fresh stab of the index's
+                    interval columns (checked whenever a cache is
+                    attached)
 ================== ====================================================
 
 plus the structure-level invariants raised by the structures themselves
-(``slot-mirror``, ``rtree-*`` from the pointer R-tree,
-and ``dense-*`` from the engines' dense dominance index — e.g.
-``dense-mirror``, its matrix no longer mirroring its entry objects).
+(``rtree-*`` from the pointer R-tree, and ``dense-*`` from the engines'
+dense dominance index over its matrix and interval columns — e.g.
+``dense-mirror``, its matrix no longer mirroring its entry objects, or
+``dense-interval``, a live row holding an empty interval).
 
 Import discipline
 -----------------
@@ -62,7 +64,7 @@ here), so at module level this file may only import *leaf* modules:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.core.dominance import dominates, weakly_dominates
 from repro.core.element import StreamElement
@@ -106,31 +108,54 @@ def _check_stab_cache_at(
     cache: object, stab: float, expected: List[int], name: str
 ) -> None:
     """Compare a :class:`~repro.accel.stab_cache.StabCache` answer at
-    ``stab`` against ``expected`` kappas from the live interval tree
+    ``stab`` against ``expected`` kappas from a fresh stab of the index
     (``cache`` may be ``None`` when caching is disabled)."""
     if cache is None:
         return
-    cached = sorted(r.element.kappa for r in cache.stab(stab))  # type: ignore[attr-defined]
+    cached = [r.element.kappa for r in cache.stab(stab)]  # type: ignore[attr-defined]
     if cached != expected:
         raise corruption(
             "engine",
             "stab-cache",
-            f"query cache stab at {stab} reported kappas {cached}, the "
-            f"live interval tree gives {expected}",
+            f"query cache stab at {stab} reported kappas {cached}, a "
+            f"fresh stab of the index gives {expected}",
             engine=name,
         )
 
 
+def _stabbed_kappas(
+    engine: "NofNSkyline | KSkybandEngine", t: float
+) -> List[int]:
+    """Kappas of a fresh stab of the engine's index at ``t``, in the
+    order the stab reports them."""
+    return [record.element.kappa for record in engine._rtree.stab(t)]
+
+
+def _row_interval(
+    engine: "NofNSkyline | KSkybandEngine", kappa: int, name: str
+) -> Tuple[float, float]:
+    """The ``(low, label)`` of the index row of the retained element
+    ``kappa``."""
+    if kappa not in engine._rtree:
+        raise corruption(
+            "engine",
+            "interval-encoding",
+            f"element {kappa} of R_N has no row in the index",
+            kappas=(kappa,),
+            engine=name,
+        )
+    return engine._rtree.interval(kappa)
+
+
 def _check_sizes(engine: "NofNSkyline | KSkybandEngine", name: str) -> None:
-    """The records, the dominance index and the interval tree hold one
-    entry per retained element."""
-    sizes = (len(engine._records), len(engine._rtree), len(engine._intervals))
-    if len(set(sizes)) != 1:
+    """The records and the dominance index hold one entry per retained
+    element."""
+    if len(engine._records) != len(engine._rtree):
         raise corruption(
             "engine",
             "counts",
-            f"structure sizes diverged: records={sizes[0]}, "
-            f"rtree={sizes[1]}, intervals={sizes[2]}",
+            f"structure sizes diverged: records={len(engine._records)}, "
+            f"rtree={len(engine._rtree)}",
             engine=name,
         )
 
@@ -173,7 +198,6 @@ def _check_nofn_state(engine: "NofNSkyline", name: str) -> None:
     records = engine._records
     _check_sizes(engine, name)
     engine._rtree.check_invariants()
-    engine._intervals.check_invariants()
 
     ordered = list(records)
     threshold = engine._window_start()
@@ -188,30 +212,22 @@ def _check_nofn_state(engine: "NofNSkyline", name: str) -> None:
                 kappas=(kappa,),
                 engine=name,
             )
-        if record.handle is None:
+        low, label = _row_interval(engine, kappa, name)
+        if label != record.label:
             raise corruption(
                 "engine",
                 "interval-encoding",
-                f"element {kappa} of R_N has no interval",
-                kappas=(kappa,),
-                engine=name,
-            )
-        interval = record.handle.interval
-        if interval.high != record.label:
-            raise corruption(
-                "engine",
-                "interval-encoding",
-                f"element {kappa}: interval high {interval.high} != "
-                f"label {record.label}",
+                f"element {kappa}: row label {label} != record label "
+                f"{record.label}",
                 kappas=(kappa,),
                 engine=name,
             )
         if record.parent_kappa == 0:
-            if interval.low != 0.0:
+            if low != 0.0:
                 raise corruption(
                     "engine",
                     "interval-encoding",
-                    f"root {kappa}: interval low {interval.low} != 0",
+                    f"root {kappa}: interval low {low} != 0",
                     kappas=(kappa,),
                     engine=name,
                 )
@@ -229,22 +245,22 @@ def _check_nofn_state(engine: "NofNSkyline", name: str) -> None:
         if parent is None:
             # The birth parent expired: its label, the interval's low,
             # passes every admissible stab as a root's 0 does.
-            if not interval.low < threshold:
+            if not low < threshold:
                 raise corruption(
                     "engine",
                     "interval-encoding",
                     f"element {kappa}: birth parent {record.parent_kappa} "
-                    f"left R_N but the interval low {interval.low} is "
+                    f"left R_N but the interval low {low} is "
                     f"not below the window start {threshold}",
                     kappas=(kappa, record.parent_kappa),
                     engine=name,
                 )
         else:
-            if interval.low != parent.label:
+            if low != parent.label:
                 raise corruption(
                     "engine",
                     "interval-encoding",
-                    f"element {kappa}: interval low {interval.low} != "
+                    f"element {kappa}: interval low {low} != "
                     f"parent label {parent.label}",
                     kappas=(kappa, record.parent_kappa),
                     engine=name,
@@ -326,7 +342,7 @@ def _check_nofn_stabbing(engine: "NofNSkyline", name: str) -> None:
         return
     for n in sorted({1, max(1, engine.capacity // 2), engine.capacity}):
         stab = max(1, m - n + 1)
-        got = sorted(r.element.kappa for r in engine._intervals.stab(stab))
+        got = _stabbed_kappas(engine, stab)
         suffix = [
             record.element
             for record in engine._records.values()
@@ -357,7 +373,7 @@ def _check_timewindow_stabbing(
         stab = engine._now - duration
         if stab <= 0:
             stab = oldest_label
-        got = sorted(r.element.kappa for r in engine._intervals.stab(stab))
+        got = _stabbed_kappas(engine, stab)
         suffix = [
             record.element
             for record in engine._records.values()
@@ -529,7 +545,6 @@ def verify_skyband(engine: "KSkybandEngine") -> None:
     records = engine._records
     _check_sizes(engine, name)
     engine._rtree.check_invariants()
-    engine._intervals.check_invariants()
     if list(records) != sorted(records):
         raise corruption(
             "engine",
@@ -578,22 +593,14 @@ def verify_skyband(engine: "KSkybandEngine") -> None:
                 kappas=(kappa,),
                 engine=name,
             )
-        if record.handle is None:
-            raise corruption(
-                "engine",
-                "interval-encoding",
-                f"element {kappa} has no interval",
-                kappas=(kappa,),
-                engine=name,
-            )
-        interval = record.handle.interval
+        low, label = _row_interval(engine, kappa, name)
         expected_low = float(engine._threshold_kappa(record))
-        if interval.high != float(kappa) or interval.low != expected_low:
+        if label != float(kappa) or low != expected_low:
             raise corruption(
                 "engine",
                 "interval-encoding",
-                f"element {kappa}: interval ({interval.low}, "
-                f"{interval.high}] != ({expected_low}, {float(kappa)}]",
+                f"element {kappa}: interval ({low}, {label}] != "
+                f"({expected_low}, {float(kappa)}]",
                 kappas=(kappa,),
                 engine=name,
             )
@@ -611,7 +618,7 @@ def _check_skyband_stabbing(engine: "KSkybandEngine", name: str) -> None:
     k = engine.k
     for n in sorted({1, max(1, engine.capacity // 2), engine.capacity}):
         stab = max(1, m - n + 1)
-        got = sorted(r.element.kappa for r in engine._intervals.stab(stab))
+        got = _stabbed_kappas(engine, stab)
         suffix = [
             record.element
             for record in engine._records.values()
@@ -720,10 +727,7 @@ def verify_continuous(manager: "ContinuousQueryManager") -> None:
         if m == 0:
             expected: List[int] = []
         else:
-            stab = max(1, m - handle.n + 1)
-            expected = sorted(
-                r.element.kappa for r in engine._intervals.stab(stab)
-            )
+            expected = _stabbed_kappas(engine, max(1, m - handle.n + 1))
         got = handle.result_kappas()
         if got != expected:
             raise corruption(

@@ -24,6 +24,18 @@ answers them with NumPy passes over one dense matrix instead:
   *is* the youngest dominator: the paper's best-first stop.  A
   ``kappa_below`` bound starts the sweep at its ``searchsorted`` cut.
 
+The matrix is also Theorem 3's interval list.  Every row carries the
+half-open interval ``(low, label]`` in two float64 columns: ``label``
+is the element's own label (its kappa, or its timestamp in a time
+window) and ``low`` its encoding's lower end (the critical parent's
+label, or the k-skyband threshold).  A stab at ``t`` reports the rows
+with ``low < t <= label`` in one pass over the columns; a deleted row
+holds ``(+inf, -inf]``, which no point stabs, so the pass needs no
+liveness filter, and its hits come out in row order, which is label
+order.  Every write bumps ``_version``, so a reader such as
+:class:`~repro.accel.stab_cache.StabCache` can tell with one integer
+comparison that the intervals are unchanged.
+
 The engines search and mutate a chunk at a time (``append`` is a chunk
 of one), so the chunk-wide methods run the single-probe search, and
 the bulk insert the single insert, when the chunk has one member.  The
@@ -43,6 +55,7 @@ import numpy as _np
 from repro.exceptions import (
     DimensionMismatchError,
     DuplicateKeyError,
+    InvalidIntervalError,
     KeyNotFoundError,
     corruption,
 )
@@ -51,6 +64,10 @@ Point = Tuple[float, ...]
 
 #: Columns the single-probe dominator sweep tests before doubling.
 _FIRST_SEGMENT = 256
+
+#: The interval of a deleted row, ``(+inf, -inf]``: no point stabs it.
+_DEAD_LOW = math.inf
+_DEAD_LABEL = -math.inf
 
 #: Probes per block of the chunk-wide dominance mask.  A block x rows
 #: mask stays cache-resident (about 1.3x faster than one chunk x rows
@@ -81,11 +98,28 @@ def _mask_buffers() -> Iterator[None]:
         _np.setbufsize(previous)
 
 
-class DenseEntry:
-    """A stored record: a point, its arrival label and a payload.
+def _grown(column: Any, used: int, cap: int) -> Any:
+    """A ``cap``-long copy of ``column`` keeping its first ``used``
+    values."""
+    grown = _np.empty(cap, dtype=column.dtype)
+    grown[:used] = column[:used]
+    return grown
 
-    ``row`` is the entry's column in the matrix.  Compaction moves it,
-    and it is ``-1`` once the entry has been deleted.
+
+def _check_interval(low: float, label: float) -> None:
+    """Reject an empty or NaN interval ``(low, label]``."""
+    if not low < label:
+        raise InvalidIntervalError(
+            f"half-open interval needs low < label, got ({low}, {label}]"
+        )
+
+
+class DenseEntry:
+    """A stored record: a point, its kappa and a payload.
+
+    ``row`` is the entry's column in the matrix (and in the interval
+    columns).  Compaction moves it, and it is ``-1`` once the entry has
+    been deleted.
     """
 
     __slots__ = ("point", "kappa", "data", "row")
@@ -101,7 +135,8 @@ class DenseEntry:
 
 
 class DenseIndex:
-    """``R_N`` as a dense kappa-ordered matrix with NaN tombstones.
+    """``R_N`` as a dense kappa-ordered matrix with NaN tombstones, each
+    row carrying its interval ``(low, label]``.
 
     Parameters
     ----------
@@ -118,9 +153,12 @@ class DenseIndex:
         self.dim = dim
         self._points = _np.empty((dim, 16), dtype=_np.float64)
         self._kappas = _np.empty(16, dtype=_np.int64)
+        self._lows = _np.empty(16, dtype=_np.float64)
+        self._labels = _np.empty(16, dtype=_np.float64)
         #: The entry of each used column, ``None`` for a tombstone.
         self._rows: List[Optional[DenseEntry]] = []
         self._entries: Dict[int, DenseEntry] = {}
+        self._version = 0
 
     # ------------------------------------------------------------------
     # Accessors
@@ -135,6 +173,36 @@ class DenseIndex:
     def entries(self) -> Iterator[DenseEntry]:
         """Iterate the live entries in kappa order."""
         return iter([entry for entry in self._rows if entry is not None])
+
+    @property
+    def version(self) -> int:
+        """Write counter: bumped by every insert, delete, compaction and
+        :meth:`set_low`.  Two equal versions guarantee the same rows and
+        intervals, so a read-path cache validates a memoized stab with
+        one integer comparison."""
+        return self._version
+
+    def interval(self, kappa: int) -> Tuple[float, float]:
+        """The ``(low, label)`` of the live row labelled ``kappa``.
+
+        Raises
+        ------
+        KeyNotFoundError
+            If no live row has this ``kappa``.
+        """
+        entry = self._entries.get(kappa)
+        if entry is None:
+            raise KeyNotFoundError(f"no entry with kappa={kappa}")
+        return float(self._lows[entry.row]), float(self._labels[entry.row])
+
+    def intervals(self) -> Tuple[Any, Any, List[Any]]:
+        """The used rows as ``(lows, labels, entries)``: the interval
+        columns, a deleted row holding ``(+inf, -inf]``, and the live
+        list of each row's entry (``None`` for a deleted row, which no
+        point stabs).  The columns are views of arrays the next write
+        may replace: read them now, do not keep them."""
+        used = len(self._rows)
+        return self._lows[:used], self._labels[:used], self._rows
 
     # ------------------------------------------------------------------
     # Validation
@@ -203,15 +271,21 @@ class DenseIndex:
             cap *= 2
         points = _np.empty((self.dim, cap), dtype=_np.float64)
         points[:, :used] = self._points[:, :used]
-        kappas = _np.empty(cap, dtype=_np.int64)
-        kappas[:used] = self._kappas[:used]
         self._points = points
-        self._kappas = kappas
+        self._kappas = _grown(self._kappas, used, cap)
+        self._lows = _grown(self._lows, used, cap)
+        self._labels = _grown(self._labels, used, cap)
 
     def insert(
-        self, point: Sequence[float], kappa: int, data: Any = None
+        self,
+        point: Sequence[float],
+        kappa: int,
+        data: Any = None,
+        low: float = 0.0,
+        label: Optional[float] = None,
     ) -> DenseEntry:
-        """Append ``point`` with arrival label ``kappa``.
+        """Append ``point`` with arrival label ``kappa`` and the interval
+        ``(low, label]`` (``label`` defaults to ``kappa``).
 
         Raises
         ------
@@ -222,19 +296,32 @@ class DenseIndex:
             row's.
         DuplicateKeyError
             If an entry with this ``kappa`` is present.
+        InvalidIntervalError
+            Unless ``low < label``.
         """
         coords = self._coords(point)
         self._check_kappas((kappa,))
-        return self._append_row(coords, coords, kappa, data)
+        high = float(kappa) if label is None else float(label)
+        _check_interval(float(low), high)
+        return self._append_row(coords, coords, kappa, data, float(low), high)
 
     def _append_row(
-        self, coords: Point, column: Any, kappa: int, data: Any
+        self,
+        coords: Point,
+        column: Any,
+        kappa: int,
+        data: Any,
+        low: float,
+        label: float,
     ) -> DenseEntry:
         """Write one validated row (``column`` holds ``coords``)."""
         self._reserve(1)
+        self._version += 1
         row = len(self._rows)
         self._points[:, row] = column
         self._kappas[row] = kappa
+        self._lows[row] = low
+        self._labels[row] = label
         entry = DenseEntry(coords, kappa, data, row)
         self._rows.append(entry)
         self._entries[kappa] = entry
@@ -245,23 +332,28 @@ class DenseIndex:
         points: Sequence[Sequence[float]],
         kappas: Sequence[int],
         datas: Optional[Sequence[Any]] = None,
+        lows: Optional[Sequence[float]] = None,
+        labels: Optional[Sequence[float]] = None,
     ) -> List[DenseEntry]:
         """Append a chunk's survivors in one validated write.
 
         ``points`` is a point sequence or an ``(m, dim)`` matrix; the
         dimension and NaN checks run once over the whole chunk.
-        ``kappas`` must ascend and start above the newest row's.
+        ``kappas`` must ascend and start above the newest row's.  Row
+        ``i`` gets the interval ``(lows[i], labels[i]]``; ``lows``
+        defaults to 0 and ``labels`` to ``kappas``.
         All-or-nothing: every check runs before the first write.
         """
         count = len(points)
-        if count != len(kappas):
-            raise ValueError(
-                f"insert_many got {count} points but {len(kappas)} kappas"
-            )
-        if datas is not None and len(datas) != count:
-            raise ValueError(
-                f"insert_many got {count} points but {len(datas)} payloads"
-            )
+        columns: Dict[str, Optional[Sequence[Any]]] = {
+            "kappas": kappas, "payloads": datas, "lows": lows, "labels": labels,
+        }
+        for name, column in columns.items():
+            if column is not None and len(column) != count:
+                raise ValueError(
+                    f"insert_many got {count} points but {len(column)} "
+                    f"{name}"
+                )
         block = self._probes(points)
         if count == 1:
             # One row: the single insert's checks, on the block's row.
@@ -271,9 +363,13 @@ class DenseIndex:
                 self._coords(coords)  # raises the NaN error
             kappa = int(kappas[0])
             self._check_kappas((kappa,))
+            low = 0.0 if lows is None else float(lows[0])
+            label = float(kappa) if labels is None else float(labels[0])
+            _check_interval(low, label)
             return [
                 self._append_row(
-                    coords, row, kappa, None if datas is None else datas[0]
+                    coords, row, kappa, None if datas is None else datas[0],
+                    low, label,
                 )
             ]
         bad = _np.flatnonzero(_np.isnan(block).any(axis=1))
@@ -282,10 +378,27 @@ class DenseIndex:
         self._check_kappas(kappas)
         if not count:
             return []
+        kappa_col = _np.asarray(kappas, dtype=_np.int64)
+        low_col = (
+            _np.zeros(count) if lows is None
+            else _np.asarray(lows, dtype=_np.float64)
+        )
+        label_col = (
+            kappa_col.astype(_np.float64) if labels is None
+            else _np.asarray(labels, dtype=_np.float64)
+        )
+        nonempty = low_col < label_col
+        bad = int(nonempty.argmin())
+        if not nonempty[bad]:
+            _check_interval(float(low_col[bad]), float(label_col[bad]))
         self._reserve(count)
+        self._version += 1
         start = len(self._rows)
-        self._points[:, start:start + count] = block.T
-        self._kappas[start:start + count] = kappas
+        stop = start + count
+        self._points[:, start:stop] = block.T
+        self._kappas[start:stop] = kappa_col
+        self._lows[start:stop] = low_col
+        self._labels[start:stop] = label_col
         entries = [
             DenseEntry(
                 tuple(c), int(kappas[i]), None if datas is None else datas[i],
@@ -298,35 +411,43 @@ class DenseIndex:
             self._entries[entry.kappa] = entry
         return entries
 
-    def _bury(self, victims: List[DenseEntry]) -> None:
-        """Tombstone the columns of entries already popped from
-        ``_entries``, then compact if the dead outnumber the live."""
-        cols = [entry.row for entry in victims]
-        # One column is a plain index: a list index costs about ten
-        # times as much to write.
-        self._points[:, cols[0] if len(cols) == 1 else cols] = _np.nan
-        rows = self._rows
-        for entry in victims:
-            rows[entry.row] = None
-            entry.row = -1
-        live = len(self._entries)
-        if len(rows) - live > live:
-            self._compact()
+    def set_low(self, kappa: int, low: float) -> None:
+        """Move the low of the live row labelled ``kappa`` (the
+        k-skyband's reseat, when an element's threshold dominator
+        changes).
+
+        Raises
+        ------
+        KeyNotFoundError
+            If no live row has this ``kappa``.
+        InvalidIntervalError
+            Unless ``low`` is below the row's label; nothing changes.
+        """
+        entry = self._entries.get(kappa)
+        if entry is None:
+            raise KeyNotFoundError(f"no entry with kappa={kappa}")
+        _check_interval(low, float(self._labels[entry.row]))
+        self._version += 1
+        self._lows[entry.row] = low
 
     def _compact(self) -> None:
         """Drop every tombstone, keeping arrival order."""
+        self._version += 1
         used = len(self._rows)
         keep = _np.flatnonzero(~_np.isnan(self._points[0, :used]))
         count = int(keep.size)
         self._points[:, :count] = _np.take(self._points[:, :used], keep, axis=1)
-        self._kappas[:count] = self._kappas[keep]
+        for column in (self._kappas, self._lows, self._labels):
+            column[:count] = column[keep]
         rows = [entry for entry in self._rows if entry is not None]
         for row, entry in enumerate(rows):
             entry.row = row
         self._rows = rows
 
     def delete_many(self, kappas: Sequence[int]) -> List[DenseEntry]:
-        """Remove a chunk's victims with one tombstone write.
+        """Remove a chunk's victims with one tombstone write: NaN into
+        their points, ``(+inf, -inf]`` into their intervals.  The matrix
+        then compacts if the dead outnumber the live.
 
         All-or-nothing: unknown or repeated kappas raise before any
         mutation.  Returns the removed entries in argument order.
@@ -342,17 +463,43 @@ class DenseIndex:
             seen.add(kappa)
             if kappa not in self._entries:
                 raise KeyNotFoundError(f"no entry with kappa={kappa}")
+        self._version += 1
         removed = [self._entries.pop(kappa) for kappa in kappas]
-        self._bury(removed)
+        cols = [entry.row for entry in removed]
+        # One column is a plain index (a list index costs about ten
+        # times as much to write); more are converted once for the
+        # three writes.
+        at: Any = cols[0] if len(cols) == 1 else _np.array(cols)
+        self._points[:, at] = _np.nan
+        self._lows[at] = _DEAD_LOW
+        self._labels[at] = _DEAD_LABEL
+        rows = self._rows
+        for entry in removed:
+            rows[entry.row] = None
+            entry.row = -1
+        live = len(self._entries)
+        if len(rows) - live > live:
+            self._compact()
         return removed
+
+    # ------------------------------------------------------------------
+    # Stabbing (Theorem 3)
+    # ------------------------------------------------------------------
+
+    def stab(self, t: float) -> List[Any]:
+        """The payloads of the rows whose interval ``(low, label]``
+        contains ``t``, in label order: one ``(low < t) & (t <= label)``
+        pass over the used rows, deleted rows never matching."""
+        lows, labels, rows = self.intervals()
+        hits = ((lows < t) & (labels >= t)).nonzero()[0].tolist()
+        return [rows[row].data for row in hits]
 
     # ------------------------------------------------------------------
     # Dominance reporting (Algorithm 1 line 9)
     # ------------------------------------------------------------------
 
     def _live_at(self, cols: List[int]) -> List[DenseEntry]:
-        rows = self._rows
-        return [entry for col in cols if (entry := rows[col]) is not None]
+        return [entry for col in cols if (entry := self._rows[col]) is not None]
 
     def _dominated_by(self, probe: Any) -> List[DenseEntry]:
         """Entries weakly dominated by a ``(dim, 1)`` probe column,
@@ -403,13 +550,12 @@ class DenseIndex:
         if used == 0 or not len(probes):
             return buckets
         pts = self._points[:, :used]
-        rows = self._rows
         if not first_only:
             for lo in range(0, len(probes), _PROBE_BLOCK):
                 cols, dom = self._block_mask(pts, probes[lo:lo + _PROBE_BLOCK])
                 pos, hit = _np.nonzero(dom)
                 for at, col in zip((pos + lo).tolist(), cols[hit].tolist()):
-                    buckets[at].append(rows[col])
+                    buckets[at].append(self._rows[col])
             return buckets
         search = probes if survivors is None else probes[survivors]
         if len(search) > _PROBE_BLOCK:
@@ -434,7 +580,7 @@ class DenseIndex:
             for k in range(1, self.dim):
                 dom &= sub[k, :, None] >= by_axis[None, k]
         for at, col in zip(dom.argmax(axis=1).tolist(), cols.tolist()):
-            buckets[at].append(rows[col])
+            buckets[at].append(self._rows[col])
         return buckets
 
     def _block_mask(
@@ -512,9 +658,8 @@ class DenseIndex:
         if not len(probes):
             return best
         pts = self._points
-        rows = self._rows
         alive = _np.arange(len(points))
-        hi = len(rows)
+        hi = len(self._rows)
         seg = _FIRST_BATCH_SEGMENT
         while hi > 0 and alive.size:
             lo = max(0, hi - seg)
@@ -527,7 +672,7 @@ class DenseIndex:
             if hit.any():
                 last = (hi - 1) - dom[hit, ::-1].argmax(axis=1)
                 for pos, col in zip(alive[hit].tolist(), last.tolist()):
-                    best[pos] = rows[col]
+                    best[pos] = self._rows[col]
                 alive = alive[~hit]
             hi = lo
             seg *= 2
@@ -538,13 +683,17 @@ class DenseIndex:
     # ------------------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Verify the matrix against the entry objects.
+        """Verify the matrix and its interval columns against the entry
+        objects.
 
-        ``dense-order`` (kappas strictly ascending), ``dense-links``
-        (each entry's ``row`` names its column), ``dense-tombstone``
-        (a dead column is all NaN), ``dense-mirror`` (a live column and
-        its kappa equal the entry's point and kappa) and
-        ``dense-count`` (live columns match the entry map).
+        ``dense-order`` (kappas strictly ascending, and the live rows'
+        labels too, so that a stab's hits come out in label order),
+        ``dense-links`` (each entry's ``row`` names its column),
+        ``dense-tombstone`` (a dead column is all NaN with the interval
+        ``(+inf, -inf]``), ``dense-interval`` (a live row's ``low`` is
+        below its ``label``), ``dense-mirror`` (a live column and its
+        kappa equal the entry's point and kappa) and ``dense-count``
+        (live columns match the entry map).
 
         Raises
         ------
@@ -609,3 +758,29 @@ class DenseIndex:
                     f"stale row link for kappa={kappa}",
                     kappas=(kappa,),
                 )
+        lows, labels, _ = self.intervals()
+        if not (
+            bool((lows[dead] == _DEAD_LOW).all())
+            and bool((labels[dead] == _DEAD_LABEL).all())
+        ):
+            raise corruption(
+                "dense_index", "dense-tombstone",
+                "a deleted row holds an interval other than (+inf, -inf]",
+            )
+        live_lows, live_labels = lows[cols], labels[cols]
+        bad = ~(live_lows < live_labels)
+        if bool(bad.any()):
+            culprit = live[int(_np.argmax(bad))]
+            raise corruption(
+                "dense_index", "dense-interval",
+                f"row {culprit.row} holds the empty interval "
+                f"({lows[culprit.row]}, {labels[culprit.row]}]",
+                kappas=(culprit.kappa,),
+            )
+        if len(live) > 1 and not bool(
+            (live_labels[1:] > live_labels[:-1]).all()
+        ):
+            raise corruption(
+                "dense_index", "dense-order",
+                "live row labels are not strictly ascending",
+            )

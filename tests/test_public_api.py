@@ -67,12 +67,14 @@ class TestPackageSurface:
 
 class TestRetiredSurface:
     """The sharded parallel tier, the red-black tree baseline, the label
-    set and the expired-record children are gone; ``import repro`` no
-    longer pulls in ``multiprocessing``."""
+    set, the expired-record children and the interval tree (its
+    intervals live in the dense index's rows) are gone; ``import repro``
+    no longer pulls in ``multiprocessing``."""
 
     RETIRED = (
         "ShardedNofNSkyline", "ShardedKSkyband", "ShardFailureError",
         "Dynamic2DSkyline", "RedBlackTree", "LabelSet", "ExpiredRecord",
+        "Interval", "IntervalHandle", "IntervalTree",
     )
 
     @pytest.mark.parametrize("name", RETIRED)
@@ -88,7 +90,7 @@ class TestRetiredSurface:
 
     @pytest.mark.parametrize("module", [
         "repro.parallel", "repro.baselines.dynamic2d", "repro.structures.rbtree",
-        "repro.structures.labelset",
+        "repro.structures.labelset", "repro.structures.interval_tree",
     ])
     def test_module_is_gone(self, module):
         with pytest.raises(ModuleNotFoundError):

@@ -7,7 +7,7 @@ coordinate matrix beside a kappa vector.  This module keeps the file
 name and test ids (``TestSoA*``) of that index's tests for the checks
 both indexes answer.
 
-Three concerns:
+Four concerns:
 
 * *engine wiring* — every engine builds its dominance index as a
   :class:`DenseIndex`, and the n-of-N chunk pipeline on it passes the
@@ -19,6 +19,9 @@ Three concerns:
   ejections (a dominance report deleted with ``delete_many``, as the
   engines flush a chunk; the batch searches are checked against the
   same oracle in ``tests/test_rtree_oracle.py``);
+* *the interval columns* — each row's half-open ``(low, label]``, the
+  stab over them (in label order, against a linear scan and through
+  the stab cache), and the version every write bumps;
 * *seeded corruption* — one deliberate tamper per check id the index
   raises, plus an engine-level tamper the full verifier must surface.
 """
@@ -33,10 +36,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import KSkybandEngine, N1N2Skyline, NofNSkyline, TimeWindowSkyline
+from repro.accel import StabCache
 from repro.core.dominance import weakly_dominates
 from repro.exceptions import (
     DimensionMismatchError,
     DuplicateKeyError,
+    InvalidIntervalError,
     KeyNotFoundError,
     StructureCorruptionError,
 )
@@ -57,11 +62,15 @@ def fed_index(count=60, dim=2, seed=3):
 def state_of(index):
     """Everything a rejected write must leave untouched."""
     used = len(index._rows)
+    lows, labels, _ = index.intervals()
     return (
         len(index),
         used,
         index._points[:, :used].tobytes(),
         index._kappas[:used].tolist(),
+        lows.tobytes(),
+        labels.tobytes(),
+        index.version,
     )
 
 
@@ -260,6 +269,215 @@ class TestSoAMechanics:
 
 
 # ----------------------------------------------------------------------
+# The interval columns and the stab
+# ----------------------------------------------------------------------
+
+
+def index_of(*rows):
+    """A one-dimensional index holding ``(low, label)`` rows, each
+    integer label doubling as the row's kappa and payload."""
+    index = DenseIndex(1)
+    for low, label in rows:
+        index.insert((0.0,), label, label, low=low)
+    return index
+
+
+class TestSoAStab:
+    def test_half_open_boundaries(self):
+        index = index_of((2, 5))
+        assert index.stab(2) == []  # open at the low end
+        assert index.stab(2.0001) == [5]
+        assert index.stab(5) == [5]  # closed at the label
+        assert index.stab(5.0001) == []
+
+    def test_paper_example_encoding(self):
+        """Example 3 of the paper: intervals (0,3], (0,4], (4,5],
+        (4,6], (3,7]; stabbing with M-n+1 = 2 returns 3 and 4."""
+        index = index_of((0, 3), (0, 4), (4, 5), (4, 6), (3, 7))
+        assert index.stab(2) == [3, 4]
+        # n = 3 -> stab 5: (4,5], (4,6] and (3,7], in label order.
+        assert index.stab(5) == [5, 6, 7]
+        # n = 7 -> stab 1: only the roots.
+        assert index.stab(1) == [3, 4]
+
+    def test_empty_index_stabs_nothing(self):
+        assert DenseIndex(2).stab(1.0) == []
+
+    def test_defaults_are_root_and_kappa(self):
+        index = fed_index(count=3)
+        assert [index.interval(k) for k in (1, 2, 3)] == [
+            (0.0, 1.0), (0.0, 2.0), (0.0, 3.0)
+        ]
+        index.insert_many([(0.1, 0.1), (0.2, 0.2)], [4, 5], ["d", "e"])
+        assert index.interval(5) == (0.0, 5.0)
+        assert index.stab(4.5) == ["e"]
+
+    def test_labels_need_not_be_kappas(self):
+        index = DenseIndex(1)
+        index.insert_many(
+            [(0.1,), (0.2,), (0.3,)], [1, 2, 3], [1, 2, 3],
+            lows=[0.0, 0.5, 0.0], labels=[0.5, 1.25, 4.0],
+        )
+        assert index.stab(0.75) == [2, 3]
+        assert index.interval(2) == (0.5, 1.25)
+
+    @pytest.mark.parametrize("low, label", [
+        (3.0, 3.0), (4.0, 3.0), (math.nan, 3.0), (0.0, math.nan),
+    ])
+    def test_empty_interval_rejected_before_any_write(self, low, label):
+        index = fed_index(count=5)
+        before = state_of(index)
+        with pytest.raises(InvalidIntervalError):
+            index.insert((0.5, 0.5), 6, low=low, label=label)
+        with pytest.raises(InvalidIntervalError):
+            index.insert_many([(0.5, 0.5)], [6], lows=[low], labels=[label])
+        with pytest.raises(InvalidIntervalError):
+            index.insert_many(
+                [(0.1, 0.1), (0.2, 0.2), (0.3, 0.3)], [6, 7, 8],
+                lows=[0.0, low, 0.0], labels=[6.0, label, 8.0],
+            )
+        assert state_of(index) == before
+        index.check_invariants()
+
+    def test_column_length_mismatch_rejected(self):
+        index = fed_index(count=2)
+        before = state_of(index)
+        with pytest.raises(ValueError):
+            index.insert_many([(0.1, 0.1), (0.2, 0.2)], [3, 4], lows=[0.0])
+        with pytest.raises(ValueError):
+            index.insert_many([(0.1, 0.1)], [3], labels=[3.0, 4.0])
+        assert state_of(index) == before
+
+    def test_delete_writes_the_dead_interval(self):
+        index = index_of((0, 1), (0, 2), (1, 3))
+        column = index._entries[2].row
+        index.delete_many([2])
+        lows, labels, _ = index.intervals()
+        assert (lows[column], labels[column]) == (math.inf, -math.inf)
+        assert index.stab(1.5) == [3]  # (0, 2] is gone
+        assert index.stab(1) == [1]
+        with pytest.raises(KeyNotFoundError):
+            index.interval(2)
+        index.check_invariants()
+
+    def test_compaction_carries_the_intervals(self):
+        index = index_of(*[(label // 2, label) for label in range(1, 41)])
+        index.delete_many(list(range(1, 41, 2)))
+        index.delete_many([40])  # 21 dead of 40: compacts
+        assert len(index._rows) == len(index) == 19
+        assert [index.interval(k) for k in range(2, 40, 2)] == [
+            (float(k // 2), float(k)) for k in range(2, 40, 2)
+        ]
+        assert index.stab(9.5) == [10, 12, 14, 16, 18]
+        index.check_invariants()
+
+    def test_set_low_moves_one_interval(self):
+        index = index_of((0, 4), (0, 9))
+        index.set_low(9, 6.0)
+        assert index.interval(9) == (6.0, 9.0)
+        assert index.stab(5) == []
+        assert index.stab(7) == [9]
+        before = state_of(index)
+        with pytest.raises(InvalidIntervalError):
+            index.set_low(9, 9.0)
+        with pytest.raises(KeyNotFoundError):
+            index.set_low(5, 1.0)
+        assert state_of(index) == before
+
+    def test_every_write_bumps_the_version(self):
+        index = DenseIndex(1)
+        versions = [index.version]
+        index.insert((0.5,), 1)
+        versions.append(index.version)
+        index.insert_many([(0.1,), (0.2,)], [2, 3])
+        versions.append(index.version)
+        index.set_low(3, 1.0)
+        versions.append(index.version)
+        index.delete_many([2])
+        versions.append(index.version)
+        assert versions == sorted(set(versions))
+
+    def test_reads_leave_the_version(self):
+        index = fed_index(count=30)
+        index.delete_many([3, 7])
+        version = index.version
+        index.stab(12)
+        index.interval(5)
+        index.intervals()
+        list(index.entries())
+        index.report_dominated((0.5, 0.5))
+        index.report_dominated_batch([(0.5, 0.5), (0.2, 0.9)])
+        index.max_kappa_dominator((0.5, 0.5))
+        index.max_kappa_dominator_batch([(0.5, 0.5), (0.2, 0.9)])
+        index.check_invariants()
+        assert index.version == version
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("insert"),
+                    st.lists(st.integers(0, 12), min_size=1, max_size=6),
+                ),
+                st.tuples(
+                    st.just("delete"),
+                    st.lists(st.integers(0, 10_000), min_size=1, max_size=6),
+                ),
+                st.tuples(
+                    st.just("set_low"),
+                    st.lists(st.integers(0, 10_000), min_size=2, max_size=2),
+                ),
+            ),
+            max_size=40,
+        ),
+        st.integers(0, 60),
+    )
+    def test_stab_matches_linear_scan(self, writes, stab_at):
+        """The stab and a :class:`StabCache` over it agree with a linear
+        scan of a model, answers in label order, across tombstones,
+        compactions, growth past the initial 16 columns and ``low``
+        rewrites, at stab points on and between endpoints."""
+        index = DenseIndex(1)
+        cache = StabCache(index)
+        live = {}  # label (= kappa) -> low, in label order
+        label = 0
+
+        def scan(t):
+            return [k for k, low in live.items() if low < t <= k]
+
+        for kind, args in writes:
+            if kind == "insert":
+                widths = args
+                kappas = list(range(label + 1, label + len(widths) + 1))
+                lows = [max(0, k - 1 - w) for k, w in zip(kappas, widths)]
+                index.insert_many(
+                    [(0.0,)] * len(kappas), kappas, kappas, lows=lows
+                )
+                live.update(zip(kappas, lows))
+                label = kappas[-1]
+            elif live and kind == "delete":
+                keys = sorted(live)
+                victims = sorted({keys[a % len(keys)] for a in args})
+                index.delete_many(victims)
+                for k in victims:
+                    del live[k]
+            elif live:
+                k = sorted(live)[args[0] % len(live)]
+                live[k] = args[1] % k
+                index.set_low(k, live[k])
+            assert cache.stab(stab_at) == scan(stab_at)
+            assert index.stab(stab_at) == scan(stab_at)
+        points = {stab_at}
+        for k, low in live.items():
+            points.update((low, low + 0.5, k))
+        for t in sorted(points):
+            assert index.stab(t) == scan(t)
+            assert cache.stab(t) == scan(t)
+        index.check_invariants()
+
+
+# ----------------------------------------------------------------------
 # Parity with the pointer tree and brute force
 # ----------------------------------------------------------------------
 
@@ -359,6 +577,24 @@ class TestSoACorruption:
         index = fed_index()
         index._entries[9].row += 1
         self.check_raises(index, "dense-links")
+
+    def test_dead_interval_tamper_is_tombstone(self):
+        index = fed_index()
+        column = index._entries[7].row
+        index.delete_many([7])
+        index._labels[column] = 7.0
+        self.check_raises(index, "dense-tombstone")
+
+    def test_empty_interval_tamper_is_interval(self):
+        index = fed_index()
+        index._lows[index._entries[9].row] = 9.0
+        self.check_raises(index, "dense-interval")
+
+    def test_label_order_tamper_is_order(self):
+        # Still non-empty intervals, so only the label order can tell.
+        index = fed_index()
+        index._labels[index._entries[9].row] = 30.5
+        self.check_raises(index, "dense-order")
 
     @pytest.mark.parametrize("invariant", [
         "dense-tombstone", "dense-order", "dense-mirror", "dense-count",

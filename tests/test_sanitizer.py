@@ -179,23 +179,25 @@ class TestNofNCorruption:
             engine.check_invariants()
         assert invariant_of(excinfo) == "interval-encoding"
 
-    def test_interval_high_tamper_is_slot_mirror(self):
-        # The handle's interval no longer matches its slot (the slot
-        # arrays are intact; the next test tampers with those instead).
+    def test_label_column_tamper_is_interval_encoding(self):
+        # The row's label no longer matches its record's (the interval
+        # stays non-empty and the labels ascending, so the index's own
+        # checks pass; the next test empties an interval instead).
         engine = fed_nofn()
-        record = next(iter(engine._records.values()))
-        record.handle.interval.high += 7.0
+        index = engine._rtree
+        index._labels[index._entries[next(iter(engine._records))].row] += 0.25
         with pytest.raises(StructureCorruptionError) as excinfo:
             engine.check_invariants()
-        assert invariant_of(excinfo) == "slot-mirror"
+        assert invariant_of(excinfo) == "interval-encoding"
 
-    def test_interval_slot_tamper_is_slot_mirror(self):
+    def test_empty_interval_tamper_is_dense_interval(self):
         engine = fed_nofn()
-        record = next(iter(engine._records.values()))
-        engine._intervals._lows[record.handle._slot] -= 0.5
+        index = engine._rtree
+        row = index._entries[next(iter(engine._records))].row
+        index._lows[row] = index._labels[row]
         with pytest.raises(StructureCorruptionError) as excinfo:
             engine.check_invariants()
-        assert invariant_of(excinfo) == "slot-mirror"
+        assert invariant_of(excinfo) == "dense-interval"
 
     def test_forged_parent_is_forest(self):
         engine = fed_nofn()
@@ -215,7 +217,7 @@ class TestNofNCorruption:
         record = engine._records[3]
         assert record.parent_kappa == 1 and 1 not in engine._records
         engine.check_invariants()
-        record.handle = engine._intervals.replace(record.handle, 2.5, 3.0)
+        engine._rtree.set_low(3, 2.5)
         with pytest.raises(StructureCorruptionError) as excinfo:
             engine.check_invariants()
         assert invariant_of(excinfo) == "interval-encoding"
@@ -251,12 +253,12 @@ class TestNofNCorruption:
 
     def test_stabbing_mismatch(self, monkeypatch):
         engine = fed_nofn()
-        real_stab = engine._intervals.stab
+        real_stab = engine._rtree.stab
 
         def lossy_stab(t):
             return real_stab(t)[:-1]
 
-        monkeypatch.setattr(engine._intervals, "stab", lossy_stab)
+        monkeypatch.setattr(engine._rtree, "stab", lossy_stab)
         with pytest.raises(StructureCorruptionError) as excinfo:
             engine.check_invariants()
         assert invariant_of(excinfo) == "stabbing-bruteforce"
@@ -265,8 +267,8 @@ class TestNofNCorruption:
         engine = NofNSkyline(2, 12, sanitize="full")
         for point in points_stream(30, seed=11):
             engine.append(point)
-        record = next(iter(engine._records.values()))
-        record.handle.interval.high += 3.0
+        index = engine._rtree
+        index._labels[index._entries[next(iter(engine._records))].row] += 3.0
         with pytest.raises(StructureCorruptionError):
             engine.append((0.5, 0.5))
 

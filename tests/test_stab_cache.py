@@ -1,11 +1,11 @@
 """Tests for the versioned stab cache (the query fast path).
 
-Covers the cache in isolation (memoization, versioned invalidation,
-ordered answers) and through the engines: the property test
-required by the issue interleaves ``append`` / ``append_many`` /
-expiry and checks every cached answer against the independent
-``query_scan`` implementation, and that version bumps track interval
-changes exactly.
+Covers the cache in isolation over a :class:`DenseIndex`'s interval
+columns (memoization, versioned invalidation, label-ordered answers)
+and through the engines: property tests interleave ``append`` /
+``append_many`` / expiry and check every answer, with the cache on and
+off, against ``query_scan`` or a brute-force oracle, and check that
+version bumps track the index's interval changes.
 """
 
 from __future__ import annotations
@@ -21,40 +21,44 @@ from repro.core.dominance import weakly_dominates
 from repro.core.nofn import NofNSkyline
 from repro.core.skyband import KSkybandEngine
 from repro.core.timewindow import TimeWindowSkyline
-from repro.structures.interval_tree import IntervalTree
+from repro.structures.dense_index import DenseIndex
+
+
+def index_of(*rows):
+    """A one-dimensional :class:`DenseIndex` holding ``(low, label,
+    payload)`` rows; each integer label doubles as the row's kappa, so
+    labels must ascend."""
+    index = DenseIndex(1)
+    for low, label, data in rows:
+        index.insert((0.0,), label, data, low=low)
+    return index
 
 
 class TestStabCacheUnit:
-    def test_matches_tree_stab(self):
-        tree = IntervalTree()
-        tree.insert(0, 3, "c")
-        tree.insert(0, 4, "e")
-        tree.insert(3, 7, "h")
-        tree.insert(4, 5, "f")
-        tree.insert(4, 6, "g")
-        cache = StabCache(tree)
+    def test_matches_index_stab(self):
+        # Example 3 of the paper, in label order.
+        index = index_of(
+            (0, 3, "c"), (0, 4, "e"), (4, 5, "f"), (4, 6, "g"), (3, 7, "h")
+        )
+        cache = StabCache(index)
         for t in (0, 1, 2, 3.5, 5, 6, 7, 8):
-            assert sorted(cache.stab(t)) == sorted(tree.stab(t))
+            assert cache.stab(t) == index.stab(t)
 
     def test_memo_hit_and_miss_counters(self):
-        tree = IntervalTree()
-        tree.insert(0, 5, "a")
-        tree.insert(3, 8, "b")
-        cache = StabCache(tree)
+        index = index_of((0, 5, "a"), (3, 8, "b"))
+        cache = StabCache(index)
         assert cache.stab(2) == ["a"]
         assert (cache.hits, cache.misses, cache.rebuilds) == (0, 1, 1)
         assert cache.stab(2) == ["a"]
         assert (cache.hits, cache.misses, cache.rebuilds) == (1, 1, 1)
-        assert sorted(cache.stab(4)) == ["a", "b"]  # new span: a miss
+        assert cache.stab(4) == ["a", "b"]  # new span: a miss
         assert (cache.hits, cache.misses, cache.rebuilds) == (1, 2, 1)
 
     def test_equivalent_stab_points_share_one_entry(self):
         """Answers are constant between consecutive endpoints, so
         distinct stab points inside one elementary span are memo hits."""
-        tree = IntervalTree()
-        tree.insert(0, 10, "a")
-        tree.insert(5, 12, "b")
-        cache = StabCache(tree)
+        index = index_of((0, 10, "a"), (5, 12, "b"))
+        cache = StabCache(index)
         assert cache.stab(6) == ["a", "b"]
         for t in (5.5, 7, 8.25, 10):  # all inside the span (5, 10]
             assert cache.stab(t) == ["a", "b"]
@@ -62,35 +66,34 @@ class TestStabCacheUnit:
         assert cache.stats()["memo_size"] == 1
 
     def test_write_invalidates_exactly(self):
-        tree = IntervalTree()
-        h = tree.insert(0, 5, "a")
-        cache = StabCache(tree)
+        index = index_of((0, 5, "a"))
+        cache = StabCache(index)
         cache.stab(3)
         assert cache.is_fresh()
-        tree.insert(1, 6, "b")
+        index.insert((0.0,), 6, "b", low=1)
         assert not cache.is_fresh()
-        assert sorted(cache.stab(3)) == ["a", "b"]
+        assert cache.stab(3) == ["a", "b"]
         assert cache.rebuilds == 2
-        tree.remove(h)
+        index.delete_many([5])
         assert cache.stab(3) == ["b"]
         assert cache.rebuilds == 3
         # Reads between writes reuse the snapshot and memo.
         assert cache.stab(3) == ["b"]
         assert cache.rebuilds == 3 and cache.hits == 1
+        index.set_low(6, 4)
+        assert not cache.is_fresh()
+        assert cache.stab(3) == []
+        assert cache.rebuilds == 4
 
     def test_returns_fresh_list_per_call(self):
-        tree = IntervalTree()
-        tree.insert(0, 5, "a")
-        cache = StabCache(tree)
+        cache = StabCache(index_of((0, 5, "a")))
         first = cache.stab(3)
         first.append("mutated")
         assert cache.stab(3) == ["a"]
 
     def test_memo_capacity_clears_table(self):
-        tree = IntervalTree()
-        for i in range(10):
-            tree.insert(i, i + 1, i)
-        cache = StabCache(tree, max_memo=4)
+        index = index_of(*[(i, i + 1, i) for i in range(10)])
+        cache = StabCache(index, max_memo=4)
         for t in (0.5, 1.5, 2.5, 3.5):  # four distinct spans
             assert cache.stab(t) == [int(t)]
         assert cache.stats()["memo_size"] == 4
@@ -98,23 +101,19 @@ class TestStabCacheUnit:
         assert cache.stats()["memo_size"] == 1
         assert cache.stab(4.5) == [4]
 
-    def test_ordered_answers_ascend_by_high(self):
-        tree = IntervalTree()
-        tree.insert(0, 9, "b")
-        tree.insert(1, 7, "a")
-        tree.insert(2, 8, "c")
-        cache = StabCache(tree)
-        assert cache.stab(5) == ["a", "c", "b"]  # not slot (insertion) order
+    def test_answers_come_in_label_order(self):
+        # Lows out of order; the rows, and so the answer, in label order.
+        index = index_of((2, 7, "a"), (0, 8, "c"), (1, 9, "b"))
+        cache = StabCache(index)
+        assert cache.stab(5) == ["a", "c", "b"]
         assert cache.stab(5) == ["a", "c", "b"]  # the memo hit too
 
     def test_max_memo_validation(self):
         with pytest.raises(ValueError):
-            StabCache(IntervalTree(), max_memo=0)
+            StabCache(DenseIndex(1), max_memo=0)
 
     def test_invalidate_forces_rebuild(self):
-        tree = IntervalTree()
-        tree.insert(0, 5, "a")
-        cache = StabCache(tree)
+        cache = StabCache(index_of((0, 5, "a")))
         cache.stab(3)
         cache.invalidate()
         assert not cache.is_fresh()
@@ -122,17 +121,23 @@ class TestStabCacheUnit:
         assert cache.rebuilds == 2
 
     def test_stats_shape(self):
-        cache = StabCache(IntervalTree())
+        cache = StabCache(DenseIndex(1))
         stats = cache.stats()
         assert set(stats) == {
             "hits", "misses", "rebuilds", "memo_size", "snapshot_size"
         }
         assert DEFAULT_MAX_MEMO >= 1
 
-    def test_empty_tree(self):
-        cache = StabCache(IntervalTree())
+    def test_empty_index(self):
+        cache = StabCache(DenseIndex(1))
         assert cache.stab(1) == []
         assert cache.stats()["snapshot_size"] == 0
+
+
+def interval_set(engine):
+    """The ``(low, label)`` intervals of the engine's live index rows."""
+    index = engine._rtree
+    return sorted(index.interval(entry.kappa) for entry in index.entries())
 
 
 point2 = st.tuples(st.integers(0, 8), st.integers(0, 8))
@@ -191,18 +196,14 @@ class TestCachedQueryProperty:
         assert engine.stab_cache is not None
         for kind, points in ops:
             before_version = engine.structure_version
-            before_set = sorted(
-                (i.low, i.high) for i in engine._intervals.intervals()
-            )
+            before_set = interval_set(engine)
             if kind == "append":
                 engine.append(points[0])
             else:
                 engine.append_many(points)
-            after_set = sorted(
-                (i.low, i.high) for i in engine._intervals.intervals()
-            )
-            # Arrivals always insert the newcomer's interval (its high
-            # endpoint is the fresh label), so the set changed and the
+            after_set = interval_set(engine)
+            # Arrivals always insert the newcomer's row (its interval
+            # ends at the fresh label), so the set changed and the
             # version must have moved with it.
             assert after_set != before_set
             assert engine.structure_version > before_version
@@ -231,17 +232,13 @@ class TestCachedQueryProperty:
             else:
                 engine.append_many(points)
         version = engine.structure_version
-        interval_set = sorted(
-            (i.low, i.high) for i in engine._intervals.intervals()
-        )
+        intervals = interval_set(engine)
         engine.query(1)
         engine.query(capacity)
         engine.query_scan(capacity)
         engine.non_redundant()
         assert engine.structure_version == version
-        assert interval_set == sorted(
-            (i.low, i.high) for i in engine._intervals.intervals()
-        )
+        assert intervals == interval_set(engine)
 
     @pytest.mark.parametrize("query_cache", [True, False])
     @settings(max_examples=40, deadline=None)
