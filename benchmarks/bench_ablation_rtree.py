@@ -11,7 +11,9 @@ maintenance cost:
 * ``dense`` — the engines' default, one NumPy scan over a dense
   kappa-ordered matrix (:mod:`repro.structures.dense_index`);
 * ``scan`` — :class:`repro.core.nofn_linear.LinearScanNofNSkyline`,
-  the same scans in pure Python.
+  the same three searches in pure Python over the dense index's own
+  storage: its inserts and deletes still write the NumPy matrix and
+  the interval columns, so only the searches differ.
 
 The paper's pointer R-tree (:class:`repro.structures.rtree.RTree`) has
 no column any more: the engines' one ingest path runs chunk-wide
@@ -59,7 +61,8 @@ def _run(variant: str, dist: str, dim: int, capacity: int):
 
 
 def test_ablation_rtree_vs_linear_scan(report, benchmark):
-    """Per-element maintenance: dense NumPy scans vs flat Python scans."""
+    """Per-element maintenance: dense NumPy searches vs pure-Python
+    searches over the same storage."""
     capacity = scaled(1500)
     results = {}
 

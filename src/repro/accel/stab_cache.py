@@ -11,17 +11,19 @@ admit, and the intervals change only when an arrival, an expiry or a
 dominance ejection writes the index, so most stabs can be answered
 without any pass.
 
-:class:`StabCache` answers from the index's **interval columns** and
-memoizes per elementary span:
+:class:`StabCache` memoizes an *answer function* (the engine's uncached
+stab: :meth:`DenseIndex.stab` and whatever the engine builds from its
+hits) per elementary span of the index's interval columns:
 
 * **Versioned invalidation** — the index bumps an integer version on
   every write; the cache compares that single integer per query, so
   invalidation is O(1) and *exact*: a cached answer is reused iff the
   intervals are bit-for-bit the ones it was computed from.
-* **Vectorised scan** — a memo miss is :meth:`DenseIndex.stab`: one
-  ``(low < t) & (t <= label)`` pass over the used rows, then one
-  payload per hit.  Deleted rows hold ``(+inf, -inf]``, which no point
-  stabs, so nothing is filtered.
+* **Straight-through first read** — the first stab after a write calls
+  the answer function and nothing else, so a query that follows every
+  write (one query per batch) costs what the uncached query costs.
+  Its answer is kept, and seeds the memo if the same version is read
+  again.
 * **Elementary-span memo** — the answer to a stab is constant between
   consecutive interval endpoints: for ``t`` inside a span
   ``(v_i, v_{i+1}]`` of the sorted endpoint values, every ``low < t``
@@ -29,27 +31,26 @@ memoizes per elementary span:
   span (an endpoint can never fall strictly inside it).  The memo
   therefore keys on the span index — one ``bisect`` per query — so
   *distinct but equivalent* stab points share a single entry.  The
-  first stab after a write sorts the columns' distinct endpoint values
-  in NumPy to rebuild that key; deleted rows add at most a ``-inf``
-  below every stab point (shifting every span index by one) and a
-  ``+inf`` above them, so nothing needs filtering.  Under query
-  workloads that sweep ``n`` (or under continuous polling) most
-  queries collapse onto at most ``2 |R_N| + 1`` spans and answer from
-  the memo.
+  second stab at a version sorts the columns' distinct endpoint values
+  in NumPy to rebuild that key; a deleted row's ``+inf`` low and its
+  kept label add bounds that split no answer, so nothing needs
+  filtering.  Under query workloads that sweep ``n`` (or under
+  continuous polling) most queries collapse onto at most
+  ``2 |R_N| + 1`` spans and answer from the memo.
 
-The index keeps its rows in label order, so every answer comes out in
-label order, which in every engine is kappa order.  Callers receive a
-**fresh list** of the hit rows' payloads per call and may mutate it
-freely; the memo stores immutable tuples.  The cache never mutates the
-index, keeps no view of its columns between calls, and may be dropped
-or re-attached at any time.
+A memo entry is the answer function's list, so a hit returns the
+engine's final answer without touching a row.  Callers receive a
+**fresh list** per call and may mutate it freely; the memo stores
+immutable tuples.  The cache never mutates the index, keeps no view of
+its columns between calls, and may be dropped or re-attached at any
+time.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Dict, Generic, List, Tuple, TypeVar
+from typing import Callable, Dict, Generic, List, Optional, Tuple, TypeVar
 
 import numpy as _np
 
@@ -70,9 +71,13 @@ class StabCache(Generic[D]):
     Parameters
     ----------
     index:
-        The live index to read.  The cache reads ``index.version``,
-        ``index.intervals()`` and ``index.stab()`` only; it never
-        mutates the index.
+        The live index to read.  The cache reads ``index.version`` and
+        ``index.intervals()`` only; it never mutates the index.
+    answer:
+        The uncached stab the cache memoizes: the answer list at a stab
+        point, in label order.  Defaults to ``index.stab`` (the hit
+        rows' payloads); the engines pass their own uncached stab, so a
+        memo hit returns their query's answer.
     max_memo:
         Memo-table capacity (distinct elementary spans); the table is
         cleared when full.
@@ -80,15 +85,19 @@ class StabCache(Generic[D]):
     Attributes
     ----------
     hits / misses:
-        Memo-table hits and misses across the cache's lifetime.
+        Stabs the memo answered, and stabs that called ``answer`` (the
+        first stab after each write among them).
     rebuilds:
-        How many index versions the cache caught up with: each first
-        stab after a write re-sorts the span key and clears the memo.
+        How many index versions the cache caught up with: each second
+        stab at a version re-sorts the span key and clears the memo.
     """
 
     __slots__ = (
         "_index",
+        "_answer",
         "_seen_version",
+        "_read_version",
+        "_first",
         "_bounds",
         "_memo",
         "_max_memo",
@@ -100,12 +109,20 @@ class StabCache(Generic[D]):
     def __init__(
         self,
         index: DenseIndex,
+        answer: Optional[Callable[[float], List[D]]] = None,
         max_memo: int = DEFAULT_MAX_MEMO,
     ) -> None:
         if max_memo < 1:
             raise ValueError(f"max_memo must be >= 1, got {max_memo}")
         self._index = index
+        self._answer: Callable[[float], List[D]] = (
+            index.stab if answer is None else answer
+        )
         self._seen_version = -1  # index versions start at 0
+        #: The version the last straight-through stab read, and that
+        #: stab's point and answer.
+        self._read_version = -1
+        self._first: Optional[Tuple[float, Tuple[D, ...]]] = None
         self._bounds = array("d")
         self._memo: Dict[int, Tuple[D, ...]] = {}
         self._max_memo = max_memo
@@ -118,12 +135,21 @@ class StabCache(Generic[D]):
     # ------------------------------------------------------------------
 
     def stab(self, t: float) -> List[D]:
-        """Payloads of every row with ``low < t <= label``, in label
-        order: :meth:`DenseIndex.stab`'s answer.  Always returns a fresh
-        list."""
+        """The answer function's list at ``t``: from the memo when an
+        equivalent stab point was answered at the index's current
+        version.  Always returns a fresh list."""
         # The index's counter is read directly: the property call would
         # be a measurable share of a memo hit.
-        if self._index._version != self._seen_version:
+        version = self._index._version
+        if version != self._seen_version:
+            if version != self._read_version:
+                # The first stab after a write: the span key pays for
+                # its rebuild only if this version is read again.
+                out = self._answer(t)
+                self._read_version = version
+                self._first = (t, tuple(out))
+                self.misses += 1
+                return out
             self._catch_up()
         # Stab answers are constant on the elementary spans between
         # consecutive endpoint values; the span index is the memo key.
@@ -135,7 +161,7 @@ class StabCache(Generic[D]):
             self.hits += 1
             return list(cached)
         self.misses += 1
-        out: List[D] = self._index.stab(t)
+        out = self._answer(t)
         if len(self._memo) >= self._max_memo:
             self._memo.clear()
         self._memo[span] = tuple(out)
@@ -146,8 +172,11 @@ class StabCache(Generic[D]):
         return self._index.version == self._seen_version
 
     def invalidate(self) -> None:
-        """Drop the span key and memo, forcing a catch-up on next stab."""
+        """Drop the span key and memo: the next stab at the current
+        version rebuilds them."""
         self._seen_version = -1
+        self._read_version = self._index.version
+        self._first = None
         self._memo.clear()
 
     def stats(self) -> Dict[str, int]:
@@ -165,7 +194,8 @@ class StabCache(Generic[D]):
     # ------------------------------------------------------------------
 
     def _catch_up(self) -> None:
-        """Re-key the memo for the index's current intervals."""
+        """Re-key the memo for the index's current intervals, seeded
+        with the straight-through stab's answer."""
         lows, labels, _ = self._index.intervals()
         bounds = _np.unique(_np.concatenate((lows, labels)))
         # ``bisect`` on an ``array('d')`` beats a scalar ``searchsorted``
@@ -173,5 +203,9 @@ class StabCache(Generic[D]):
         # would box every value.
         self._bounds = array("d", bounds.tobytes())
         self._memo.clear()
+        if self._first is not None:
+            t, answer = self._first
+            self._memo[bisect_left(self._bounds, float(t))] = answer
+            self._first = None
         self._seen_version = self._index.version
         self.rebuilds += 1

@@ -93,9 +93,10 @@ class NofNSkyline(WindowEngine):
         engines.  See :mod:`repro.sanitize`.
     query_cache:
         When true (the default), :meth:`query` answers through a
-        :class:`~repro.accel.stab_cache.StabCache`, which memoizes the
-        index's vectorised stab per elementary span, instead of running
-        that pass over every row per call.
+        :class:`~repro.accel.stab_cache.StabCache`, which memoizes each
+        answer per elementary span of the index's intervals once a
+        version is read a second time, instead of running the index's
+        pass over every row per call.
         Invalidation is exact (every write bumps the index version), so
         answers are always identical to the uncached path.
     batch_chunk:
@@ -131,8 +132,8 @@ class NofNSkyline(WindowEngine):
         # The expiry cursor: no kappa below it is in R_N.
         self._cursor = 1
         self._rtree = self._index_class(dim)
-        self._stab_cache: Optional[StabCache[_Record]] = (
-            StabCache(self._rtree) if query_cache else None
+        self._stab_cache: Optional[StabCache[StreamElement]] = (
+            StabCache(self._rtree, self._stab_index) if query_cache else None
         )
 
     # ------------------------------------------------------------------
@@ -482,16 +483,21 @@ class NofNSkyline(WindowEngine):
         if stab is None:
             self.stats.record_query(0)
             return []
-        records = self._stab(stab)
-        self.stats.record_query(len(records))
-        return [r.element for r in records]
+        answer = self._stab(stab)
+        self.stats.record_query(len(answer))
+        return answer
 
-    def _stab(self, t: float) -> List[_Record]:
-        """The records whose interval ``t`` stabs, in kappa order,
+    def _stab(self, t: float) -> List[StreamElement]:
+        """The elements whose interval ``t`` stabs, in kappa order,
         through the stab cache when one is attached."""
         if self._stab_cache is not None:
             return self._stab_cache.stab(t)
-        return self._rtree.stab(t)
+        return self._stab_index(t)
+
+    def _stab_index(self, t: float) -> List[StreamElement]:
+        """:meth:`_stab` without the cache: one stab of the index, which
+        the cache memoizes."""
+        return [record.element for record in self._rtree.stab(t)]
 
     def _stab_point(self, n: int) -> Optional[float]:
         if not 1 <= n <= self.capacity:
@@ -552,7 +558,7 @@ class NofNSkyline(WindowEngine):
         return self._rtree.version
 
     @property
-    def stab_cache(self) -> Optional[StabCache[_Record]]:
+    def stab_cache(self) -> Optional[StabCache[StreamElement]]:
         """The query cache, or ``None`` when ``query_cache=False``."""
         return self._stab_cache
 

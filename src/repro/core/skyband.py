@@ -114,8 +114,8 @@ class KSkybandEngine(WindowEngine):
         # In kappa order, oldest first.
         self._records: Dict[int, _BandRecord] = {}
         self._rtree = DenseIndex(dim)
-        self._stab_cache: Optional[StabCache[_BandRecord]] = (
-            StabCache(self._rtree) if query_cache else None
+        self._stab_cache: Optional[StabCache[StreamElement]] = (
+            StabCache(self._rtree, self._stab_index) if query_cache else None
         )
 
     # ------------------------------------------------------------------
@@ -367,11 +367,16 @@ class KSkybandEngine(WindowEngine):
             return []
         stab = max(1, self._m - n + 1)
         if self._stab_cache is not None:
-            records = self._stab_cache.stab(stab)
+            answer = self._stab_cache.stab(stab)
         else:
-            records = self._rtree.stab(stab)
-        self.stats.record_query(len(records))
-        return [r.element for r in records]
+            answer = self._stab_index(stab)
+        self.stats.record_query(len(answer))
+        return answer
+
+    def _stab_index(self, t: float) -> List[StreamElement]:
+        """The elements whose interval ``t`` stabs, in kappa order: one
+        stab of the index, which the query cache memoizes."""
+        return [record.element for record in self._rtree.stab(t)]
 
     def skyband(self) -> List[StreamElement]:
         """The k-skyband of the whole window."""
@@ -414,7 +419,7 @@ class KSkybandEngine(WindowEngine):
         return self._rtree.version
 
     @property
-    def stab_cache(self) -> Optional[StabCache[_BandRecord]]:
+    def stab_cache(self) -> Optional[StabCache[StreamElement]]:
         """The query cache, or ``None`` when ``query_cache=False``."""
         return self._stab_cache
 

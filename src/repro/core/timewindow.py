@@ -175,9 +175,9 @@ class TimeWindowSkyline(NofNSkyline):
         # A period reaching back past 0 covers the whole history, none
         # of which has expired: any stab point in (0, oldest label]
         # reports exactly the dominance-graph roots.
-        records = self._stab(max(self._now - duration, _FIRST_STAB))
-        self.stats.record_query(len(records))
-        return [r.element for r in records]
+        answer = self._stab(max(self._now - duration, _FIRST_STAB))
+        self.stats.record_query(len(answer))
+        return answer
 
     def skyline(self) -> List[StreamElement]:
         """Skyline of the whole horizon."""

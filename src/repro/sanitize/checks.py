@@ -112,7 +112,7 @@ def _check_stab_cache_at(
     (``cache`` may be ``None`` when caching is disabled)."""
     if cache is None:
         return
-    cached = [r.element.kappa for r in cache.stab(stab)]  # type: ignore[attr-defined]
+    cached = [e.kappa for e in cache.stab(stab)]  # type: ignore[attr-defined]
     if cached != expected:
         raise corruption(
             "engine",

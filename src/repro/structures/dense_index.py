@@ -28,11 +28,13 @@ The matrix is also Theorem 3's interval list.  Every row carries the
 half-open interval ``(low, label]`` in two float64 columns: ``label``
 is the element's own label (its kappa, or its timestamp in a time
 window) and ``low`` its encoding's lower end (the critical parent's
-label, or the k-skyband threshold).  A stab at ``t`` reports the rows
-with ``low < t <= label`` in one pass over the columns; a deleted row
-holds ``(+inf, -inf]``, which no point stabs, so the pass needs no
-liveness filter, and its hits come out in row order, which is label
-order.  Every write bumps ``_version``, so a reader such as
+label, or the k-skyband threshold).  Labels ascend with the rows, as
+kappas do (a label not above the newest row's is rejected), and a
+deleted row keeps its label while its low becomes ``+inf``.  A stab at
+``t`` reports the rows with ``low < t <= label`` in one pass over the
+columns; no point stabs a deleted row, so the pass needs no liveness
+filter, and its hits come out in row order, which is label order.
+Every write bumps ``_version``, so a reader such as
 :class:`~repro.accel.stab_cache.StabCache` can tell with one integer
 comparison that the intervals are unchanged.
 
@@ -65,9 +67,9 @@ Point = Tuple[float, ...]
 #: Columns the single-probe dominator sweep tests before doubling.
 _FIRST_SEGMENT = 256
 
-#: The interval of a deleted row, ``(+inf, -inf]``: no point stabs it.
+#: The low of a deleted row: no point ``t`` has ``low < t``, so no
+#: point stabs the row, whose label stays in place.
 _DEAD_LOW = math.inf
-_DEAD_LABEL = -math.inf
 
 #: Probes per block of the chunk-wide dominance mask.  A block x rows
 #: mask stays cache-resident (about 1.3x faster than one chunk x rows
@@ -197,9 +199,9 @@ class DenseIndex:
 
     def intervals(self) -> Tuple[Any, Any, List[Any]]:
         """The used rows as ``(lows, labels, entries)``: the interval
-        columns, a deleted row holding ``(+inf, -inf]``, and the live
-        list of each row's entry (``None`` for a deleted row, which no
-        point stabs).  The columns are views of arrays the next write
+        columns (a deleted row keeps its label, with a ``+inf`` low),
+        and the live list of each row's entry (``None`` for a deleted
+        row, which no point stabs).  The columns are views of arrays the next write
         may replace: read them now, do not keep them."""
         used = len(self._rows)
         return self._lows[:used], self._labels[:used], self._rows
@@ -234,6 +236,20 @@ class DenseIndex:
                     f"{newest}; rows are kept in ascending kappa order"
                 )
             newest = kappa
+
+    def _check_labels(self, labels: Sequence[float]) -> None:
+        """Reject labels that do not ascend above the newest row's
+        before any write: a stab reports its hits in row order, which
+        must be label order."""
+        used = len(self._rows)
+        newest = float(self._labels[used - 1]) if used else -math.inf
+        for label in labels:
+            if not label > newest:
+                raise ValueError(
+                    f"label={label} is not above the newest row's "
+                    f"{newest}; rows are kept in ascending label order"
+                )
+            newest = label
 
     def _probes(self, points: Sequence[Sequence[float]]) -> Any:
         """A probe chunk (a point sequence or an ``(m, dim)`` matrix) as
@@ -292,8 +308,8 @@ class DenseIndex:
         DimensionMismatchError
             If the point has the wrong dimensionality.
         ValueError
-            If a coordinate is NaN, or ``kappa`` is not above the newest
-            row's.
+            If a coordinate is NaN, or ``kappa`` or ``label`` is not
+            above the newest row's.
         DuplicateKeyError
             If an entry with this ``kappa`` is present.
         InvalidIntervalError
@@ -303,6 +319,7 @@ class DenseIndex:
         self._check_kappas((kappa,))
         high = float(kappa) if label is None else float(label)
         _check_interval(float(low), high)
+        self._check_labels((high,))
         return self._append_row(coords, coords, kappa, data, float(low), high)
 
     def _append_row(
@@ -339,9 +356,10 @@ class DenseIndex:
 
         ``points`` is a point sequence or an ``(m, dim)`` matrix; the
         dimension and NaN checks run once over the whole chunk.
-        ``kappas`` must ascend and start above the newest row's.  Row
-        ``i`` gets the interval ``(lows[i], labels[i]]``; ``lows``
-        defaults to 0 and ``labels`` to ``kappas``.
+        ``kappas`` must ascend and start above the newest row's, and so
+        must the labels.  Row ``i`` gets the interval
+        ``(lows[i], labels[i]]``; ``lows`` defaults to 0 and ``labels``
+        to ``kappas``.
         All-or-nothing: every check runs before the first write.
         """
         count = len(points)
@@ -366,6 +384,7 @@ class DenseIndex:
             low = 0.0 if lows is None else float(lows[0])
             label = float(kappa) if labels is None else float(labels[0])
             _check_interval(low, label)
+            self._check_labels((label,))
             return [
                 self._append_row(
                     coords, row, kappa, None if datas is None else datas[0],
@@ -391,6 +410,7 @@ class DenseIndex:
         bad = int(nonempty.argmin())
         if not nonempty[bad]:
             _check_interval(float(low_col[bad]), float(label_col[bad]))
+        self._check_labels(label_col.tolist())
         self._reserve(count)
         self._version += 1
         start = len(self._rows)
@@ -446,8 +466,9 @@ class DenseIndex:
 
     def delete_many(self, kappas: Sequence[int]) -> List[DenseEntry]:
         """Remove a chunk's victims with one tombstone write: NaN into
-        their points, ``(+inf, -inf]`` into their intervals.  The matrix
-        then compacts if the dead outnumber the live.
+        their points and ``+inf`` into their lows (their labels stay, so
+        the labels keep ascending).  The matrix then compacts if the dead
+        outnumber the live.
 
         All-or-nothing: unknown or repeated kappas raise before any
         mutation.  Returns the removed entries in argument order.
@@ -467,12 +488,11 @@ class DenseIndex:
         removed = [self._entries.pop(kappa) for kappa in kappas]
         cols = [entry.row for entry in removed]
         # One column is a plain index (a list index costs about ten
-        # times as much to write); more are converted once for the
-        # three writes.
+        # times as much to write); more are converted once for the two
+        # writes.
         at: Any = cols[0] if len(cols) == 1 else _np.array(cols)
         self._points[:, at] = _np.nan
         self._lows[at] = _DEAD_LOW
-        self._labels[at] = _DEAD_LABEL
         rows = self._rows
         for entry in removed:
             rows[entry.row] = None
@@ -686,12 +706,12 @@ class DenseIndex:
         """Verify the matrix and its interval columns against the entry
         objects.
 
-        ``dense-order`` (kappas strictly ascending, and the live rows'
-        labels too, so that a stab's hits come out in label order),
+        ``dense-order`` (kappas strictly ascending, and the labels too,
+        so that a stab's hits come out in label order),
         ``dense-links`` (each entry's ``row`` names its column),
-        ``dense-tombstone`` (a dead column is all NaN with the interval
-        ``(+inf, -inf]``), ``dense-interval`` (a live row's ``low`` is
-        below its ``label``), ``dense-mirror`` (a live column and its
+        ``dense-tombstone`` (a dead column is all NaN with a ``+inf``
+        low), ``dense-interval`` (a live row's ``low`` is below its
+        ``label``), ``dense-mirror`` (a live column and its
         kappa equal the entry's point and kappa) and ``dense-count``
         (live columns match the entry map).
 
@@ -759,16 +779,12 @@ class DenseIndex:
                     kappas=(kappa,),
                 )
         lows, labels, _ = self.intervals()
-        if not (
-            bool((lows[dead] == _DEAD_LOW).all())
-            and bool((labels[dead] == _DEAD_LABEL).all())
-        ):
+        if not bool((lows[dead] == _DEAD_LOW).all()):
             raise corruption(
                 "dense_index", "dense-tombstone",
-                "a deleted row holds an interval other than (+inf, -inf]",
+                "a deleted row holds a low other than +inf",
             )
-        live_lows, live_labels = lows[cols], labels[cols]
-        bad = ~(live_lows < live_labels)
+        bad = ~(lows[cols] < labels[cols])
         if bool(bad.any()):
             culprit = live[int(_np.argmax(bad))]
             raise corruption(
@@ -777,10 +793,8 @@ class DenseIndex:
                 f"({lows[culprit.row]}, {labels[culprit.row]}]",
                 kappas=(culprit.kappa,),
             )
-        if len(live) > 1 and not bool(
-            (live_labels[1:] > live_labels[:-1]).all()
-        ):
+        if used > 1 and not bool((labels[1:] > labels[:-1]).all()):
             raise corruption(
                 "dense_index", "dense-order",
-                "live row labels are not strictly ascending",
+                "row labels are not strictly ascending",
             )

@@ -290,6 +290,35 @@ class TestSoAStab:
         assert index.stab(5) == [5]  # closed at the label
         assert index.stab(5.0001) == []
 
+    def test_infinite_label_stabbed_at_any_point_above_low(self):
+        index = index_of((0, 4))
+        index.insert((0.0,), 5, "open", low=10, label=math.inf)
+        assert index.interval(5) == (10.0, math.inf)
+        assert index.stab(10) == []  # open at the low end
+        for t in (10.0001, 11, 1e12, math.inf):
+            assert index.stab(t) == ["open"]
+        assert index.stab(3) == [4]
+        index.check_invariants()
+
+    def test_descending_label_rejected_before_any_write(self):
+        index = DenseIndex(1)
+        index.insert_many(
+            [(0.1,), (0.2,)], [1, 2], lows=[0.0, 0.5], labels=[1.5, 3.0]
+        )
+        index.delete_many([2])  # a deleted row keeps its label
+        before = state_of(index)
+        with pytest.raises(ValueError):
+            index.insert((0.3,), 3, low=0.0, label=2.5)
+        with pytest.raises(ValueError):
+            index.insert_many([(0.3,)], [3], labels=[3.0])
+        with pytest.raises(ValueError):  # descending inside the chunk
+            index.insert_many(
+                [(0.3,), (0.4,), (0.5,)], [3, 4, 5], labels=[4.0, 6.0, 5.0]
+            )
+        assert state_of(index) == before
+        index.insert((0.3,), 3, low=0.0, label=3.5)
+        index.check_invariants()
+
     def test_paper_example_encoding(self):
         """Example 3 of the paper: intervals (0,3], (0,4], (4,5],
         (4,6], (3,7]; stabbing with M-n+1 = 2 returns 3 and 4."""
@@ -353,7 +382,7 @@ class TestSoAStab:
         column = index._entries[2].row
         index.delete_many([2])
         lows, labels, _ = index.intervals()
-        assert (lows[column], labels[column]) == (math.inf, -math.inf)
+        assert (lows[column], labels[column]) == (math.inf, 2.0)
         assert index.stab(1.5) == [3]  # (0, 2] is gone
         assert index.stab(1) == [1]
         with pytest.raises(KeyNotFoundError):
@@ -418,7 +447,10 @@ class TestSoAStab:
             st.one_of(
                 st.tuples(
                     st.just("insert"),
-                    st.lists(st.integers(0, 12), min_size=1, max_size=6),
+                    st.lists(
+                        st.one_of(st.none(), st.integers(0, 12)),
+                        min_size=1, max_size=6,
+                    ),
                 ),
                 st.tuples(
                     st.just("delete"),
@@ -436,25 +468,44 @@ class TestSoAStab:
     def test_stab_matches_linear_scan(self, writes, stab_at):
         """The stab and a :class:`StabCache` over it agree with a linear
         scan of a model, answers in label order, across tombstones,
-        compactions, growth past the initial 16 columns and ``low``
-        rewrites, at stab points on and between endpoints."""
+        compactions, growth past the initial 16 columns, ``low``
+        rewrites and ``inf`` labels, at stab points on and between
+        endpoints.  A width of ``None`` makes the row's label ``inf``,
+        which only the newest row may hold: a chunk whose labels do not
+        ascend above the newest row's is rejected, leaving the index
+        as it was."""
         index = DenseIndex(1)
         cache = StabCache(index)
-        live = {}  # label (= kappa) -> low, in label order
+        live = {}  # kappa -> (low, label), in label order
         label = 0
 
         def scan(t):
-            return [k for k, low in live.items() if low < t <= k]
+            return [k for k, (low, top) in live.items() if low < t <= top]
 
         for kind, args in writes:
             if kind == "insert":
                 widths = args
                 kappas = list(range(label + 1, label + len(widths) + 1))
-                lows = [max(0, k - 1 - w) for k, w in zip(kappas, widths)]
+                lows = [max(0, k - 1 - (w or 0)) for k, w in zip(kappas, widths)]
+                labels = [
+                    math.inf if w is None else float(k)
+                    for k, w in zip(kappas, widths)
+                ]
+                newest = index.intervals()[1][-1:].tolist()
+                if math.inf in labels[:-1] + newest:
+                    before = state_of(index)
+                    with pytest.raises(ValueError):
+                        index.insert_many(
+                            [(0.0,)] * len(kappas), kappas, kappas,
+                            lows=lows, labels=labels,
+                        )
+                    assert state_of(index) == before
+                    continue
                 index.insert_many(
-                    [(0.0,)] * len(kappas), kappas, kappas, lows=lows
+                    [(0.0,)] * len(kappas), kappas, kappas,
+                    lows=lows, labels=labels,
                 )
-                live.update(zip(kappas, lows))
+                live.update(zip(kappas, zip(lows, labels)))
                 label = kappas[-1]
             elif live and kind == "delete":
                 keys = sorted(live)
@@ -464,13 +515,13 @@ class TestSoAStab:
                     del live[k]
             elif live:
                 k = sorted(live)[args[0] % len(live)]
-                live[k] = args[1] % k
-                index.set_low(k, live[k])
+                live[k] = (args[1] % k, live[k][1])
+                index.set_low(k, live[k][0])
             assert cache.stab(stab_at) == scan(stab_at)
             assert index.stab(stab_at) == scan(stab_at)
-        points = {stab_at}
-        for k, low in live.items():
-            points.update((low, low + 0.5, k))
+        points = {stab_at, 1e9}
+        for k, (low, top) in live.items():
+            points.update((low, low + 0.5, top))
         for t in sorted(points):
             assert index.stab(t) == scan(t)
             assert cache.stab(t) == scan(t)
@@ -582,7 +633,7 @@ class TestSoACorruption:
         index = fed_index()
         column = index._entries[7].row
         index.delete_many([7])
-        index._labels[column] = 7.0
+        index._lows[column] = 6.0  # a stab at 6.5 would report a dead row
         self.check_raises(index, "dense-tombstone")
 
     def test_empty_interval_tamper_is_interval(self):
