@@ -277,37 +277,45 @@ class ContinuousQueryManager:
 
     def process(self, outcome: ArrivalOutcome) -> None:
         """Apply one arrival to every query: :meth:`process_batch` over
-        a batch of one."""
-        self.process_batch(BatchOutcome((outcome,)))
+        a batch of one, its one-row columns built directly."""
+        m = outcome.seen_so_far
+        dead = [victim.kappa for victim in outcome.dominated_removed]
+        self._advance([outcome.element], [outcome.parent_kappa], dead, [m] * len(dead))
 
     def process_batch(self, batch: BatchOutcome) -> None:
-        """Apply a batch of arrivals to every query.
+        """Apply a batch of arrivals to every query, from the batch's
+        columns."""
+        born = batch.elements
+        if not born:
+            return
+        self._advance(
+            born,
+            batch.parents,
+            [victim.kappa for victim in batch.dominated],
+            _np.add(batch.dominated_at, born[0].kappa),
+        )
+
+    def _advance(
+        self, born: List[StreamElement], parents: List[int], dead: List[int], dead_at: Any
+    ) -> None:
+        """Apply the arrivals ``born`` (consecutive kappas, the next
+        after the rows'), with their birth parents, and the dominance
+        ejections: row ``dead[j]`` left ``R_N`` at arrival
+        ``dead_at[j]``.
 
         Appends the newcomers as rows, marks the arrival that dominated
         each ejected row, counts every window's changes over the batch
         in one pass, and drops the rows that left ``R_N``.
         """
-        outcomes = batch.outcomes
-        if not outcomes:
-            return
         m0 = self._m
-        m1 = outcomes[-1].seen_so_far
-        born: List[StreamElement] = []
-        born_parent: List[int] = []
-        dead: List[int] = []
-        dead_at: List[int] = []
-        for outcome in outcomes:
-            born.append(outcome.element)
-            born_parent.append(outcome.parent_kappa)
-            for victim in outcome.dominated_removed:
-                dead.append(victim.kappa)
-                dead_at.append(outcome.seen_so_far)
+        first = born[0].kappa
+        m1 = first + len(born) - 1
         elements = self._elements + born
         kappa = _np.concatenate(
-            (self._kappa, _np.array([e.kappa for e in born], dtype=_np.int64))
+            (self._kappa, _np.arange(first, m1 + 1, dtype=_np.int64))
         )
         parent = _np.concatenate(
-            (self._parent, _np.array(born_parent, dtype=_np.int64))
+            (self._parent, _np.array(parents, dtype=_np.int64))
         )
         death = _np.full(len(kappa), _ALIVE, dtype=_np.int64)
         if dead:

@@ -50,7 +50,7 @@ in section 6).
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, List, Optional, Sequence, Type
 
 from repro.accel.batch_prefilter import BatchPrefilter
 from repro.accel.stab_cache import StabCache
@@ -173,10 +173,16 @@ class NofNSkyline(WindowEngine):
     def _append_one(self, element: StreamElement, label: float) -> ArrivalOutcome:
         """Run one validated element, labelled ``label``, as a chunk of
         one."""
-        outcomes: List[ArrivalOutcome] = []
-        self._arrive_chunk([element], [label], row_block(element.values), outcomes)
+        batch = BatchOutcome()
+        self._arrive_chunk([element], [label], row_block(element.values), batch)
         self._chunk_done()
-        return outcomes[0]
+        return ArrivalOutcome(
+            element,
+            element.kappa,
+            tuple(batch.dominated),
+            batch.parents[0],
+            tuple(batch.expired),
+        )
 
     def append_many(
         self,
@@ -186,9 +192,10 @@ class NofNSkyline(WindowEngine):
         """Ingest a batch of stream elements; return what changed.
 
         Semantically identical to calling :meth:`append` once per point
-        (the returned :class:`~repro.core.events.BatchOutcome` carries
-        the exact per-element :class:`ArrivalOutcome` sequence those
-        calls would have produced), but much faster on bursty feeds: a
+        (the returned :class:`~repro.core.events.BatchOutcome`'s columns
+        encode the exact per-element :class:`ArrivalOutcome` sequence
+        those calls would have produced), but much faster on bursty
+        feeds: a
         vectorised intra-batch prefilter proves which batch members are
         dominated by a younger same-batch member before any query could
         observe them, and those members skip all index maintenance.
@@ -207,14 +214,14 @@ class NofNSkyline(WindowEngine):
     ) -> BatchOutcome:
         """Run validated elements, their labels and their ``(B, dim)``
         coordinate matrix through the chunk core, chunk by chunk."""
-        outcomes: List[ArrivalOutcome] = []
-        dropped = self._ingest(
+        batch = BatchOutcome()
+        batch.prefilter_dropped = self._ingest(
             len(elements),
             lambda lo, hi: self._arrive_chunk(
-                elements[lo:hi], labels[lo:hi], matrix[lo:hi], outcomes
+                elements[lo:hi], labels[lo:hi], matrix[lo:hi], batch
             ),
         )
-        return BatchOutcome(tuple(outcomes), prefilter_dropped=dropped)
+        return batch
 
     def _expire_step(
         self,
@@ -222,10 +229,13 @@ class NofNSkyline(WindowEngine):
         pending: Dict[int, _Record],
         deletes: List[int],
         indexed_below: int,
-    ) -> Tuple[List[StreamElement], Optional[float]]:
+        batch: BatchOutcome,
+        offset: int,
+    ) -> Optional[float]:
         """Expire, oldest first, the elements labelled below
-        ``threshold``; return them and the oldest live label left
-        (``None`` when ``R_N`` is empty).
+        ``threshold``, appending them to ``batch``'s ``expired`` column
+        at ``offset``; return the oldest live label left (``None`` when
+        ``R_N`` is empty).
 
         The cursor walks the kappas of ``_records`` and ``pending``
         upwards and stops at the first live one still in the window.
@@ -233,7 +243,6 @@ class NofNSkyline(WindowEngine):
         the oldest, and every kappa is passed once: amortised O(1) per
         arrival.
         """
-        expired: List[StreamElement] = []
         records = self._records
         # An empty R_N has nothing to expire, however far M has jumped.
         kappa = self._cursor if records or pending else self._m
@@ -242,22 +251,25 @@ class NofNSkyline(WindowEngine):
             if record is not None:
                 if record.label >= threshold:
                     self._cursor = kappa
-                    return expired, record.label
-                expired.append(self._expire(record, pending, deletes, indexed_below))
+                    return record.label
+                batch.expired.append(
+                    self._expire(record, pending, deletes, indexed_below)
+                )
+                batch.expired_at.append(offset)
             kappa += 1
         self._cursor = kappa
-        return expired, None
+        return None
 
     def _arrive_chunk(
         self,
         chunk: List[StreamElement],
         labels: List[float],
         block: Any,
-        outcomes: List[ArrivalOutcome],
+        batch: BatchOutcome,
     ) -> int:
         """Ingest one chunk with its labels and coordinate rows
-        (``block``), appending one outcome per element; return how many
-        members the prefilter dropped.
+        (``block``), appending each member's outcome to ``batch``'s
+        columns; return how many members the prefilter dropped.
 
         The dominance index is *frozen* for the duration of the chunk:
         both chunk-wide searches (:meth:`DenseIndex.report_dominated_batch`,
@@ -322,34 +334,45 @@ class NofNSkyline(WindowEngine):
         installed: List[_Record] = []
         lows: List[float] = []  # the interval low of each installed record
 
+        # The batch's columns; member i of the chunk is batch offset
+        # base + i.
+        base = len(batch.elements)
+        batch.elements.extend(chunk)
+        parents = batch.parents
+        dominated = batch.dominated
+        dominated_at = batch.dominated_at
+        expired_before = len(batch.expired)
+        dominated_before = len(dominated)
+
         # A lower bound on the oldest live label; the first arrival's
         # sweep moves the cursor to the oldest live element.
         oldest = -math.inf
-        expired_count = dominated_count = rn_sum = rn_peak = 0
+        rn_sum = rn_peak = 0
         pending: Dict[int, _Record] = {}
         for i, element in enumerate(chunk):
             label = labels[i]
+            offset = base + i
             self._m = element.kappa
             self._note_arrival(label)
 
-            expired: List[StreamElement] = []
             threshold = self._window_start()
             if threshold > oldest:
-                expired, stop = self._expire_step(threshold, pending, deletes, first)
+                stop = self._expire_step(
+                    threshold, pending, deletes, first, batch, offset
+                )
                 oldest = label if stop is None else stop
-                expired_count += len(expired)
 
-            dominated: List[StreamElement] = []
             for entry in victims0[i]:
                 if self._records.pop(entry.kappa, None) is None:
                     continue  # expired earlier in the chunk
                 deletes.append(entry.kappa)
                 dominated.append(entry.data.element)
+                dominated_at.append(offset)
             for h in pre.killed_at(i):
                 doomed = pending.pop(chunk[h].kappa, None)
                 if doomed is not None:  # else already expired
                     dominated.append(doomed.element)
-            dominated_count += len(dominated)
+                    dominated_at.append(offset)
 
             record = _Record(element, label)
             # Intra-chunk parent candidates, youngest first.  Any alive
@@ -388,6 +411,7 @@ class NofNSkyline(WindowEngine):
                     best = parent_entry.data
             if best is not None:
                 record.parent_kappa = best.element.kappa
+            parents.append(record.parent_kappa)
             if pre.is_doomed(i):
                 pending[element.kappa] = record
             else:
@@ -399,17 +423,13 @@ class NofNSkyline(WindowEngine):
             rn_sum += rn_size
             if rn_size > rn_peak:
                 rn_peak = rn_size
-            outcomes.append(
-                ArrivalOutcome(
-                    element=element,
-                    seen_so_far=element.kappa,
-                    dominated_removed=tuple(dominated),
-                    parent_kappa=record.parent_kappa,
-                    expired=tuple(expired),
-                )
-            )
+        expired_count = len(batch.expired) - expired_before
         self.stats.record_arrivals(
-            len(chunk), expired_count, dominated_count, rn_sum, rn_peak
+            len(chunk),
+            expired_count,
+            len(dominated) - dominated_before,
+            rn_sum,
+            rn_peak,
         )
         if pending:
             raise StructureCorruptionError(

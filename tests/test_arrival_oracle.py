@@ -7,9 +7,9 @@ alone, with no engine state:
   at ``m`` and have no younger weak dominator among the first ``m``
   arrivals (Theorem 1 with the youngest-copy tie rule);
 * arrival ``m`` expires the members of ``R(m-1)`` that left the window,
-  ejects the rest of ``R(m-1)`` that ``m`` weakly dominates, and takes
-  as critical parent the youngest remaining member that weakly
-  dominates it (0 for none);
+  ejects the rest of ``R(m-1)`` that ``m`` weakly dominates (both lists
+  oldest first), and takes as critical parent the youngest remaining
+  member that weakly dominates it (0 for none);
 * an expiring element's children are the members of ``R(m-1)`` whose
   youngest older weak dominator in ``R(m-1)`` it is.
 
@@ -112,23 +112,23 @@ class ArrivalOracle:
         return max(older, default=0)
 
     def outcome(self, m):
-        """Arrival ``m``'s outcome: ``(dominated set, parent, expired)``,
-        ``expired`` as kappas oldest first."""
+        """Arrival ``m``'s outcome: ``(dominated, parent, expired)``,
+        ``dominated`` and ``expired`` as kappas oldest first."""
         before = self.retained(m - 1)
         start = self.starts[m - 1]
         point = self.points[m - 1]
         gone = [y for y in before if self.labels[y - 1] < start]
         stay = [y for y in before if self.labels[y - 1] >= start]
-        dominated = {
+        dominated = [
             y for y in stay if weakly_dominates(point, self.points[y - 1])
-        }
+        ]
         parent = self.parent_in([y for y in stay if y not in dominated], m)
         return dominated, parent, gone
 
 
 def outcome_key(outcome):
     return (
-        {e.kappa for e in outcome.dominated_removed},
+        [e.kappa for e in outcome.dominated_removed],
         outcome.parent_kappa,
         [e.kappa for e in outcome.expired],
     )

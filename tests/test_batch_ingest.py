@@ -8,8 +8,9 @@ identical per-arrival :class:`ArrivalOutcome` sequences, identical
 stats counters, and identical continuous-query trigger sequences —
 for any batch split, including batches larger than the window.
 
-``dominated_removed`` order is explicitly unspecified (it follows the
-R-tree traversal), so outcomes are compared with that field as a set.
+``dominated_removed`` and ``expired`` are both ordered oldest first
+(``tests/test_arrival_oracle.py`` pins the order against the stream);
+the twin comparisons here take ``dominated_removed`` as a set.
 """
 
 from __future__ import annotations
@@ -356,6 +357,93 @@ class TestBatchOutcomeSurface:
             engine.append_many([(0.1, 0.1)], payloads=["x", "y"])
         assert engine.seen_so_far == 1
         assert [e.kappa for e in engine.skyline()] == [1]
+
+    @staticmethod
+    def chunked_batch():
+        """A batch run in chunks of 3 over a window of 4, with window
+        expiries and members killed inside their own chunk."""
+        rng = random.Random(5)
+        points = [(rng.randint(0, 4) / 4, rng.randint(0, 4) / 4)
+                  for _ in range(40)]
+        engine = NofNSkyline(dim=2, capacity=4, batch_chunk=3)
+        engine.append_many(points[:6])
+        return engine.append_many(points[6:]), points
+
+    def test_columns_agree_with_outcomes(self):
+        batch, points = self.chunked_batch()
+        assert batch.prefilter_dropped > 0 and batch.expired_total > 0
+        outcomes = batch.outcomes
+        assert [o.element for o in outcomes] == batch.elements
+        assert [o.seen_so_far for o in outcomes] == list(range(7, 41))
+        assert [o.parent_kappa for o in outcomes] == batch.parents
+        assert [
+            (e, at) for at, o in enumerate(outcomes) for e in o.dominated_removed
+        ] == list(zip(batch.dominated, batch.dominated_at))
+        assert [
+            (e, at) for at, o in enumerate(outcomes) for e in o.expired
+        ] == list(zip(batch.expired, batch.expired_at))
+        # Exactly what per-element ``append`` calls return.
+        twin = NofNSkyline(dim=2, capacity=4)
+        for p in points[:6]:
+            twin.append(p)
+        assert list(outcomes) == [twin.append(p) for p in points[6:]]
+
+    def test_outcomes_are_built_once(self):
+        batch, _ = self.chunked_batch()
+        assert batch.outcomes is batch.outcomes
+        assert tuple(batch) == batch.outcomes
+
+    def test_aggregates_and_equality_match_the_outcomes(self):
+        batch, _ = self.chunked_batch()
+        outcomes = batch.outcomes
+        assert len(batch) == batch.batch_size == len(outcomes) == 34
+        assert batch.seen_so_far == outcomes[-1].seen_so_far == 40
+        assert batch.dominated_total == sum(
+            len(o.dominated_removed) for o in outcomes
+        )
+        assert batch.expired_total == sum(len(o.expired) for o in outcomes)
+        again, _ = self.chunked_batch()
+        assert again == batch
+        rebuilt = BatchOutcome(outcomes, prefilter_dropped=batch.prefilter_dropped)
+        assert rebuilt == batch and rebuilt.outcomes == outcomes
+        assert BatchOutcome(outcomes) != batch  # prefilter_dropped differs
+        assert BatchOutcome(outcomes[:-1], batch.prefilter_dropped) != batch
+        assert BatchOutcome() == BatchOutcome(())
+        assert BatchOutcome().seen_so_far == 0
+
+    def test_batch_of_one_outcome_feeds_the_manager_like_the_engine(self):
+        """``process(outcome)``, ``process_batch(BatchOutcome((outcome,)))``
+        and ``process_batch`` of the engine's own one-point batch leave
+        three managers in the same state."""
+        rng = random.Random(9)
+        points = [(rng.randint(0, 5) / 5, rng.randint(0, 5) / 5)
+                  for _ in range(60)]
+        managers = [
+            ContinuousQueryManager(NofNSkyline(dim=2, capacity=6))
+            for _ in range(3)
+        ]
+        handles = [[m.register(n) for n in (1, 3, 6)] for m in managers]
+        for p in points:
+            outcome = managers[0].engine.append(p)
+            managers[0].process(outcome)
+            managers[1].process_batch(
+                BatchOutcome((managers[1].engine.append(p),))
+            )
+            managers[2].process_batch(managers[2].engine.append_many([p]))
+            states = [
+                (
+                    m._m,
+                    m._kappa.tolist(),
+                    m._parent.tolist(),
+                    [e.kappa for e in m._elements],
+                    m._counts.tolist(),
+                    [(h.result_kappas(), h.changes) for h in hs],
+                )
+                for m, hs in zip(managers, handles)
+            ]
+            assert states[0] == states[1] == states[2]
+        for m in managers:
+            m.check_invariants()
 
 
 class TestBatchStats:

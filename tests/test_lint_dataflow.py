@@ -72,6 +72,33 @@ class TestRepro101VersionBumps:
         result = analyze_sources({"group.py": src})
         assert result.findings == []
 
+    def test_local_alias_is_a_write_only_when_written_through(self):
+        # Binding ``rows = self._rows`` mutates nothing; a subscript
+        # write or a mutator call through the alias does.
+        src = (
+            "class Index:\n"
+            "    def __init__(self):\n"
+            "        self._rows = []\n"
+            "        self._version = 0\n"
+            "\n"
+            "    def live(self, i):\n"
+            "        rows = self._rows\n"
+            "        return rows[i] is not None\n"
+            "\n"
+            "    def bury(self, i):\n"
+            "        rows = self._rows\n"
+            "        rows[i] = None\n"
+            "\n"
+            "    def grow(self, row):\n"
+            "        rows = self._rows\n"
+            "        rows.append(row)\n"
+        )
+        result = analyze_sources({"index.py": src})
+        assert [(f.code, f.line) for f in result.findings] == [
+            ("REPRO101", 12),
+            ("REPRO101", 16),
+        ]
+
 
 class TestRepro105SnapshotParity:
     def test_violation(self):

@@ -63,16 +63,25 @@ def _frags(cfg: CFG) -> List[Tuple[CFGNode, ast.AST]]:
 
 
 def _assign_targets(frag: ast.AST) -> List[ast.expr]:
+    """The targets this fragment writes through.  A bare local name
+    that an assignment or ``del`` (re)binds is left out: ``rows =
+    self._rows`` creates an alias, it writes nothing.  An augmented
+    assignment's name stays (``rows += more`` extends a list in
+    place)."""
     targets: List[ast.expr] = []
     for node in ast.walk(frag):
-        if isinstance(node, ast.Assign):
-            targets.extend(node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        if isinstance(node, ast.AugAssign):
             targets.append(node.target)
-        elif isinstance(node, ast.Delete):
+            continue
+        if isinstance(node, (ast.Assign, ast.Delete)):
             # ``del self._axis[slot]`` mutates the container just as an
             # assignment does; rules that key on writes must see it.
-            targets.extend(node.targets)
+            bound = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            bound = [node.target]
+        else:
+            continue
+        targets.extend(t for t in bound if not isinstance(t, ast.Name))
     return targets
 
 
