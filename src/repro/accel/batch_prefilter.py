@@ -13,8 +13,8 @@ two row reductions off it: *when* each member dies at the hands of a
 younger same-batch member, and (when a pipeline asks) which older
 same-batch member is its youngest weak dominator (Algorithm 1's
 critical-parent candidate).  The engines skip all index maintenance
-for the casualties while still synthesising their exact per-element
-:class:`~repro.core.events.ArrivalOutcome`.
+for the casualties while still reporting each arrival exactly as
+per-element ``append`` calls would.
 
 The filter is a *skyband* filter: ``k = 1`` marks an element as doomed
 at its first younger weak dominator (the skyline engines), ``k > 1`` at

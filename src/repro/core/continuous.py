@@ -280,7 +280,9 @@ class ContinuousQueryManager:
         a batch of one, its one-row columns built directly."""
         m = outcome.seen_so_far
         dead = [victim.kappa for victim in outcome.dominated_removed]
-        self._advance([outcome.element], [outcome.parent_kappa], dead, [m] * len(dead))
+        self._advance(
+            [outcome.element], [outcome.parent_kappa], dead, [m] * len(dead)
+        )
 
     def process_batch(self, batch: BatchOutcome) -> None:
         """Apply a batch of arrivals to every query, from the batch's
@@ -296,7 +298,11 @@ class ContinuousQueryManager:
         )
 
     def _advance(
-        self, born: List[StreamElement], parents: List[int], dead: List[int], dead_at: Any
+        self,
+        born: List[StreamElement],
+        parents: List[int],
+        dead: List[int],
+        dead_at: Any,
     ) -> None:
         """Apply the arrivals ``born`` (consecutive kappas, the next
         after the rows'), with their birth parents, and the dominance

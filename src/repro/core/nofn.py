@@ -195,10 +195,10 @@ class NofNSkyline(WindowEngine):
         (the returned :class:`~repro.core.events.BatchOutcome`'s columns
         encode the exact per-element :class:`ArrivalOutcome` sequence
         those calls would have produced), but much faster on bursty
-        feeds: a
-        vectorised intra-batch prefilter proves which batch members are
-        dominated by a younger same-batch member before any query could
-        observe them, and those members skip all index maintenance.
+        feeds: a vectorised intra-batch prefilter proves which batch
+        members are dominated by a younger same-batch member before any
+        query could observe them, and those members skip all index
+        maintenance.
         The window-expiry sweep runs only at
         arrivals whose window start passes the oldest live label.
 
